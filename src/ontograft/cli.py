@@ -18,7 +18,14 @@ import sys
 
 from . import attribution, dataset, extension, metrics, ontology, tokenizer as tok
 from ._io import atomic_write_text
-from .config import ConfigError, RunConfig, build_run_config, write_default_config
+from .config import (
+    ConfigError,
+    ConfigValueError,
+    RunConfig,
+    build_run_config,
+    parse_value,
+    write_default_config,
+)
 from .model import (
     ModelConfig,
     ModelError,
@@ -47,6 +54,7 @@ _COMPONENTS = {
     metrics.MetricsError: "evaluation",
     attribution.AttributionError: "explainability",
     extension.ExtensionError: "extension",
+    ConfigValueError: "config",  # before ConfigError: the first match names the component
     ConfigError: "cli",
 }
 
@@ -114,11 +122,14 @@ def _train_config(cfg: RunConfig, epochs: int) -> TrainConfig:
 
 
 def _masking_policy(cfg: RunConfig, sections: dict) -> MaskingPolicy:
+    def get(key):
+        return parse_value("masking", key, sections[key], float)
+
     return MaskingPolicy(
-        mask_probability=float(sections["mask_probability"]),
-        mask_fraction=float(sections["mask_fraction"]),
-        random_fraction=float(sections["random_fraction"]),
-        keep_fraction=float(sections["keep_fraction"]),
+        mask_probability=get("mask_probability"),
+        mask_fraction=get("mask_fraction"),
+        random_fraction=get("random_fraction"),
+        keep_fraction=get("keep_fraction"),
         seed=cfg.seed,
     )
 

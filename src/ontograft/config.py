@@ -17,6 +17,10 @@ class ConfigError(Exception):
     pass
 
 
+class ConfigValueError(ConfigError):
+    """A config value that does not parse or is out of range."""
+
+
 DEFAULTS: dict[str, dict[str, str]] = {
     "dataset": {
         "n_label_classes": "500",
@@ -101,6 +105,20 @@ class RunConfig:
     id_width: int = 6
     top_k: int = 3
 
+    def __post_init__(self):
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigValueError(f"threshold must be in (0, 1), got {self.threshold}")
+
+
+def parse_value(section: str, key: str, raw: str, kind: type):
+    """``kind(raw)`` for an INI value; a malformed value names its key."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigValueError(
+            f"[{section}] {key}: invalid {kind.__name__} value {raw!r}"
+        ) from None
+
 
 def read_config_file(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
@@ -133,41 +151,41 @@ def build_run_config(
         for section, values in read_config_file(config_path).items():
             merged[section].update(values)
 
-    def get(section, key):
-        return merged[section][key]
+    def get(section, key, kind=str):
+        return parse_value(section, key, merged[section][key], kind)
 
     values: dict[str, object] = {
-        "threshold": float(get("run", "threshold")),
-        "n_label_classes": int(get("dataset", "n_label_classes")),
-        "min_members": int(get("dataset", "min_members")),
+        "threshold": get("run", "threshold", float),
+        "n_label_classes": get("dataset", "n_label_classes", int),
+        "min_members": get("dataset", "min_members", int),
         "ratios": (
-            float(get("dataset", "ratio_train")),
-            float(get("dataset", "ratio_validation")),
-            float(get("dataset", "ratio_test")),
+            get("dataset", "ratio_train", float),
+            get("dataset", "ratio_validation", float),
+            get("dataset", "ratio_test", float),
         ),
-        "target_vocab": int(get("tokenizer", "target_vocab")),
-        "max_len": int(get("tokenizer", "max_len")),
-        "min_frequency": int(get("tokenizer", "min_frequency")),
-        "n_layers": int(get("model", "n_layers")),
-        "n_heads": int(get("model", "n_heads")),
-        "hidden_dim": int(get("model", "hidden_dim")),
-        "ffn_dim": int(get("model", "ffn_dim")),
-        "attention_dropout": float(get("model", "attention_dropout")),
+        "target_vocab": get("tokenizer", "target_vocab", int),
+        "max_len": get("tokenizer", "max_len", int),
+        "min_frequency": get("tokenizer", "min_frequency", int),
+        "n_layers": get("model", "n_layers", int),
+        "n_heads": get("model", "n_heads", int),
+        "hidden_dim": get("model", "hidden_dim", int),
+        "ffn_dim": get("model", "ffn_dim", int),
+        "attention_dropout": get("model", "attention_dropout", float),
         "activation": get("model", "activation"),
         "mlm_loss": get("model", "mlm_loss"),
         "dtype": get("model", "dtype"),
-        "pretrain_epochs": int(get("training", "pretrain_epochs")),
-        "finetune_epochs": int(get("training", "finetune_epochs")),
-        "batch_size": int(get("training", "batch_size")),
-        "learning_rate": float(get("training", "learning_rate")),
-        "weight_decay": float(get("training", "weight_decay")),
-        "checkpoint_every": int(get("training", "checkpoint_every")),
+        "pretrain_epochs": get("training", "pretrain_epochs", int),
+        "finetune_epochs": get("training", "finetune_epochs", int),
+        "batch_size": get("training", "batch_size", int),
+        "learning_rate": get("training", "learning_rate", float),
+        "weight_decay": get("training", "weight_decay", float),
+        "checkpoint_every": get("training", "checkpoint_every", int),
         "id_prefix": get("extension", "id_prefix"),
-        "id_width": int(get("extension", "id_width")),
-        "top_k": int(get("extension", "top_k")),
+        "id_width": get("extension", "id_width", int),
+        "top_k": get("extension", "top_k", int),
     }
     if "seed" in merged["run"]:
-        values["seed"] = int(merged["run"]["seed"])
+        values["seed"] = get("run", "seed", int)
 
     valid_names = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():

@@ -6,7 +6,10 @@ absolute position embeddings, BOS pooling for classification, and an MLM
 projection tied to the token embedding matrix.
 
 All math runs in 64-bit floats by default so gradients can be checked against
-central finite differences; float32 is available as a speed option.
+central finite differences; with ``dtype = "float32"`` every array computed
+here is float32.  Constants are Python floats, never NumPy scalars: under
+NumPy 2 scalar promotion (NEP 50) an ``np.float64`` scalar would upcast a
+float32 array to float64.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .tokenizer import PAD_ID, TokenSequence
 LN_EPS = 1e-5
 _SQRT_2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 MODEL_MAGIC = b"OGMODEL\n"
 MODEL_VERSION = 1
@@ -201,21 +205,25 @@ def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
     return dx, dg, db
 
 
-def _gelu(x: np.ndarray, kind: str) -> np.ndarray:
+def _gelu_term(x: np.ndarray, kind: str) -> np.ndarray:
+    """The erf (or tanh) term both GELU forms share: gelu = 0.5 x (1 + term).
+    Forward passes keep it so the backward pass need not evaluate it again."""
     if kind == "gelu":
-        return 0.5 * x * (1.0 + erf(x / _SQRT_2))
-    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3))
-    return 0.5 * x * (1.0 + t)
+        return erf(x / _SQRT_2)
+    return np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
 
 
-def _gelu_grad(x: np.ndarray, kind: str) -> np.ndarray:
+def _gelu(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + term)
+
+
+def _gelu_grad(x: np.ndarray, term: np.ndarray, kind: str) -> np.ndarray:
     if kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(x / _SQRT_2))
+        cdf = 0.5 * (1.0 + term)
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         return cdf + x * pdf
-    c = np.sqrt(2.0 / np.pi)
-    u = c * (x + 0.044715 * x**3)
-    t = np.tanh(u)
+    c = _SQRT_2_OVER_PI
+    t = term
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
 
 
@@ -292,7 +300,7 @@ def _forward_core(
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
     cache = {"ids": ids, "mask": mask, "layers": [], "T": T}
     key_mask = mask[:, None, None, :]  # broadcast over heads and queries
-    scale = 1.0 / np.sqrt(config.head_dim)
+    scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
 
     for i in range(config.n_layers):
         lp = f"layers.{i}."
@@ -317,13 +325,13 @@ def _forward_core(
         x_mid = x + attn_out
         h2, ln2_cache = _layer_norm(x_mid, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
-        g1 = _gelu(a1, config.activation)
-        f_out = g1 @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"]
+        e1 = _gelu_term(a1, config.activation)
+        f_out = _gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"]
         x = x_mid + f_out
         lc.update(
             h1=h1, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, keep=keep,
             probs_used=probs_used, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
-            a1=a1, g1=g1,
+            a1=a1, e1=e1,
         )
         cache["layers"].append(lc)
 
@@ -377,14 +385,14 @@ def _mlm_head_forward(store: ParameterStore, config: ModelConfig, rows: np.ndarr
     """Transform (dense + gelu + layer norm), then the tied decoder."""
     p = store.params
     a = rows @ p["mlm.w"] + p["mlm.b"]
-    g = _gelu(a, config.activation)
-    t, ln_cache = _layer_norm(g, p["mlm_ln.g"], p["mlm_ln.b"])
+    e = _gelu_term(a, config.activation)
+    t, ln_cache = _layer_norm(_gelu(a, e), p["mlm_ln.g"], p["mlm_ln.b"])
     logits = t @ p["tok_emb"].T + p["mlm_bias"]
-    return logits, (rows, a, t, ln_cache)
+    return logits, (rows, a, e, t, ln_cache)
 
 
 def _mlm_head_backward(store: ParameterStore, config: ModelConfig, dlogits, cache):
-    rows, a, t, ln_cache = cache
+    rows, a, e, t, ln_cache = cache
     p, grad = store.params, store.grads
     grad["mlm_bias"] += dlogits.sum(axis=0)
     grad["tok_emb"] += dlogits.T @ t
@@ -392,7 +400,7 @@ def _mlm_head_backward(store: ParameterStore, config: ModelConfig, dlogits, cach
     dg, dlng, dlnb = _layer_norm_backward(dt, ln_cache, p["mlm_ln.g"])
     grad["mlm_ln.g"] += dlng
     grad["mlm_ln.b"] += dlnb
-    da = dg * _gelu_grad(a, config.activation)
+    da = dg * _gelu_grad(a, e, config.activation)
     grad["mlm.w"] += rows.T @ da
     grad["mlm.b"] += da.sum(axis=0)
     return da @ p["mlm.w"].T
@@ -427,7 +435,7 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, d_hidden):
     p, g = store.params, store.grads
     ids, T = cache["ids"], cache["T"]
     d = config.hidden_dim
-    scale = 1.0 / np.sqrt(config.head_dim)
+    scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
     dropout = cache["dropout"]
 
     dx, dg_f, db_f = _layer_norm_backward(d_hidden, cache["final_ln"], p["final_ln.g"])
@@ -439,10 +447,13 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, d_hidden):
         lc = cache["layers"][i]
         # FFN block
         df = dx  # gradient at x_out flows to both f_out and x_mid
-        g[lp + "ffn.w2"] += lc["g1"].reshape(-1, config.ffn_dim).T @ df.reshape(-1, d)
+        a1, e1 = lc["a1"], lc["e1"]
+        # the GELU output, rebuilt from the cached erf term by the forward's expression
+        g[lp + "ffn.w2"] += _gelu(a1, e1).reshape(-1, config.ffn_dim).T @ df.reshape(-1, d)
         g[lp + "ffn.b2"] += df.sum(axis=(0, 1))
-        dg1 = df @ p[lp + "ffn.w2"].T
-        da1 = dg1 * _gelu_grad(lc["a1"], config.activation)
+        # d(loss)/d(g1), turned into d(loss)/d(a1) in place: one array fewer at the peak
+        da1 = df @ p[lp + "ffn.w2"].T
+        da1 *= _gelu_grad(a1, e1, config.activation)
         g[lp + "ffn.w1"] += lc["h2"].reshape(-1, d).T @ da1.reshape(-1, config.ffn_dim)
         g[lp + "ffn.b1"] += da1.sum(axis=(0, 1))
         dh2 = da1 @ p[lp + "ffn.w1"].T
@@ -613,7 +624,7 @@ def predict_logits(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Classification logits for a list of sequences, batched, inference mode."""
-    out = np.zeros((len(seqs), config.n_labels))
+    out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
         ids, mask = pad_batch(chunk)

@@ -160,6 +160,44 @@ class TestErrors:
         assert code == 1
         assert "whatever" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, run_lines", [
+        (["--threshold", "1.5"], ""),
+        (["--threshold", "0"], ""),
+        ([], "threshold = -2\n"),
+    ])
+    def test_threshold_outside_unit_interval(self, tmp_path, capsys, flags, run_lines):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 1\n" + run_lines)
+        obo = tmp_path / "x.obo"
+        obo.write_text("[Term]\nid: A\n")
+        code = main(["build-dataset", "--config", str(config), *flags,
+                     "--ontology", str(obo), "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("ERROR\tconfig\t") and "threshold" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("model", "n_layers", "abc", "int"),
+        ("run", "threshold", "half", "float"),
+        ("training", "learning_rate", "1e-4x", "float"),
+        ("masking", "mask_fraction", "most", "float"),
+    ])
+    def test_malformed_numeric_value(self, workspace, tmp_path, capsys,
+                                     section, key, value, kind):
+        body = {"run": "seed = 1\n"}
+        body[section] = body.get(section, "") + f"{key} = {value}\n"
+        config = tmp_path / "bad.ini"
+        config.write_text("".join(f"[{name}]\n{lines}\n" for name, lines in body.items()))
+        code = main(["pretrain", "--config", str(config),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--train", str(workspace["dataset"] / "train.tsv"),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--out", str(tmp_path / "m.bin"), "--epochs", "0"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tconfig\t[{section}] {key}: invalid {kind} value {value!r}"
+
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"
         obo.write_text("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n")
