@@ -95,37 +95,6 @@ class ModelConfig:
         return np.float64 if self.dtype == "float64" else np.float32
 
 
-class ParameterStore:
-    """Named parameter arrays in fixed declaration order, each with a
-    same-shape gradient slot."""
-
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, array: np.ndarray) -> None:
-        if name in self.params:
-            raise ModelError(f"duplicate parameter {name}")
-        self.params[name] = array
-        self.grads[name] = np.zeros_like(array)
-
-    def names(self) -> list[str]:
-        return list(self.params)
-
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0.0
-
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def copy(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name, p in self.params.items():
-            out.add(name, p.copy())
-        return out
-
-
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Declaration-order map of parameter names to shapes."""
     d, f = config.hidden_dim, config.ffn_dim
@@ -159,6 +128,63 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _decay_applies(name: str) -> bool:
+    """Weight matrices and embeddings: the tensors that take decoupled weight
+    decay and a random initialisation.  Layer-norm parameters and biases do
+    not."""
+    last = name.rsplit(".", 1)[-1]
+    return name in ("tok_emb", "pos_emb") or last.startswith("w")
+
+
+class ParameterStore:
+    """Named parameters in one contiguous array (the parameter arena) and
+    their gradients in a second one of the same layout and dtype.
+
+    ``params[name]`` and ``grads[name]`` are views into ``param_arena`` and
+    ``grad_arena``; both dicts keep the declaration order of ``shapes``, the
+    order ``save_model`` writes.  The arena holds the decayed tensors
+    (``_decay_applies``) first, each group in declaration order, so weight
+    decay touches the prefix ``arena[:n_decayed]`` alone.  ``views`` lays
+    out any other arena of the same size, such as the Adam moments.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
+        spans: dict[str, slice] = {}
+        start, self.n_decayed = 0, 0
+        for name in sorted(shapes, key=lambda name: not _decay_applies(name)):
+            stop = start + int(np.prod(shapes[name]))
+            spans[name] = slice(start, stop)
+            if _decay_applies(name):
+                self.n_decayed = stop
+            start = stop
+        self._layout = {name: (spans[name], tuple(shape)) for name, shape in shapes.items()}
+        self.param_arena = np.zeros(start, dtype=dtype)
+        self.grad_arena = np.zeros_like(self.param_arena)
+        self.params = self.views(self.param_arena)
+        self.grads = self.views(self.grad_arena)
+
+    def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views, in declaration order, into an arena laid out
+        like this store's."""
+        return {name: arena[span].reshape(shape) for name, (span, shape) in self._layout.items()}
+
+    def names(self) -> list[str]:
+        return list(self.params)
+
+    def zero_grads(self) -> None:
+        self.grad_arena.fill(0.0)
+
+    def n_parameters(self) -> int:
+        return self.param_arena.size
+
+    def copy(self) -> "ParameterStore":
+        shapes = {name: shape for name, (_, shape) in self._layout.items()}
+        out = ParameterStore(shapes, self.param_arena.dtype)
+        for name, p in self.params.items():
+            out.params[name][...] = p
+        return out
+
+
 def expected_parameter_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
 
@@ -167,17 +193,14 @@ def init_model(config: ModelConfig) -> ParameterStore:
     """Weights from N(0, 0.02^2), layer-norm scale 1 / offset 0, biases 0,
     PAD embedding row zeroed.  Deterministic given config.seed."""
     rng = np.random.default_rng(config.seed)
-    dtype = config.np_dtype()
-    store = ParameterStore()
-    for name, shape in parameter_shapes(config).items():
-        last = name.rsplit(".", 1)[-1]
-        if name in ("tok_emb", "pos_emb") or last.startswith("w"):
-            arr = rng.normal(0.0, 0.02, size=shape)
-        elif last == "g":
-            arr = np.ones(shape)
-        else:  # layer-norm offsets and all biases
-            arr = np.zeros(shape)
-        store.add(name, np.asarray(arr, dtype=dtype))
+    shapes = parameter_shapes(config)
+    store = ParameterStore(shapes, config.np_dtype())
+    for name, shape in shapes.items():
+        if _decay_applies(name):
+            store.params[name][...] = rng.normal(0.0, 0.02, size=shape)
+        elif name.endswith(".g"):
+            store.params[name][...] = 1.0
+        # layer-norm offsets and all biases stay 0
     store.params["tok_emb"][PAD_ID, :] = 0.0
     return store
 
@@ -649,29 +672,27 @@ def predict_probabilities(
 # persistence
 
 
-def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes = b"") -> None:
+def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes | list = b"") -> None:
     """Binary format: magic, version, config JSON, then each array in
-    declaration order as little-endian float64 with a name+shape header.
+    declaration order as little-endian float64 with a name+shape header,
+    then ``extra``: trailing bytes, or a sequence of buffers written one
+    after another.  Arrays go to the file straight from their buffers.
     Written atomically (temp file + rename)."""
-    payload = [MODEL_MAGIC, struct.pack("<I", MODEL_VERSION)]
     cfg = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    payload.append(struct.pack("<I", len(cfg)))
-    payload.append(cfg)
-    payload.append(struct.pack("<I", len(store.params)))
-    for name, arr in store.params.items():
-        name_b = name.encode("utf-8")
-        payload.append(struct.pack("<H", len(name_b)))
-        payload.append(name_b)
-        payload.append(struct.pack("<B", arr.ndim))
-        payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        payload.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    payload.append(extra)
-    blob = b"".join(payload)
+    trailer = [extra] if isinstance(extra, (bytes, bytearray, memoryview)) else extra
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(cfg)) + cfg)
+            fh.write(struct.pack("<I", len(store.params)))
+            for name, arr in store.params.items():
+                name_b = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(name_b)) + name_b)
+                fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+                fh.write(memoryview(np.ascontiguousarray(arr, "<f8")).cast("B"))
+            for chunk in trailer:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -680,11 +701,22 @@ def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes = 
 
 
 def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
-    """Inverse of save_model; returns any trailing bytes (optimizer state)."""
+    """Inverse of save_model; returns any trailing bytes (optimizer state).
+    A file cut short or otherwise unreadable raises ModelError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelError(f"{path}: not a model file")
+    try:
+        return _parse_model(path, blob)
+    except (struct.error, ValueError, TypeError) as exc:
+        # struct.error / ValueError (incl. JSON and UTF-8 decoding, and
+        # np.frombuffer past the end): bytes missing; TypeError: config keys
+        # that ModelConfig does not take
+        raise ModelError(f"{path}: truncated or corrupt model file") from exc
+
+
+def _parse_model(path, blob: bytes) -> tuple[ParameterStore, ModelConfig, bytes]:
     off = len(MODEL_MAGIC)
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
@@ -696,9 +728,12 @@ def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
     off += cfg_len
     (n_arrays,) = struct.unpack_from("<I", blob, off)
     off += 4
-    store = ParameterStore()
-    dtype = config.np_dtype()
-    for _ in range(n_arrays):
+    expected = parameter_shapes(config)
+    mismatch = f"{path}: parameter names or shapes do not match the stored config"
+    if n_arrays != len(expected):
+        raise ModelError(mismatch)
+    store = ParameterStore(expected, config.np_dtype())
+    for want_name, want_shape in expected.items():
         (name_len,) = struct.unpack_from("<H", blob, off)
         off += 2
         name = blob[off:off + name_len].decode("utf-8")
@@ -707,11 +742,11 @@ def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
         off += 1
         shape = struct.unpack_from(f"<{ndim}I", blob, off)
         off += 4 * ndim
+        if name != want_name or shape != want_shape:
+            raise ModelError(mismatch)
         count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
+        store.params[name][...] = np.frombuffer(
+            blob, dtype="<f8", count=count, offset=off
+        ).reshape(shape)
         off += 8 * count
-        store.add(name, np.asarray(arr, dtype=dtype).copy())
-    expected = parameter_shapes(config)
-    if list(store.params) != list(expected):
-        raise ModelError(f"{path}: parameter names do not match the stored config")
     return store, config, blob[off:]

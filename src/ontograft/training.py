@@ -8,12 +8,11 @@ seed) reproduce identical logs and final parameters in 64-bit mode.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,53 +117,88 @@ def apply_dynamic_masking(
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the decoupled weight-decay hyperparameters."""
+    """Adam moments plus the decoupled weight-decay hyperparameters.
 
+    ``m_arena`` and ``v_arena`` are laid out like the store's parameter arena
+    (decayed tensors first, see ``ParameterStore``); ``m[name]`` and
+    ``v[name]`` are views into them, in declaration order.
+    """
+
+    m_arena: np.ndarray
+    v_arena: np.ndarray
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @staticmethod
     def for_store(store: ParameterStore, lr: float, weight_decay: float) -> "OptimizerState":
-        state = OptimizerState(lr=lr, weight_decay=weight_decay)
-        for name, p in store.params.items():
-            state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        return state
+        m_arena = np.zeros_like(store.param_arena)
+        v_arena = np.zeros_like(store.param_arena)
+        return OptimizerState(
+            m_arena, v_arena, store.views(m_arena), store.views(v_arena),
+            lr=lr, weight_decay=weight_decay,
+        )
 
 
-def _decay_applies(name: str) -> bool:
-    """Decoupled decay hits weight matrices and embeddings, never layer-norm
-    parameters or biases."""
-    last = name.rsplit(".", 1)[-1]
-    return name in ("tok_emb", "pos_emb") or last.startswith("w")
+# Elements per block of the fused Adam pass: 256 KB of float64, so a block
+# of each arena plus the two scratch blocks stay in L2.
+_ADAM_BLOCK = 32 * 1024
 
 
 def adam_step(store: ParameterStore, state: OptimizerState) -> None:
-    """One bias-corrected Adam update with decoupled weight decay."""
+    """One bias-corrected Adam update with decoupled weight decay.
+
+    One pass over the arenas in blocks of ``_ADAM_BLOCK`` elements.  Each
+    block runs, in place, the elementwise expressions of the per-tensor
+    update in the same order, so the results are the same bits:
+    ``m = b1 m + (1-b1) g``, ``v = b2 v + ((1-b2) g) g``, decay
+    ``p *= 1 - lr wd`` on the decayed prefix, then
+    ``p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps)``.
+    """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name in store.names():
-        grad = store.grads[name]
-        if not np.isfinite(grad).all():
-            raise NumericError(f"gradient of {name}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        p = store.params[name]
-        if state.weight_decay != 0.0 and _decay_applies(name):
-            p *= 1.0 - state.lr * state.weight_decay
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    # Python floats: a NumPy scalar would upcast a float32 arena (NEP 50)
+    beta1, beta2 = float(state.beta1), float(state.beta2)
+    lr, eps = float(state.lr), float(state.eps)
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    decay = 1.0 - lr * float(state.weight_decay)
+    decay_end = store.n_decayed if state.weight_decay != 0.0 else 0
+    params, grads = store.param_arena, store.grad_arena
+    size = params.size
+    block = max(1, min(_ADAM_BLOCK, size))
+    scratch_a = np.empty(block, dtype=params.dtype)
+    scratch_b = np.empty(block, dtype=params.dtype)
+    finite = np.empty(block, dtype=bool)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        n = stop - start
+        g = grads[start:stop]
+        if not np.isfinite(g, out=finite[:n]).all():
+            bad = next(k for k in store.names() if not np.isfinite(store.grads[k]).all())
+            raise NumericError(f"gradient of {bad}")
+        m = state.m_arena[start:stop]
+        v = state.v_arena[start:stop]
+        p = params[start:stop]
+        a, b = scratch_a[:n], scratch_b[:n]
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=a)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        if start < decay_end:
+            p[: decay_end - start] *= decay
+        np.divide(m, bc1, out=a)
+        a *= lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        p -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -240,8 +274,10 @@ def _checkpoint(store, config, state, directory, filename) -> str:
     return path
 
 
-def _pack_optimizer(state: OptimizerState) -> bytes:
-    buf = io.BytesIO()
+def _pack_optimizer(state: OptimizerState) -> list:
+    """The optimizer trailer of a checkpoint as buffers for ``save_model`` to
+    write in turn: meta JSON, then per parameter its m and v as
+    little-endian float64."""
     meta = {
         "lr": state.lr,
         "beta1": state.beta1,
@@ -252,43 +288,44 @@ def _pack_optimizer(state: OptimizerState) -> bytes:
         "names": list(state.m),
     }
     meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(meta_b)))
-    buf.write(meta_b)
+    chunks = [struct.pack("<I", len(meta_b)) + meta_b]
     for name in state.m:
-        buf.write(np.ascontiguousarray(state.m[name], dtype="<f8").tobytes())
-        buf.write(np.ascontiguousarray(state.v[name], dtype="<f8").tobytes())
-    return buf.getvalue()
+        for moment in (state.m[name], state.v[name]):
+            chunks.append(memoryview(np.ascontiguousarray(moment, "<f8")).cast("B"))
+    return chunks
 
 
 def unpack_optimizer(blob: bytes, store: ParameterStore) -> OptimizerState:
     if not blob:
         raise TrainingError("checkpoint carries no optimizer state")
-    (meta_len,) = struct.unpack_from("<I", blob, 0)
-    meta = json.loads(blob[4:4 + meta_len].decode("utf-8"))
-    state = OptimizerState(
-        lr=meta["lr"],
-        beta1=meta["beta1"],
-        beta2=meta["beta2"],
-        eps=meta["eps"],
-        weight_decay=meta["weight_decay"],
-        step=meta["step"],
-    )
-    off = 4 + meta_len
-    for name in meta["names"]:
-        shape = store.params[name].shape
-        count = store.params[name].size
-        m = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        v = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        state.m[name] = m.copy()
-        state.v[name] = v.copy()
+    try:
+        (meta_len,) = struct.unpack_from("<I", blob, 0)
+        meta = json.loads(blob[4:4 + meta_len].decode("utf-8"))
+        if meta["names"] != store.names():
+            raise TrainingError("optimizer state names do not match the model")
+        state = OptimizerState.for_store(store, meta["lr"], meta["weight_decay"])
+        state.beta1, state.beta2 = meta["beta1"], meta["beta2"]
+        state.eps, state.step = meta["eps"], meta["step"]
+        off = 4 + meta_len
+        for name in meta["names"]:
+            for moment in (state.m[name], state.v[name]):
+                moment[...] = np.frombuffer(
+                    blob, dtype="<f8", count=moment.size, offset=off
+                ).reshape(moment.shape)
+                off += 8 * moment.size
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        # bytes missing (struct, np.frombuffer, JSON and UTF-8 decoding) or
+        # a meta object without the expected keys
+        raise TrainingError("truncated or corrupt optimizer state") from exc
     return state
 
 
 def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, OptimizerState | None]:
     store, config, extra = load_model(path)
-    state = unpack_optimizer(extra, store) if extra else None
+    try:
+        state = unpack_optimizer(extra, store) if extra else None
+    except TrainingError as exc:
+        raise TrainingError(f"{path}: {exc}") from exc
     return store, config, state
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 
@@ -197,6 +198,35 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == f"ERROR\tconfig\t[{section}] {key}: invalid {kind} value {value!r}"
+
+    @pytest.mark.parametrize("where", [
+        "magic", "version", "config_json", "name", "array_start", "array_middle", "last_byte",
+    ])
+    def test_truncated_model(self, workspace, tmp_path, capsys, where):
+        blob = workspace["finetuned"].read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 12)
+        first_name = 16 + cfg_len + 4 + 2  # after the array count and name length
+        (name_len,) = struct.unpack_from("<H", blob, first_name - 2)
+        first_array = first_name + name_len + 1 + 4 * 2
+        cut = {
+            "magic": 5, "version": 10, "config_json": 16 + cfg_len // 2,
+            "name": first_name + 2, "array_start": first_array + 3,
+            "array_middle": len(blob) // 2, "last_byte": len(blob) - 1,
+        }[where]
+        model = tmp_path / "cut.bin"
+        model.write_bytes(blob[:cut])
+        smiles_file = tmp_path / "query.smi"
+        smiles_file.write_text("CCC(NN)CC\n")
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--model", str(model),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(smiles_file), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("ERROR\tmodel\t")
+        assert not (tmp_path / "out.json").exists()
 
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"

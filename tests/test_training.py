@@ -6,9 +6,12 @@ from ontograft.dataset import DatasetSplits, LabeledMolecule
 from ontograft.model import (
     ModelConfig,
     NumericError,
+    ParameterStore,
     init_model,
+    load_model,
     mlm_loss_value,
     predict_probabilities,
+    save_model,
 )
 from ontograft.tokenizer import MASK_ID, N_SPECIALS, TokenSequence, train_bpe
 from ontograft.training import (
@@ -17,6 +20,8 @@ from ontograft.training import (
     OptimizerState,
     TrainConfig,
     TrainingError,
+    _ADAM_BLOCK,
+    _checkpoint,
     adam_step,
     append_epoch_logs,
     apply_dynamic_masking,
@@ -116,10 +121,8 @@ class TestMasking:
 
 class TestAdam:
     def single_param_store(self, value):
-        from ontograft.model import ParameterStore
-
-        store = ParameterStore()
-        store.add("cls.w", np.array([[value]]))
+        store = ParameterStore({"cls.w": (1, 1)})
+        store.params["cls.w"][...] = value
         return store
 
     def test_first_step_hand_evaluation(self):
@@ -161,6 +164,146 @@ class TestAdam:
         with pytest.raises(NumericError) as err:
             adam_step(tiny_store, state)
         assert "layers.1.ffn.w1" in str(err.value)
+
+
+def decayed(name: str) -> bool:
+    """Weight matrices and embeddings take decoupled weight decay."""
+    last = name.rsplit(".", 1)[-1]
+    return name in ("tok_emb", "pos_emb") or last.startswith("w")
+
+
+def oracle_adam_step(params, grads, m, v, state):
+    """The per-tensor AdamW update the fused arena pass must reproduce bit for
+    bit: dicts of arrays, one whole-array expression at a time."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name, grad in grads.items():
+        m[name] *= state.beta1
+        m[name] += (1.0 - state.beta1) * grad
+        v[name] *= state.beta2
+        v[name] += (1.0 - state.beta2) * grad * grad
+        p = params[name]
+        if state.weight_decay != 0.0 and decayed(name):
+            p *= 1.0 - state.lr * state.weight_decay
+        p -= state.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps)
+
+
+def random_shapes(rng) -> dict[str, tuple[int, ...]]:
+    """Decayed (".w…") and exempt (".b"/".g") tensors, interleaved, of odd
+    sizes; one is larger than an Adam block."""
+    shapes = {}
+    for i in range(int(rng.integers(3, 9))):
+        kind = str(rng.choice(["w", "w2", "b", "g"]))
+        if rng.random() < 0.5:
+            shape = (int(rng.integers(1, 40)) * 2 + 1, int(rng.integers(1, 60)))
+        else:
+            shape = (int(rng.integers(1, 3000)),)
+        shapes[f"t{i}.{kind}"] = shape
+    big = int(rng.integers(_ADAM_BLOCK + 1, 2 * _ADAM_BLOCK))
+    shapes[str(rng.choice(["big.w", "big.b"]))] = (big,)
+    return shapes
+
+
+class TestFusedAdam:
+    """The blocked arena pass against the per-tensor oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_per_tensor_oracle(self, dtype, weight_decay):
+        rng = np.random.default_rng(17 + int(weight_decay * 100) + (dtype == np.float32))
+        cut = 0
+        for _ in range(6):
+            store = ParameterStore(random_shapes(rng), dtype)
+            cut += store.n_decayed % _ADAM_BLOCK != 0 and store.n_decayed > _ADAM_BLOCK
+            store.param_arena[...] = rng.normal(0.0, 0.5, store.param_arena.size)
+            state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
+            params = {n: p.copy() for n, p in store.params.items()}
+            m = {n: a.copy() for n, a in state.m.items()}
+            v = {n: a.copy() for n, a in state.v.items()}
+            oracle_state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
+            for _ in range(int(rng.integers(1, 6))):
+                store.grad_arena[...] = rng.normal(0.0, 1.0, store.grad_arena.size)
+                grads = {n: g.copy() for n, g in store.grads.items()}
+                adam_step(store, state)
+                oracle_adam_step(params, grads, m, v, oracle_state)
+            for name in store.names():
+                assert np.array_equal(store.params[name], params[name]), name
+                assert np.array_equal(state.m[name], m[name]), name
+                assert np.array_equal(state.v[name], v[name]), name
+            assert state.step == oracle_state.step
+        assert cut >= 1  # some case had a block edge inside the decayed prefix
+
+    def test_non_finite_in_a_later_block_names_parameter(self):
+        store = ParameterStore({"a.w": (_ADAM_BLOCK + 5,), "b.b": (7,), "c.w": (3, 3)})
+        state = OptimizerState.for_store(store, lr=0.1, weight_decay=0.01)
+        store.grads["c.w"][2, 1] = np.inf
+        with pytest.raises(NumericError) as err:
+            adam_step(store, state)
+        assert "c.w" in str(err.value)
+
+
+class TestArena:
+    """Every parameter, gradient and moment is a view into its arena."""
+
+    @staticmethod
+    def assert_views(views, arena):
+        assert sum(a.size for a in views.values()) == arena.size
+        for name, array in views.items():
+            assert np.shares_memory(array, arena), name
+
+    def assert_store(self, store):
+        self.assert_views(store.params, store.param_arena)
+        self.assert_views(store.grads, store.grad_arena)
+        decayed_prefix = store.param_arena[: store.n_decayed]
+        for name, array in store.params.items():
+            assert np.shares_memory(array, decayed_prefix) == decayed(name), name
+
+    def assert_state(self, store, state):
+        self.assert_views(state.m, state.m_arena)
+        self.assert_views(state.v, state.v_arena)
+        assert list(state.m) == list(state.v) == store.names()
+
+    def test_init_copy_and_load(self, tiny_config, tiny_store, tmp_path):
+        self.assert_store(tiny_store)
+        copy = tiny_store.copy()
+        self.assert_store(copy)
+        assert not np.shares_memory(copy.param_arena, tiny_store.param_arena)
+        save_model(tiny_store, tiny_config, tmp_path / "m.bin")
+        loaded, _, _ = load_model(tmp_path / "m.bin")
+        self.assert_store(loaded)
+        assert loaded.names() == tiny_store.names()
+        assert np.array_equal(loaded.param_arena, tiny_store.param_arena)
+
+    def test_optimizer_state_and_checkpoint(self, tiny_config, tiny_store, tmp_path):
+        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.01)
+        self.assert_state(tiny_store, state)
+        tiny_store.grad_arena[...] = 0.5
+        adam_step(tiny_store, state)
+        _checkpoint(tiny_store, tiny_config, state, str(tmp_path), "c.bin")
+        store, _, loaded = load_checkpoint(tmp_path / "c.bin")
+        self.assert_store(store)
+        self.assert_state(store, loaded)
+        assert loaded.step == 1
+        assert np.array_equal(loaded.m_arena, state.m_arena)
+        assert np.array_equal(loaded.v_arena, state.v_arena)
+
+    def test_zero_grads_zeroes_every_gradient(self, tiny_store):
+        for g in tiny_store.grads.values():
+            g[...] = 1.5
+        tiny_store.zero_grads()
+        for name, g in tiny_store.grads.items():
+            assert not g.any(), name
+
+    def test_truncated_optimizer_state(self, tiny_config, tiny_store, tmp_path):
+        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.01)
+        path = tmp_path / "c.bin"
+        _checkpoint(tiny_store, tiny_config, state, str(tmp_path), "c.bin")
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-12])
+        with pytest.raises(TrainingError, match="truncated or corrupt"):
+            load_checkpoint(path)
 
 
 def toy_setup(seed=0, n=24, n_labels=3):
