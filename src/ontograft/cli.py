@@ -23,7 +23,6 @@ from .config import (
     ConfigValueError,
     RunConfig,
     build_run_config,
-    parse_value,
     write_default_config,
 )
 from .model import (
@@ -121,28 +120,14 @@ def _train_config(cfg: RunConfig, epochs: int) -> TrainConfig:
     )
 
 
-def _masking_policy(cfg: RunConfig, sections: dict) -> MaskingPolicy:
-    def get(key):
-        return parse_value("masking", key, sections[key], float)
-
+def _masking_policy(cfg: RunConfig) -> MaskingPolicy:
     return MaskingPolicy(
-        mask_probability=get("mask_probability"),
-        mask_fraction=get("mask_fraction"),
-        random_fraction=get("random_fraction"),
-        keep_fraction=get("keep_fraction"),
+        mask_probability=cfg.mask_probability,
+        mask_fraction=cfg.mask_fraction,
+        random_fraction=cfg.random_fraction,
+        keep_fraction=cfg.keep_fraction,
         seed=cfg.seed,
     )
-
-
-def _masking_from_args(args, cfg: RunConfig) -> MaskingPolicy:
-    from .config import DEFAULTS, read_config_file
-
-    values = dict(DEFAULTS["masking"])
-    if args.config:
-        values.update(read_config_file(args.config).get("masking", {}))
-    if getattr(args, "mask_probability", None) is not None:
-        values["mask_probability"] = str(args.mask_probability)
-    return _masking_policy(cfg, values)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +197,7 @@ def _cmd_pretrain(args, cfg: RunConfig) -> None:
         "pretraining %d epochs on %d molecules (%d parameters)",
         epochs, len(corpus), store.n_parameters(),
     )
-    policy = _masking_from_args(args, cfg)
+    policy = _masking_policy(cfg)
     tcfg = _train_config(cfg, epochs)
     logs = run_pretrain(
         store, mcfg, tokenizer, corpus, val_corpus, tcfg, policy,
@@ -416,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-probability", type=float, dest="mask_probability")
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.set_defaults(func=_cmd_pretrain, overrides=("learning_rate", "batch_size"))
+    p.set_defaults(
+        func=_cmd_pretrain, overrides=("learning_rate", "batch_size", "mask_probability")
+    )
 
     p = subs.add_parser("finetune", help="multi-label fine-tuning")
     _add_common(p)
@@ -505,9 +492,6 @@ def main(argv: list[str] | None = None) -> int:
             "cli",
         )
         print(f"ERROR\t{component}\t{exc}", file=sys.stderr)
-        return 1
-    except NotImplementedError as exc:
-        print(f"ERROR\tcli\t{exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"ERROR\tcli\t{exc}", file=sys.stderr)

@@ -100,6 +100,11 @@ class RunConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 0.01
     checkpoint_every: int = 0
+    # masking
+    mask_probability: float = 0.15
+    mask_fraction: float = 0.8
+    random_fraction: float = 0.1
+    keep_fraction: float = 0.1
     # extension
     id_prefix: str = "ONTOGRAFT:"
     id_width: int = 6
@@ -180,6 +185,10 @@ def build_run_config(
         "learning_rate": get("training", "learning_rate", float),
         "weight_decay": get("training", "weight_decay", float),
         "checkpoint_every": get("training", "checkpoint_every", int),
+        "mask_probability": get("masking", "mask_probability", float),
+        "mask_fraction": get("masking", "mask_fraction", float),
+        "random_fraction": get("masking", "random_fraction", float),
+        "keep_fraction": get("masking", "keep_fraction", float),
         "id_prefix": get("extension", "id_prefix"),
         "id_width": get("extension", "id_width", int),
         "top_k": get("extension", "top_k", int),

@@ -186,11 +186,8 @@ def split_dataset(
     data: list[LabeledMolecule],
     ratios: tuple[float, float, float],
     seed: int,
-    stratify: bool = False,
 ) -> DatasetSplits:
     """Shuffle and partition into train/validation/test by ratio."""
-    if stratify:
-        raise NotImplementedError("stratified splitting is unimplemented")
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise DatasetError("ratios must be three positive numbers")
     if abs(sum(ratios) - 1.0) > 1e-9:

@@ -672,14 +672,12 @@ def predict_probabilities(
 # persistence
 
 
-def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes | list = b"") -> None:
+def save_model(store: ParameterStore, config: ModelConfig, path) -> None:
     """Binary format: magic, version, config JSON, then each array in
-    declaration order as little-endian float64 with a name+shape header,
-    then ``extra``: trailing bytes, or a sequence of buffers written one
-    after another.  Arrays go to the file straight from their buffers.
-    Written atomically (temp file + rename)."""
+    declaration order as little-endian float64 with a name+shape header.
+    Arrays go to the file straight from their buffers.  Written atomically
+    (temp file + rename)."""
     cfg = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    trailer = [extra] if isinstance(extra, (bytes, bytearray, memoryview)) else extra
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -691,8 +689,6 @@ def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes | 
                 fh.write(struct.pack("<H", len(name_b)) + name_b)
                 fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
                 fh.write(memoryview(np.ascontiguousarray(arr, "<f8")).cast("B"))
-            for chunk in trailer:
-                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -701,8 +697,10 @@ def save_model(store: ParameterStore, config: ModelConfig, path, extra: bytes | 
 
 
 def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
-    """Inverse of save_model; returns any trailing bytes (optimizer state).
-    A file cut short or otherwise unreadable raises ModelError."""
+    """Inverse of save_model; also returns any bytes after the last array
+    (``b""`` for a file save_model wrote, the optimizer state for a
+    checkpoint written by an older version).  A file cut short or otherwise
+    unreadable raises ModelError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:

@@ -1,5 +1,7 @@
 """Dynamic masking, Adam with decoupled weight decay, and the two training
-loops (MLM pretraining and multi-label fine-tuning) with per-epoch validation.
+phases (MLM pretraining and multi-label fine-tuning), which share one epoch
+loop with per-epoch validation and checkpoints.  A checkpoint is a plain
+model file: it holds no optimizer state.
 
 Every random draw derives from explicit seeds, so identical (data, config,
 seed) reproduce identical logs and final parameters in 64-bit mode.
@@ -8,9 +10,7 @@ seed) reproduce identical logs and final parameters in 64-bit mode.
 from __future__ import annotations
 
 import csv
-import json
 import os
-import struct
 import time
 from dataclasses import dataclass
 
@@ -21,7 +21,6 @@ from .model import (
     ModelConfig,
     NumericError,
     ParameterStore,
-    load_model,
     loss_and_grad,
     mlm_loss_value,
     save_model,
@@ -120,14 +119,12 @@ class OptimizerState:
     """Adam moments plus the decoupled weight-decay hyperparameters.
 
     ``m_arena`` and ``v_arena`` are laid out like the store's parameter arena
-    (decayed tensors first, see ``ParameterStore``); ``m[name]`` and
-    ``v[name]`` are views into them, in declaration order.
+    (decayed tensors first, see ``ParameterStore``); ``store.views`` gives
+    per-parameter views into them.
     """
 
     m_arena: np.ndarray
     v_arena: np.ndarray
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
     lr: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -137,10 +134,8 @@ class OptimizerState:
 
     @staticmethod
     def for_store(store: ParameterStore, lr: float, weight_decay: float) -> "OptimizerState":
-        m_arena = np.zeros_like(store.param_arena)
-        v_arena = np.zeros_like(store.param_arena)
         return OptimizerState(
-            m_arena, v_arena, store.views(m_arena), store.views(v_arena),
+            np.zeros_like(store.param_arena), np.zeros_like(store.param_arena),
             lr=lr, weight_decay=weight_decay,
         )
 
@@ -209,20 +204,10 @@ class TrainConfig:
     weight_decay: float = 0.01
     seed: int = 0
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = none
-    # Accepted for config-file completeness but not implemented:
-    lr_schedule: str = "constant"
-    early_stopping: bool = False
-    gradient_clip: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise TrainingError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr_schedule != "constant":
-            raise NotImplementedError("learning-rate schedules are unimplemented")
-        if self.early_stopping:
-            raise NotImplementedError("early stopping is unimplemented")
-        if self.gradient_clip:
-            raise NotImplementedError("gradient clipping is unimplemented")
 
 
 @dataclass
@@ -268,65 +253,61 @@ def _batches(order: np.ndarray, batch_size: int):
         yield order[start:start + batch_size]
 
 
-def _checkpoint(store, config, state, directory, filename) -> str:
-    path = os.path.join(directory, filename)
-    save_model(store, config, path, extra=_pack_optimizer(state))
-    return path
+def _fit(
+    store: ParameterStore,
+    config: ModelConfig,
+    tcfg: TrainConfig,
+    phase: str,
+    n_items: int,
+    epoch_step,
+    validate,
+    checkpoint_dir: str | None,
+) -> list[EpochLog]:
+    """The epoch loop of both training phases.
 
+    Each epoch shuffles the ``n_items`` training items and derives a dropout
+    stream from (seed, epoch); ``epoch_step(epoch)`` returns the epoch's
+    ``step(indices, rng) -> (loss, weight)``, which fills the gradients of one
+    batch, and the train loss is the weighted mean of the batch losses.
+    ``validate()`` returns (val_loss, val_f1_samples, score); a higher score
+    is better and picks ``best.bin``.  A checkpoint is a model file.
+    """
+    state = OptimizerState.for_store(store, tcfg.learning_rate, tcfg.weight_decay)
+    logs: list[EpochLog] = []
+    if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
+    best = -np.inf
 
-def _pack_optimizer(state: OptimizerState) -> list:
-    """The optimizer trailer of a checkpoint as buffers for ``save_model`` to
-    write in turn: meta JSON, then per parameter its m and v as
-    little-endian float64."""
-    meta = {
-        "lr": state.lr,
-        "beta1": state.beta1,
-        "beta2": state.beta2,
-        "eps": state.eps,
-        "weight_decay": state.weight_decay,
-        "step": state.step,
-        "names": list(state.m),
-    }
-    meta_b = json.dumps(meta, sort_keys=True).encode("utf-8")
-    chunks = [struct.pack("<I", len(meta_b)) + meta_b]
-    for name in state.m:
-        for moment in (state.m[name], state.v[name]):
-            chunks.append(memoryview(np.ascontiguousarray(moment, "<f8")).cast("B"))
-    return chunks
-
-
-def unpack_optimizer(blob: bytes, store: ParameterStore) -> OptimizerState:
-    if not blob:
-        raise TrainingError("checkpoint carries no optimizer state")
-    try:
-        (meta_len,) = struct.unpack_from("<I", blob, 0)
-        meta = json.loads(blob[4:4 + meta_len].decode("utf-8"))
-        if meta["names"] != store.names():
-            raise TrainingError("optimizer state names do not match the model")
-        state = OptimizerState.for_store(store, meta["lr"], meta["weight_decay"])
-        state.beta1, state.beta2 = meta["beta1"], meta["beta2"]
-        state.eps, state.step = meta["eps"], meta["step"]
-        off = 4 + meta_len
-        for name in meta["names"]:
-            for moment in (state.m[name], state.v[name]):
-                moment[...] = np.frombuffer(
-                    blob, dtype="<f8", count=moment.size, offset=off
-                ).reshape(moment.shape)
-                off += 8 * moment.size
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
-        # bytes missing (struct, np.frombuffer, JSON and UTF-8 decoding) or
-        # a meta object without the expected keys
-        raise TrainingError("truncated or corrupt optimizer state") from exc
-    return state
-
-
-def load_checkpoint(path) -> tuple[ParameterStore, ModelConfig, OptimizerState | None]:
-    store, config, extra = load_model(path)
-    try:
-        state = unpack_optimizer(extra, store) if extra else None
-    except TrainingError as exc:
-        raise TrainingError(f"{path}: {exc}") from exc
-    return store, config, state
+    for epoch in range(1, tcfg.epochs + 1):
+        started = time.monotonic()
+        step = epoch_step(epoch)
+        order = np.random.default_rng([tcfg.seed, _STREAM_SHUFFLE, epoch]).permutation(n_items)
+        dropout_rng = np.random.default_rng([tcfg.seed, _STREAM_DROPOUT, epoch])
+        total_loss = 0.0
+        total_weight = 0
+        try:
+            for idx in _batches(order, tcfg.batch_size):
+                loss, weight = step(idx, dropout_rng)
+                adam_step(store, state)
+                total_loss += loss * weight
+                total_weight += weight
+        except NumericError as exc:
+            raise TrainingAborted(epoch, exc) from exc
+        val_loss, val_f1, score = validate()
+        logs.append(EpochLog(
+            epoch, phase, total_loss / max(total_weight, 1), val_loss, val_f1,
+            time.monotonic() - started,
+        ))
+        if checkpoint_dir:
+            names = ["last.bin"]
+            if score > best:
+                best = score
+                names.append("best.bin")
+            if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
+                names.append(f"epoch{epoch:04d}.bin")
+            for name in names:
+                save_model(store, config, os.path.join(checkpoint_dir, name))
+    return logs
 
 
 def pretrain(
@@ -343,7 +324,8 @@ def pretrain(
 
     Validation uses a fixed mask pattern (its own seed stream, independent of
     the epoch) so the validation loss stays comparable across epochs, and it
-    never touches the weights.
+    never touches the weights.  The best checkpoint has the lowest
+    validation loss.
     """
     seqs = encode_corpus(tokenizer, corpus)
     val_seqs = encode_corpus(tokenizer, val_corpus)
@@ -358,54 +340,27 @@ def pretrain(
     val_masked, val_targets = apply_dynamic_masking(
         val_seqs, val_policy, epoch=0, vocab_size=config.vocab_size
     )
-    state = OptimizerState.for_store(store, tcfg.learning_rate, tcfg.weight_decay)
-    logs: list[EpochLog] = []
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    best_val = np.inf
 
-    for epoch in range(1, tcfg.epochs + 1):
-        started = time.monotonic()
+    def epoch_step(epoch):
         masked, targets = apply_dynamic_masking(
             seqs, policy, epoch=epoch, vocab_size=config.vocab_size
         )
-        shuffle_rng = np.random.default_rng([tcfg.seed, _STREAM_SHUFFLE, epoch])
-        order = shuffle_rng.permutation(len(masked))
-        dropout_rng = np.random.default_rng([tcfg.seed, _STREAM_DROPOUT, epoch])
-        total_loss = 0.0
-        total_masked = 0
-        try:
-            for idx in _batches(order, tcfg.batch_size):
-                batch = [masked[i] for i in idx]
-                batch_targets = [targets[i] for i in idx]
-                n_masked = sum(len(t) for t in batch_targets)
-                loss = loss_and_grad(
-                    store,
-                    config,
-                    batch,
-                    "mlm",
-                    mlm_targets=batch_targets,
-                    train_mode=True,
-                    rng=dropout_rng,
-                )
-                adam_step(store, state)
-                total_loss += loss * n_masked
-                total_masked += n_masked
-        except NumericError as exc:
-            raise TrainingAborted(epoch, exc) from exc
-        train_loss = total_loss / max(total_masked, 1)
+
+        def step(idx, rng):
+            batch_targets = [targets[i] for i in idx]
+            loss = loss_and_grad(
+                store, config, [masked[i] for i in idx], "mlm",
+                mlm_targets=batch_targets, train_mode=True, rng=rng,
+            )
+            return loss, sum(len(t) for t in batch_targets)
+
+        return step
+
+    def validate():
         val_loss = _batched_mlm_loss(store, config, val_masked, val_targets, tcfg.batch_size)
-        logs.append(
-            EpochLog(epoch, "pretrain", train_loss, val_loss, None, time.monotonic() - started)
-        )
-        if checkpoint_dir:
-            _checkpoint(store, config, state, checkpoint_dir, "last.bin")
-            if val_loss < best_val:
-                best_val = val_loss
-                _checkpoint(store, config, state, checkpoint_dir, "best.bin")
-            if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
-                _checkpoint(store, config, state, checkpoint_dir, f"epoch{epoch:04d}.bin")
-    return logs
+        return val_loss, None, -val_loss
+
+    return _fit(store, config, tcfg, "pretrain", len(seqs), epoch_step, validate, checkpoint_dir)
 
 
 def _batched_mlm_loss(store, config, masked, targets, batch_size) -> float:
@@ -446,8 +401,8 @@ def finetune(
     checkpoint_dir: str | None = None,
     threshold: float = 0.5,
 ) -> list[EpochLog]:
-    """Multi-label fine-tuning; logs validation loss and samples-F1 per epoch
-    and keeps the best-validation checkpoint separately from the last."""
+    """Multi-label fine-tuning; logs validation loss and samples-F1 per epoch.
+    The best checkpoint has the highest validation samples-F1."""
 
     def prepare(molecules: list[LabeledMolecule]):
         seqs = encode_corpus(tokenizer, [m.smiles for m in molecules])
@@ -461,47 +416,21 @@ def finetune(
         )
     train_seqs, train_labels = prepare(splits.train)
     val_seqs, val_labels = prepare(splits.validation)
-    state = OptimizerState.for_store(store, tcfg.learning_rate, tcfg.weight_decay)
-    logs: list[EpochLog] = []
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    best_f1 = -1.0
 
-    for epoch in range(1, tcfg.epochs + 1):
-        started = time.monotonic()
-        shuffle_rng = np.random.default_rng([tcfg.seed, _STREAM_SHUFFLE, epoch])
-        order = shuffle_rng.permutation(len(train_seqs))
-        dropout_rng = np.random.default_rng([tcfg.seed, _STREAM_DROPOUT, epoch])
-        total_loss = 0.0
-        try:
-            for idx in _batches(order, tcfg.batch_size):
-                batch = [train_seqs[i] for i in idx]
-                y = train_labels[idx]
-                loss = loss_and_grad(
-                    store,
-                    config,
-                    batch,
-                    "multilabel",
-                    labels=y,
-                    train_mode=True,
-                    rng=dropout_rng,
-                )
-                adam_step(store, state)
-                total_loss += loss * len(idx)
-        except NumericError as exc:
-            raise TrainingAborted(epoch, exc) from exc
-        train_loss = total_loss / len(train_seqs)
+    def step(idx, rng):
+        loss = loss_and_grad(
+            store, config, [train_seqs[i] for i in idx], "multilabel",
+            labels=train_labels[idx], train_mode=True, rng=rng,
+        )
+        return loss, len(idx)
+
+    def validate():
         val_loss, val_f1 = _multilabel_val(
             store, config, val_seqs, val_labels, tcfg.batch_size, threshold
         )
-        logs.append(
-            EpochLog(epoch, "finetune", train_loss, val_loss, val_f1, time.monotonic() - started)
-        )
-        if checkpoint_dir:
-            _checkpoint(store, config, state, checkpoint_dir, "last.bin")
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                _checkpoint(store, config, state, checkpoint_dir, "best.bin")
-            if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
-                _checkpoint(store, config, state, checkpoint_dir, f"epoch{epoch:04d}.bin")
-    return logs
+        return val_loss, val_f1, val_f1
+
+    return _fit(
+        store, config, tcfg, "finetune", len(train_seqs), lambda epoch: step, validate,
+        checkpoint_dir,
+    )

@@ -29,13 +29,14 @@ from ontograft.model import (
     ModelConfig,
     forward,
     init_model,
+    load_model,
     loss_and_grad,
     predict_probabilities,
 )
 from ontograft.ontology import save_obo
 from ontograft.synthetic import generate_toy_ontology
 from ontograft.tokenizer import Tokenizer, TokenSequence, train_bpe
-from ontograft.training import TrainConfig, finetune, load_checkpoint
+from ontograft.training import TrainConfig, finetune
 
 from conftest import random_dag
 from test_metrics import brute_auc, brute_prf
@@ -269,7 +270,7 @@ def test_criterion_06_pretraining_effectiveness(pipeline, tmp_path):
     # (b) epoch race, identical fine-tuning hyperparameters, only the init differs
     splits, labels = load_tsv(str(pipeline["dataset"]))
     tokenizer = Tokenizer.load(pipeline["tokenizer"])
-    pre_store, config, _ = load_checkpoint(pipeline["pretrained"])
+    pre_store, config, _ = load_model(pipeline["pretrained"])
     test_seqs = [tokenizer.encode(m.smiles) for m in splits.test]
     y_test = np.stack([m.labels for m in splits.test])
     tcfg = lambda epochs: TrainConfig(
@@ -282,7 +283,7 @@ def test_criterion_06_pretraining_effectiveness(pipeline, tmp_path):
                  checkpoint_dir=str(ckpt_dir))
         curve = []
         for epoch in range(1, max_epochs + 1):
-            st, cfg, _ = load_checkpoint(ckpt_dir / f"epoch{epoch:04d}.bin")
+            st, cfg, _ = load_model(ckpt_dir / f"epoch{epoch:04d}.bin")
             probs = predict_probabilities(st, cfg, test_seqs)
             _, _, f1 = prf(y_test, binarize(probs, 0.5), "micro")
             curve.append(f1)

@@ -199,6 +199,29 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == f"ERROR\tconfig\t[{section}] {key}: invalid {kind} value {value!r}"
 
+    def test_malformed_masking_value_fails_any_subcommand(self, tmp_path, capsys):
+        config = tmp_path / "bad.ini"
+        config.write_text("[run]\nseed = 1\n\n[masking]\nkeep_fraction = some\n")
+        obo = tmp_path / "x.obo"
+        obo.write_text("[Term]\nid: A\n")
+        code = main(["build-dataset", "--config", str(config),
+                     "--ontology", str(obo), "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "ERROR\tconfig\t[masking] keep_fraction: invalid float value 'some'"
+
+    def test_mask_probability_flag_overrides_config(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("[run]\nseed = 1\n\n[masking]\nmask_probability = 0.5\n")
+        code = main(["pretrain", "--config", str(config), "--mask-probability", "1.5",
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--train", str(workspace["dataset"] / "train.tsv"),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--out", str(tmp_path / "m.bin"), "--epochs", "0"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "ERROR\ttraining\tmask_probability must be in [0, 1]"
+
     @pytest.mark.parametrize("where", [
         "magic", "version", "config_json", "name", "array_start", "array_middle", "last_byte",
     ])

@@ -180,10 +180,6 @@ class TestSplit:
         with pytest.raises(DatasetError):
             split_dataset(self.make(2), (0.5, 0.25, 0.25), seed=0)
 
-    def test_stratified_unimplemented(self):
-        with pytest.raises(NotImplementedError):
-            split_dataset(self.make(10), (0.5, 0.25, 0.25), seed=0, stratify=True)
-
 
 class TestTsv:
     def roundtrip(self, tmp_path, n_labels=4, n=30):

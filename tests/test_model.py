@@ -395,9 +395,3 @@ class TestPersistence:
         path.write_bytes(b"not a model at all")
         with pytest.raises(ModelError):
             load_model(path)
-
-    def test_extra_payload_preserved(self, tiny_config, tiny_store, tmp_path):
-        path = tmp_path / "m.bin"
-        save_model(tiny_store, tiny_config, path, extra=b"OPTSTATE")
-        _, _, extra = load_model(path)
-        assert extra == b"OPTSTATE"
