@@ -23,6 +23,7 @@ from .config import (
     ConfigValueError,
     RunConfig,
     build_run_config,
+    setting_type,
     write_default_config,
 )
 from .model import (
@@ -92,44 +93,6 @@ def _read_smiles_file(path) -> list[str]:
     return [l.split("\t", 1)[0] for l in lines]
 
 
-def _model_config(cfg: RunConfig, vocab_size: int, max_len: int, n_labels: int) -> ModelConfig:
-    return ModelConfig(
-        vocab_size=vocab_size,
-        n_labels=n_labels,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        hidden_dim=cfg.hidden_dim,
-        ffn_dim=cfg.ffn_dim,
-        max_len=max_len,
-        attention_dropout=cfg.attention_dropout,
-        activation=cfg.activation,
-        mlm_loss=cfg.mlm_loss,
-        dtype=cfg.dtype,
-        seed=cfg.seed,
-    )
-
-
-def _train_config(cfg: RunConfig, epochs: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        seed=cfg.seed,
-        checkpoint_every=cfg.checkpoint_every,
-    )
-
-
-def _masking_policy(cfg: RunConfig) -> MaskingPolicy:
-    return MaskingPolicy(
-        mask_probability=cfg.mask_probability,
-        mask_fraction=cfg.mask_fraction,
-        random_fraction=cfg.random_fraction,
-        keep_fraction=cfg.keep_fraction,
-        seed=cfg.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,7 +108,9 @@ def _cmd_build_dataset(args, cfg: RunConfig) -> None:
     logger.info(
         "built %d molecules over %d label classes", len(molecules), len(labels)
     )
-    splits = dataset.split_dataset(molecules, cfg.ratios, cfg.seed)
+    splits = dataset.split_dataset(
+        molecules, (cfg.ratio_train, cfg.ratio_validation, cfg.ratio_test), cfg.seed
+    )
     dataset.save_tsv(splits, labels, args.out)
     stats_doc = {
         "n_molecules": stats.n_molecules,
@@ -191,14 +156,17 @@ def _cmd_pretrain(args, cfg: RunConfig) -> None:
         if not args.labels:
             raise ConfigError("pretrain needs --labels (or --init-model)")
         n_labels = len(dataset.load_labels(args.labels))
-        mcfg = _model_config(cfg, len(tokenizer.vocab), tokenizer.max_len, n_labels)
+        mcfg = cfg.build(
+            ModelConfig, "model",
+            vocab_size=len(tokenizer.vocab), n_labels=n_labels, max_len=tokenizer.max_len,
+        )
         store = init_model(mcfg)
     logger.info(
         "pretraining %d epochs on %d molecules (%d parameters)",
         epochs, len(corpus), store.n_parameters(),
     )
-    policy = _masking_policy(cfg)
-    tcfg = _train_config(cfg, epochs)
+    policy = cfg.build(MaskingPolicy, "masking")
+    tcfg = cfg.build(TrainConfig, "training", epochs=epochs)
     logs = run_pretrain(
         store, mcfg, tokenizer, corpus, val_corpus, tcfg, policy,
         checkpoint_dir=args.checkpoint_dir,
@@ -224,7 +192,7 @@ def _cmd_finetune(args, cfg: RunConfig) -> None:
         "fine-tuning %d epochs on %d molecules, %d labels",
         epochs, len(splits.train), len(labels),
     )
-    tcfg = _train_config(cfg, epochs)
+    tcfg = cfg.build(TrainConfig, "training", epochs=epochs)
     logs = run_finetune(
         store, mcfg, tokenizer, splits, tcfg,
         checkpoint_dir=args.checkpoint_dir, threshold=cfg.threshold,
@@ -353,10 +321,17 @@ def _cmd_extend(args, cfg: RunConfig) -> None:
 # argument parsing
 
 
+def _add_setting(sub: argparse.ArgumentParser, flag: str, key: str | None = None,
+                 **kwargs) -> None:
+    """A flag that overrides the setting ``key`` (default: the flag's name)."""
+    key = key or flag[2:].replace("-", "_")
+    sub.add_argument(flag, dest=key, type=setting_type(key), **kwargs)
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--seed", type=int, help="random seed (mandatory here or in config)")
-    sub.add_argument("--threshold", type=float, help="classification threshold")
+    _add_setting(sub, "--seed", help="random seed (mandatory here or in config)")
+    _add_setting(sub, "--threshold", help="classification threshold")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,17 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--ontology", required=True)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--n-labels", type=int, dest="n_label_classes")
-    p.add_argument("--min-members", type=int, dest="min_members")
-    p.set_defaults(func=_cmd_build_dataset, overrides=("n_label_classes", "min_members"))
+    _add_setting(p, "--n-labels", "n_label_classes")
+    _add_setting(p, "--min-members")
+    p.set_defaults(func=_cmd_build_dataset)
 
     p = subs.add_parser("train-tokenizer", help="learn BPE merges from SMILES")
     _add_common(p)
     p.add_argument("--input", required=True, help="TSV or newline-delimited SMILES")
     p.add_argument("--out", required=True, help="tokenizer file")
-    p.add_argument("--target-vocab", type=int, dest="target_vocab")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.set_defaults(func=_cmd_train_tokenizer, overrides=("target_vocab", "max_len"))
+    _add_setting(p, "--target-vocab")
+    _add_setting(p, "--max-len")
+    p.set_defaults(func=_cmd_train_tokenizer)
 
     p = subs.add_parser("pretrain", help="masked-language-model pretraining")
     _add_common(p)
@@ -398,12 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--checkpoint-dir")
     p.add_argument("--log", help="epoch log CSV (default: training_log.csv next to --out)")
-    p.add_argument("--mask-probability", type=float, dest="mask_probability")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.set_defaults(
-        func=_cmd_pretrain, overrides=("learning_rate", "batch_size", "mask_probability")
-    )
+    _add_setting(p, "--mask-probability")
+    _add_setting(p, "--learning-rate")
+    _add_setting(p, "--batch-size")
+    p.set_defaults(func=_cmd_pretrain)
 
     p = subs.add_parser("finetune", help="multi-label fine-tuning")
     _add_common(p)
@@ -414,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--checkpoint-dir")
     p.add_argument("--log")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.set_defaults(func=_cmd_finetune, overrides=("learning_rate", "batch_size"))
+    _add_setting(p, "--learning-rate")
+    _add_setting(p, "--batch-size")
+    p.set_defaults(func=_cmd_finetune)
 
     p = subs.add_parser("evaluate", help="metric report on a labeled split")
     _add_common(p)
@@ -425,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="labeled TSV to evaluate")
     p.add_argument("--labels", help="labels.txt (defaults to the TSV header)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_evaluate, overrides=())
+    p.set_defaults(func=_cmd_evaluate)
 
     p = subs.add_parser("classify", help="predict classes for unseen SMILES")
     _add_common(p)
@@ -434,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--input", required=True, help="newline-delimited SMILES")
     p.add_argument("--out", required=True, help="results JSON")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.set_defaults(func=_cmd_classify, overrides=("top_k",))
+    _add_setting(p, "--top-k")
+    p.set_defaults(func=_cmd_classify)
 
     p = subs.add_parser("explain", help="attention-based explanation report")
     _add_common(p)
@@ -447,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory for HTML reports")
     p.add_argument("--layer", type=int, default=-1, help="encoder layer to aggregate")
     p.add_argument("--csv", action="store_true", help="also dump attribution CSVs")
-    p.set_defaults(func=_cmd_explain, overrides=())
+    p.set_defaults(func=_cmd_explain)
 
     p = subs.add_parser("extend", help="classify and graft into the ontology")
     _add_common(p)
@@ -458,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="newline-delimited SMILES")
     p.add_argument("--out-ontology", required=True)
     p.add_argument("--out-report", required=True)
-    p.add_argument("--id-prefix", dest="id_prefix")
-    p.set_defaults(func=_cmd_extend, overrides=("id_prefix",))
+    _add_setting(p, "--id-prefix")
+    p.set_defaults(func=_cmd_extend)
 
     return parser
 
@@ -475,15 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        overrides: dict[str, object] = {
-            "seed": args.seed,
-            "threshold": args.threshold,
-        }
-        for name in args.overrides:
-            overrides[name] = getattr(args, name)
         if args.config:
             _require_inputs(args.config)
-        cfg = build_run_config(args.config, overrides)
+        cfg = build_run_config(args.config, vars(args))
         args.func(args, cfg)
         return 0
     except tuple(_COMPONENTS) as exc:

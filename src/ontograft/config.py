@@ -1,16 +1,24 @@
 """Run configuration: an INI file of key=value sections, overridable by CLI
-flags (flags win).  Defaults follow the reference hyperparameters where the
-source states them; everything else is declared here.
+flags (flags win).
 
-The seed is mandatory and never defaults to the clock.
+``SETTINGS`` is the one table of settings: section -> key -> default, and a
+value's type is the type of its default.  The ``[model]``, ``[training]`` and
+``[masking]`` defaults are read from ``ModelConfig``, ``TrainConfig`` and
+``MaskingPolicy``, so each is written once, on the dataclass that uses it.
+INI parsing, the unknown-key check, ``--write-default-config`` and the flag
+overrides all follow from the table.
+
+The seed is mandatory and never defaults to the clock: its entry is the bare
+type ``int``, which marks a setting without a default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, fields
 
-from .model import ModelError
+from .model import ModelConfig
+from .training import MaskingPolicy, TrainConfig
 
 
 class ConfigError(Exception):
@@ -21,98 +29,71 @@ class ConfigValueError(ConfigError):
     """A config value that does not parse or is out of range."""
 
 
-DEFAULTS: dict[str, dict[str, str]] = {
+def _field_defaults(cls, *supplied: str) -> dict[str, object]:
+    """The defaults of ``cls``'s fields, except those the run supplies."""
+    return {
+        f.name: f.default for f in fields(cls)
+        if f.default is not MISSING and f.name not in supplied
+    }
+
+
+SETTINGS: dict[str, dict[str, object]] = {
     "dataset": {
-        "n_label_classes": "500",
-        "min_members": "20",
-        "ratio_train": "0.7",
-        "ratio_validation": "0.09",
-        "ratio_test": "0.21",
+        "n_label_classes": 500,
+        "min_members": 20,
+        "ratio_train": 0.7,
+        "ratio_validation": 0.09,
+        "ratio_test": 0.21,
     },
     "tokenizer": {
-        "target_vocab": "1395",
-        "max_len": "512",
-        "min_frequency": "2",
+        "target_vocab": 1395,
+        "max_len": 512,
+        "min_frequency": 2,
     },
-    "model": {
-        "n_layers": "6",
-        "n_heads": "12",
-        "hidden_dim": "768",
-        "ffn_dim": "3072",
-        "attention_dropout": "0.1",
-        "activation": "gelu",
-        "mlm_loss": "cross_entropy",
-        "dtype": "float64",
-    },
+    # max_len comes from the tokenizer file and the seed from [run].
+    "model": _field_defaults(ModelConfig, "max_len", "seed"),
     "training": {
-        "pretrain_epochs": "100",
-        "finetune_epochs": "30",
-        "batch_size": "4",
-        "learning_rate": "1e-4",
-        "weight_decay": "0.01",
-        "checkpoint_every": "0",
+        "pretrain_epochs": 100,
+        "finetune_epochs": 30,
+        **_field_defaults(TrainConfig, "seed"),
     },
-    "masking": {
-        "mask_probability": "0.15",
-        "mask_fraction": "0.8",
-        "random_fraction": "0.1",
-        "keep_fraction": "0.1",
-    },
+    # force_minimum is fixed in code, not a setting.
+    "masking": _field_defaults(MaskingPolicy, "seed", "force_minimum"),
     "extension": {
         "id_prefix": "ONTOGRAFT:",
-        "id_width": "6",
-        "top_k": "3",
+        "id_width": 6,
+        "top_k": 3,
     },
     "run": {
-        "threshold": "0.5",
-        # seed: intentionally no default
+        "seed": int,
+        "threshold": 0.5,
     },
 }
 
 
-@dataclass
+def setting_type(key: str) -> type:
+    """The type of setting ``key``; keys are unique across sections."""
+    for defaults in SETTINGS.values():
+        if key in defaults:
+            default = defaults[key]
+            return default if isinstance(default, type) else type(default)
+    raise KeyError(key)
+
+
 class RunConfig:
-    """Flattened view of the configuration all subcommands draw from."""
+    """Resolved settings by section; each key is also an attribute."""
 
-    seed: int
-    threshold: float = 0.5
-    # dataset
-    n_label_classes: int = 500
-    min_members: int = 20
-    ratios: tuple[float, float, float] = (0.7, 0.09, 0.21)
-    # tokenizer
-    target_vocab: int = 1395
-    max_len: int = 512
-    min_frequency: int = 2
-    # model
-    n_layers: int = 6
-    n_heads: int = 12
-    hidden_dim: int = 768
-    ffn_dim: int = 3072
-    attention_dropout: float = 0.1
-    activation: str = "gelu"
-    mlm_loss: str = "cross_entropy"
-    dtype: str = "float64"
-    # training
-    pretrain_epochs: int = 100
-    finetune_epochs: int = 30
-    batch_size: int = 4
-    learning_rate: float = 1e-4
-    weight_decay: float = 0.01
-    checkpoint_every: int = 0
-    # masking
-    mask_probability: float = 0.15
-    mask_fraction: float = 0.8
-    random_fraction: float = 0.1
-    keep_fraction: float = 0.1
-    # extension
-    id_prefix: str = "ONTOGRAFT:"
-    id_width: int = 6
-    top_k: int = 3
+    def __init__(self, sections: dict[str, dict[str, object]]):
+        self.sections = sections
+        for values in sections.values():
+            self.__dict__.update(values)
 
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigValueError(f"threshold must be in (0, 1), got {self.threshold}")
+    def build(self, cls, section: str, **given):
+        """``cls`` from the ``[section]`` keys that are its fields, the seed
+        and ``given``."""
+        names = {f.name for f in fields(cls)}
+        values = {k: v for k, v in self.sections[section].items() if k in names}
+        return cls(seed=self.seed, **values, **given)
 
 
 def parse_value(section: str, key: str, raw: str, kind: type):
@@ -134,11 +115,10 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"{path}: {exc}") from exc
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in SETTINGS:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        known = DEFAULTS[section]
         for key in parser[section]:
-            if key not in known and not (section == "run" and key == "seed"):
+            if key not in SETTINGS[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
         sections[section] = dict(parser[section])
     return sections
@@ -147,82 +127,43 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
 def build_run_config(
     config_path: str | None, overrides: dict[str, object]
 ) -> RunConfig:
-    """Merge defaults <- config file <- flag overrides into a RunConfig.
+    """Merge defaults <- config file <- overrides into a RunConfig.
 
-    ``overrides`` uses RunConfig field names; None values are ignored.
+    Entries of ``overrides`` that name a setting and are not None win; the
+    rest are ignored, so an argparse namespace's ``vars`` can be passed whole.
     """
-    merged: dict[str, dict[str, str]] = {s: dict(v) for s, v in DEFAULTS.items()}
-    if config_path:
-        for section, values in read_config_file(config_path).items():
-            merged[section].update(values)
-
-    def get(section, key, kind=str):
-        return parse_value(section, key, merged[section][key], kind)
-
-    values: dict[str, object] = {
-        "threshold": get("run", "threshold", float),
-        "n_label_classes": get("dataset", "n_label_classes", int),
-        "min_members": get("dataset", "min_members", int),
-        "ratios": (
-            get("dataset", "ratio_train", float),
-            get("dataset", "ratio_validation", float),
-            get("dataset", "ratio_test", float),
-        ),
-        "target_vocab": get("tokenizer", "target_vocab", int),
-        "max_len": get("tokenizer", "max_len", int),
-        "min_frequency": get("tokenizer", "min_frequency", int),
-        "n_layers": get("model", "n_layers", int),
-        "n_heads": get("model", "n_heads", int),
-        "hidden_dim": get("model", "hidden_dim", int),
-        "ffn_dim": get("model", "ffn_dim", int),
-        "attention_dropout": get("model", "attention_dropout", float),
-        "activation": get("model", "activation"),
-        "mlm_loss": get("model", "mlm_loss"),
-        "dtype": get("model", "dtype"),
-        "pretrain_epochs": get("training", "pretrain_epochs", int),
-        "finetune_epochs": get("training", "finetune_epochs", int),
-        "batch_size": get("training", "batch_size", int),
-        "learning_rate": get("training", "learning_rate", float),
-        "weight_decay": get("training", "weight_decay", float),
-        "checkpoint_every": get("training", "checkpoint_every", int),
-        "mask_probability": get("masking", "mask_probability", float),
-        "mask_fraction": get("masking", "mask_fraction", float),
-        "random_fraction": get("masking", "random_fraction", float),
-        "keep_fraction": get("masking", "keep_fraction", float),
-        "id_prefix": get("extension", "id_prefix"),
-        "id_width": get("extension", "id_width", int),
-        "top_k": get("extension", "top_k", int),
-    }
-    if "seed" in merged["run"]:
-        values["seed"] = get("run", "seed", int)
-
-    valid_names = {f.name for f in fields(RunConfig)}
-    for key, value in overrides.items():
-        if key not in valid_names:
-            raise ConfigError(f"unknown override {key!r}")
-        if value is not None:
-            values[key] = value
-    if "seed" not in values or values["seed"] is None:
+    given = read_config_file(config_path) if config_path else {}
+    sections: dict[str, dict[str, object]] = {}
+    for section, defaults in SETTINGS.items():
+        raw = given.get(section, {})
+        values = sections[section] = {}
+        for key, default in defaults.items():
+            if key in raw:
+                values[key] = parse_value(section, key, raw[key], setting_type(key))
+            elif not isinstance(default, type):
+                values[key] = default
+            if overrides.get(key) is not None:
+                values[key] = overrides[key]
+    if "seed" not in sections["run"]:
         raise ConfigError("a seed is required (config [run] seed or --seed)")
-    try:
-        return RunConfig(**values)  # type: ignore[arg-type]
-    except (TypeError, ValueError, ModelError) as exc:
-        raise ConfigError(str(exc)) from exc
+    threshold = sections["run"]["threshold"]
+    if not 0.0 < threshold < 1.0:
+        raise ConfigValueError(f"threshold must be in (0, 1), got {threshold}")
+    return RunConfig(sections)
 
 
 def write_default_config(path) -> None:
-    """Emit the documented default config for users to start from."""
+    """Emit the settings table as a config for users to start from."""
     from ._io import atomic_write_text
 
     lines = [
         "# ontograft configuration (key = value per section; flags override)",
         "# [run] seed is mandatory and has no default.",
     ]
-    for section, values in DEFAULTS.items():
+    for section, values in SETTINGS.items():
         lines.append("")
         lines.append(f"[{section}]")
-        if section == "run":
-            lines.append("# seed = 1234")
         for key, value in values.items():
-            lines.append(f"{key} = {value}")
+            # A setting without a default gets a commented-out example.
+            lines.append(f"# {key} = 1234" if isinstance(value, type) else f"{key} = {value}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -126,39 +126,46 @@ class Tokenizer:
 
     @staticmethod
     def load(path) -> "Tokenizer":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if not lines or lines[0] != f"{FORMAT_HEADER} v{FORMAT_VERSION}":
-            raise TokenizerError(
-                f"{path}: not a {FORMAT_HEADER} v{FORMAT_VERSION} file"
-            )
-        key, _, value = lines[1].partition("\t")
-        if key != "max_len":
-            raise TokenizerError(f"{path}: missing max_len line")
-        max_len = int(value)
-        if lines[2] != "[vocab]":
-            raise TokenizerError(f"{path}: missing [vocab] section")
-        tokens: list[str] = []
-        i = 3
-        while i < len(lines) and lines[i] != "[merges]":
-            if lines[i] == "":
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            lines = text.split("\n")
+            if lines[0] != f"{FORMAT_HEADER} v{FORMAT_VERSION}":
+                raise TokenizerError(
+                    f"{path}: not a {FORMAT_HEADER} v{FORMAT_VERSION} file"
+                )
+            if not text.endswith("\n"):
+                # save() ends every file with a newline; a cut mid-line has none.
+                raise ValueError("no final newline")
+            key, _, value = lines[1].partition("\t")
+            if key != "max_len":
+                raise TokenizerError(f"{path}: missing max_len line")
+            max_len = int(value)
+            if lines[2] != "[vocab]":
+                raise TokenizerError(f"{path}: missing [vocab] section")
+            tokens: list[str] = []
+            i = 3
+            while i < len(lines) and lines[i] != "[merges]":
+                if lines[i] == "":
+                    i += 1
+                    continue
+                idx, _, token = lines[i].partition("\t")
+                if int(idx) != len(tokens):
+                    raise TokenizerError(f"{path}: vocabulary ids are not contiguous")
+                tokens.append(token)
                 i += 1
-                continue
-            idx, _, token = lines[i].partition("\t")
-            if int(idx) != len(tokens):
-                raise TokenizerError(f"{path}: vocabulary ids are not contiguous")
-            tokens.append(token)
-            i += 1
-        if i >= len(lines):
-            raise TokenizerError(f"{path}: missing [merges] section")
-        merges: list[tuple[str, str]] = []
-        for line in lines[i + 1:]:
-            if not line:
-                continue
-            left, sep, right = line.partition("\t")
-            if not sep:
-                raise TokenizerError(f"{path}: malformed merge line {line!r}")
-            merges.append((left, right))
+            if i >= len(lines):
+                raise TokenizerError(f"{path}: missing [merges] section")
+            merges: list[tuple[str, str]] = []
+            for line in lines[i + 1:]:
+                if not line:
+                    continue
+                left, sep, right = line.partition("\t")
+                if not sep:
+                    raise TokenizerError(f"{path}: malformed merge line {line!r}")
+                merges.append((left, right))
+        except (IndexError, ValueError):  # ValueError includes UnicodeDecodeError
+            raise TokenizerError(f"{path}: truncated or corrupt tokenizer file") from None
         return Tokenizer(Vocabulary(tuple(tokens)), tuple(merges), max_len=max_len)
 
 

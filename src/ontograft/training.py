@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def apply_dynamic_masking(
     policy: MaskingPolicy,
     epoch: int,
     vocab_size: int,
-    start_index: int = 0,
 ) -> tuple[list[TokenSequence], list[list[tuple[int, int]]]]:
     """Mask each sequence independently, re-deriving the pattern from
     (policy seed, epoch, sequence index) so every epoch sees fresh masks and
@@ -85,7 +84,7 @@ def apply_dynamic_masking(
     targets: list[list[tuple[int, int]]] = []
     for i, seq in enumerate(batch):
         rng = np.random.default_rng(
-            [policy.seed, _STREAM_MASKING, epoch, start_index + i]
+            [policy.seed, _STREAM_MASKING, epoch, i]
         )
         ids = list(seq.ids)
         maskable = [p for p, t in enumerate(ids) if t >= N_SPECIALS]
@@ -329,14 +328,7 @@ def pretrain(
     """
     seqs = encode_corpus(tokenizer, corpus)
     val_seqs = encode_corpus(tokenizer, val_corpus)
-    val_policy = MaskingPolicy(
-        mask_probability=policy.mask_probability,
-        mask_fraction=policy.mask_fraction,
-        random_fraction=policy.random_fraction,
-        keep_fraction=policy.keep_fraction,
-        seed=policy.seed + _STREAM_VALIDATION * 1_000_003,
-        force_minimum=policy.force_minimum,
-    )
+    val_policy = replace(policy, seed=policy.seed + _STREAM_VALIDATION * 1_000_003)
     val_masked, val_targets = apply_dynamic_masking(
         val_seqs, val_policy, epoch=0, vocab_size=config.vocab_size
     )

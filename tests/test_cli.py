@@ -1,9 +1,13 @@
+import argparse
 import json
 import struct
+from dataclasses import fields
 
 import pytest
 
-from ontograft.cli import main
+from ontograft import cli
+from ontograft.cli import build_parser, main
+from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
 from ontograft.synthetic import generate_toy_ontology
 
@@ -251,6 +255,30 @@ class TestErrors:
         assert err.splitlines()[-1].startswith("ERROR\tmodel\t")
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("where", ["header", "max_len", "merges_header", "merge_line"])
+    def test_truncated_tokenizer(self, workspace, tmp_path, capsys, where):
+        blob = workspace["tokenizer"].read_bytes()
+        cut = {
+            "header": 5,
+            "max_len": blob.index(b"max_len\t") + len(b"max_len\t") + 1,
+            "merges_header": blob.index(b"[merges]") + 3,
+            "merge_line": len(blob) - 2,  # inside the last merge, newline gone
+        }[where]
+        tokenizer = tmp_path / "cut.txt"
+        tokenizer.write_bytes(blob[:cut])
+        smiles_file = tmp_path / "query.smi"
+        smiles_file.write_text("CCC(NN)CC\n")
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--tokenizer", str(tokenizer),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(smiles_file), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("ERROR\ttokenizer\t")
+        assert not (tmp_path / "out.json").exists()
+
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"
         obo.write_text("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n")
@@ -278,3 +306,116 @@ class TestErrors:
         info_lines = [l for l in err.splitlines() if l.startswith("INFO\t")]
         assert info_lines
         assert all(len(l.split("\t")) == 3 for l in info_lines)
+
+
+# One non-default value for every setting: the section and key sets must be
+# those of config.SETTINGS, so a setting dropped from or misspelled in the
+# table fails here.
+NON_DEFAULT = {
+    "dataset": {"n_label_classes": 7, "min_members": 11, "ratio_train": 0.5,
+                "ratio_validation": 0.25, "ratio_test": 0.25},
+    "tokenizer": {"target_vocab": 45, "max_len": 90, "min_frequency": 3},
+    "model": {"n_layers": 1, "n_heads": 2, "hidden_dim": 16, "ffn_dim": 32,
+              "attention_dropout": 0.05, "activation": "gelu_tanh", "mlm_loss": "bce",
+              "dtype": "float32"},
+    "training": {"pretrain_epochs": 2, "finetune_epochs": 3, "batch_size": 5,
+                 "learning_rate": 0.003, "weight_decay": 0.02, "checkpoint_every": 2},
+    "masking": {"mask_probability": 0.2, "mask_fraction": 0.6, "random_fraction": 0.25,
+                "keep_fraction": 0.15},
+    "extension": {"id_prefix": "NEW:", "id_width": 4, "top_k": 2},
+    "run": {"seed": 11, "threshold": 0.4},
+}
+# The settings that some subcommand flag overrides.
+FLAG_SETTINGS = {
+    "seed", "threshold", "n_label_classes", "min_members", "target_vocab", "max_len",
+    "mask_probability", "learning_rate", "batch_size", "top_k", "id_prefix",
+}
+
+
+def _typed(cfg):
+    return {s: {k: (type(v), v) for k, v in values.items()} for s, values in cfg.sections.items()}
+
+
+def _write_ini(path, sections):
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()) + "\n"
+        for section, values in sections.items()
+    ))
+    return path
+
+
+class TestSettings:
+    def test_table_matches_the_expected_settings(self):
+        assert {s: set(v) for s, v in SETTINGS.items()} == {
+            s: set(v) for s, v in NON_DEFAULT.items()
+        }
+        keys = [key for values in SETTINGS.values() for key in values]
+        assert len(keys) == len(set(keys)), "keys must be unique across sections"
+
+    def test_written_default_config_resolves_to_the_defaults(self, tmp_path):
+        path = tmp_path / "default.ini"
+        assert main(["--write-default-config", str(path)]) == 0
+        path.write_text(path.read_text().replace("# seed = 1234", "seed = 7"))
+        assert _typed(build_run_config(str(path), {})) == _typed(build_run_config(None, {"seed": 7}))
+
+    def test_every_ini_value_reaches_the_run(self, workspace, tmp_path, monkeypatch):
+        ini = _write_ini(tmp_path / "run.ini", NON_DEFAULT)
+        cfg = build_run_config(str(ini), {})
+        for section, values in NON_DEFAULT.items():
+            for key, value in values.items():
+                assert SETTINGS[section][key] != value
+                assert cfg.sections[section][key] == value
+                assert type(getattr(cfg, key)) is setting_type(key), key
+
+        built = {}
+        monkeypatch.setattr(cli, "run_pretrain", lambda store, mcfg, tok, corpus, val, tcfg, policy,
+                            **kw: built.update(model=mcfg, pretrain=tcfg, masking=policy) or [])
+        monkeypatch.setattr(cli, "run_finetune", lambda store, mcfg, tok, splits, tcfg,
+                            **kw: built.update(finetune=tcfg) or [])
+        model = tmp_path / "m.bin"
+        assert main(["pretrain", "--config", str(ini), "--tokenizer", str(workspace["tokenizer"]),
+                     "--train", str(workspace["dataset"] / "train.tsv"),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--out", str(model)]) == 0
+        assert main(["finetune", "--config", str(ini), "--model", str(model),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--dataset", str(workspace["dataset"]), "--out", str(tmp_path / "f.bin")]) == 0
+        assert built["pretrain"].epochs == NON_DEFAULT["training"]["pretrain_epochs"]
+        assert built["finetune"].epochs == NON_DEFAULT["training"]["finetune_epochs"]
+        for section, obj in [("model", built["model"]), ("training", built["pretrain"]),
+                             ("training", built["finetune"]), ("masking", built["masking"])]:
+            assert obj.seed == NON_DEFAULT["run"]["seed"]
+            names = {f.name for f in fields(obj)}
+            for key, value in NON_DEFAULT[section].items():
+                assert key in names or key.endswith("_epochs"), (section, key)
+                if key in names:
+                    assert getattr(obj, key) == value, (section, key)
+
+    def test_every_setting_flag_overrides_the_file(self, tmp_path, monkeypatch):
+        ini = _write_ini(tmp_path / "run.ini", NON_DEFAULT)
+        resolved = []
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command in subparsers.choices:
+            monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                                lambda args, cfg: resolved.append(cfg))
+        keys = {key for values in SETTINGS.values() for key in values}
+        seen = set()
+        for command, sub in subparsers.choices.items():
+            required = [s for a in sub._actions if a.required for s in (a.option_strings[0], "x")]
+            for action in sub._actions:
+                key = action.dest
+                if key not in keys:
+                    continue
+                section = next(s for s, values in SETTINGS.items() if key in values)
+                default = SETTINGS[section][key]
+                value = "12" if isinstance(default, type) else str(default)
+                argv = [command, "--config", str(ini), *required, action.option_strings[0], value]
+                assert main(argv) == 0, argv
+                cfg = resolved.pop()
+                assert getattr(cfg, key) == setting_type(key)(value), argv
+                assert type(getattr(cfg, key)) is setting_type(key), argv
+                assert NON_DEFAULT[section][key] != getattr(cfg, key)
+                seen.add(key)
+        assert seen == FLAG_SETTINGS
