@@ -2,20 +2,35 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
 import tempfile
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file in the same directory + rename."""
+@contextlib.contextmanager
+def _replacing(path, *open_args, **open_kwargs):
+    """A temp file beside path, opened as asked: renamed to path on success, removed on error."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, *open_args, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path via a temp file in the same directory + rename."""
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def atomic_copy(src, path) -> None:
+    """Copy the file src to path via a temp file in path's directory + rename."""
+    with open(src, "rb") as source, _replacing(path, "wb") as fh:
+        shutil.copyfileobj(source, fh)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import html
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import atomic_write_text
 from .model import AttentionSummary
 from .tokenizer import N_SPECIALS, TokenSequence, Tokenizer
 
@@ -196,12 +198,13 @@ td, th {{ border: 1px solid #ccc; padding: 2px 6px; text-align: right; }}
 def write_attribution_csv(
     attribution: TokenAttribution, shares: HeadTokenShare, path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token_index", "token", "score"])
-        for i, (token, score) in enumerate(zip(attribution.tokens, attribution.scores)):
-            writer.writerow([i, token, f"{score:.10g}"])
-        writer.writerow([])
-        writer.writerow(["head"] + list(shares.tokens))
-        for label, row in zip(shares.row_labels, shares.matrix):
-            writer.writerow([label] + [f"{v:.10g}" for v in row])
+    text = io.StringIO()
+    writer = csv.writer(text)  # rows end in "\r\n", written as they are
+    writer.writerow(["token_index", "token", "score"])
+    for i, (token, score) in enumerate(zip(attribution.tokens, attribution.scores)):
+        writer.writerow([i, token, f"{score:.10g}"])
+    writer.writerow([])
+    writer.writerow(["head"] + list(shares.tokens))
+    for label, row in zip(shares.row_labels, shares.matrix):
+        writer.writerow([label] + [f"{v:.10g}" for v in row])
+    atomic_write_text(path, text.getvalue())

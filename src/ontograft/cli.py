@@ -6,6 +6,12 @@
 Every subcommand reads an optional INI config (--config) with flag overrides,
 requires an explicit seed, writes outputs atomically, and exits nonzero with
 a machine-readable ``ERROR<TAB>component<TAB>message`` line on failure.
+
+The files a stage reads are declared once: ``INPUTS`` says how each input
+flag is loaded, and ``STAGES`` names the inputs each subcommand requires or
+accepts.  Before a stage runs, ``main`` checks that ``--config`` and every
+given input exist, resolves the config and loads the inputs in the declared
+order, so a missing or corrupt input fails before the stage writes anything.
 """
 
 from __future__ import annotations
@@ -73,33 +79,67 @@ def _setup_logging() -> None:
     root.setLevel(logging.INFO)
 
 
-def _require_inputs(*paths) -> None:
-    for path in paths:
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"input path does not exist: {path}")
-
-
 def _read_smiles_file(path) -> list[str]:
     """Newline-delimited SMILES, or the smiles column of a dataset TSV."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        rest = fh.read().split("\n")
-    lines = [first.rstrip("\n")] + rest
-    lines = [l for l in lines if l.strip()]
-    if not lines:
+        column = [l.split("\t", 1)[0] for l in fh.read().split("\n") if l.strip()]
+    if not column:
         raise ConfigError(f"{path}: no molecules found")
-    if lines[0].startswith("smiles\t") or lines[0] == "smiles":
-        return [l.split("\t", 1)[0] for l in lines[1:]]
-    return [l.split("\t", 1)[0] for l in lines]
+    return column[1:] if column[0] == "smiles" else column
+
+
+# Input flag -> (loader, help).  Each loader looks its function up when it
+# runs, so a replaced module attribute (a profiler's wrapper, a test's stub)
+# is the one called.  A model loads as (store, config).
+INPUTS = {
+    "ontology": (lambda path: ontology.load_obo(path), "OBO ontology"),
+    "tokenizer": (lambda path: tok.Tokenizer.load(path), "tokenizer file from train-tokenizer"),
+    "model": (lambda path: load_model(path)[:2], "model file"),
+    "init_model": (lambda path: load_model(path)[:2], "continue from an existing model file"),
+    "dataset": (lambda path: dataset.load_tsv(path), "dataset directory from build-dataset"),
+    "test": (lambda path: dataset.load_split_tsv(path), "labeled TSV to evaluate"),
+    "labels": (lambda path: dataset.load_labels(path), "labels.txt, one class id per column"),
+    "train": (lambda path: _read_smiles_file(path), "training TSV or SMILES file"),
+    "validation": (lambda path: _read_smiles_file(path), "validation TSV or SMILES file"),
+    "input": (lambda path: _read_smiles_file(path), "TSV or newline-delimited SMILES"),
+}
+
+# Subcommand -> (help, --out help or None, required inputs, optional inputs).
+# Inputs load in the order listed; ``_cmd_<name>(args, cfg, inputs)`` gets
+# each as an attribute of ``inputs``.
+STAGES = {
+    "build-dataset": ("ontology -> labeled TSV splits", "output dataset directory",
+                      ("ontology",), ()),
+    "train-tokenizer": ("learn BPE merges from SMILES", "tokenizer file", ("input",), ()),
+    "pretrain": ("masked-language-model pretraining", "output model file",
+                 ("tokenizer", "train"), ("validation", "labels", "init_model")),
+    "finetune": ("multi-label fine-tuning", "output model file",
+                 ("tokenizer", "model", "dataset"), ()),
+    "evaluate": ("metric report on a labeled split", "output directory",
+                 ("tokenizer", "model", "test"), ("labels",)),
+    "classify": ("predict classes for unseen SMILES", "results JSON",
+                 ("tokenizer", "model", "labels", "input"), ()),
+    "explain": ("attention-based explanation report", "output directory for HTML reports",
+                ("tokenizer", "model", "labels"), ("input",)),
+    "extend": ("classify and graft into the ontology", None,
+               ("tokenizer", "model", "labels", "ontology", "input"), ()),
+}
+
+
+def _load_inputs(args) -> argparse.Namespace:
+    """The subcommand's inputs, loaded in the declared order (None if not given)."""
+    return argparse.Namespace(**{
+        key: None if getattr(args, key) is None else INPUTS[key][0](getattr(args, key))
+        for key in args.inputs
+    })
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_build_dataset(args, cfg: RunConfig) -> None:
-    _require_inputs(args.ontology)
-    graph = ontology.load_obo(args.ontology)
+def _cmd_build_dataset(args, cfg: RunConfig, inputs) -> None:
+    graph = inputs.ontology
     logger.info("loaded ontology with %d classes", len(graph))
     labels = dataset.select_label_classes(
         graph, cfg.n_label_classes, cfg.min_members, cfg.seed
@@ -112,31 +152,23 @@ def _cmd_build_dataset(args, cfg: RunConfig) -> None:
         molecules, (cfg.ratio_train, cfg.ratio_validation, cfg.ratio_test), cfg.seed
     )
     dataset.save_tsv(splits, labels, args.out)
+    sizes = {name: len(getattr(splits, name)) for name in ("train", "validation", "test")}
     stats_doc = {
         "n_molecules": stats.n_molecules,
         "per_class_counts": stats.per_class_counts,
         "labels_per_molecule": {str(k): v for k, v in sorted(stats.labels_per_molecule.items())},
-        "split_sizes": {
-            "train": len(splits.train),
-            "validation": len(splits.validation),
-            "test": len(splits.test),
-        },
+        "split_sizes": sizes,
     }
     atomic_write_text(
         os.path.join(args.out, "stats.json"),
         json.dumps(stats_doc, indent=2, sort_keys=True) + "\n",
     )
-    logger.info(
-        "split sizes: train=%d validation=%d test=%d",
-        len(splits.train), len(splits.validation), len(splits.test),
-    )
+    logger.info("split sizes: train=%(train)d validation=%(validation)d test=%(test)d", sizes)
 
 
-def _cmd_train_tokenizer(args, cfg: RunConfig) -> None:
-    _require_inputs(args.input)
-    corpus = _read_smiles_file(args.input)
+def _cmd_train_tokenizer(args, cfg: RunConfig, inputs) -> None:
     trained = tok.train_bpe(
-        corpus, cfg.target_vocab, max_len=cfg.max_len, min_frequency=cfg.min_frequency
+        inputs.input, cfg.target_vocab, max_len=cfg.max_len, min_frequency=cfg.min_frequency
     )
     trained.save(args.out)
     logger.info(
@@ -144,62 +176,62 @@ def _cmd_train_tokenizer(args, cfg: RunConfig) -> None:
     )
 
 
-def _cmd_pretrain(args, cfg: RunConfig) -> None:
-    _require_inputs(args.tokenizer, args.train, args.validation, args.labels, args.init_model)
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    corpus = _read_smiles_file(args.train)
-    val_corpus = _read_smiles_file(args.validation) if args.validation else []
-    epochs = cfg.pretrain_epochs if args.epochs is None else args.epochs
-    if args.init_model:
-        store, mcfg, _ = load_model(args.init_model)
-    else:
-        if not args.labels:
-            raise ConfigError("pretrain needs --labels (or --init-model)")
-        n_labels = len(dataset.load_labels(args.labels))
-        mcfg = cfg.build(
-            ModelConfig, "model",
-            vocab_size=len(tokenizer.vocab), n_labels=n_labels, max_len=tokenizer.max_len,
-        )
-        store = init_model(mcfg)
-    logger.info(
-        "pretraining %d epochs on %d molecules (%d parameters)",
-        epochs, len(corpus), store.n_parameters(),
-    )
-    policy = cfg.build(MaskingPolicy, "masking")
-    tcfg = cfg.build(TrainConfig, "training", epochs=epochs)
-    logs = run_pretrain(
-        store, mcfg, tokenizer, corpus, val_corpus, tcfg, policy,
-        checkpoint_dir=args.checkpoint_dir,
-    )
+def _train_config(args, cfg: RunConfig, epochs: int) -> TrainConfig:
+    """The ``[training]`` settings, for ``--epochs`` epochs if given."""
+    return cfg.build(TrainConfig, "training", epochs=epochs if args.epochs is None else args.epochs)
+
+
+def _save_model_and_log(args, store, mcfg: ModelConfig, logs) -> None:
     save_model(store, mcfg, args.out)
     log_path = args.log or os.path.join(os.path.dirname(os.path.abspath(args.out)), "training_log.csv")
     append_epoch_logs(log_path, logs)
+
+
+def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
+    tokenizer = inputs.tokenizer
+    if inputs.init_model:
+        store, mcfg = inputs.init_model
+    elif inputs.labels is None:
+        raise ConfigError("pretrain needs --labels (or --init-model)")
+    else:
+        mcfg = cfg.build(
+            ModelConfig, "model",
+            vocab_size=len(tokenizer.vocab), n_labels=len(inputs.labels),
+            max_len=tokenizer.max_len,
+        )
+        store = init_model(mcfg)
+    policy = cfg.build(MaskingPolicy, "masking")
+    tcfg = _train_config(args, cfg, cfg.pretrain_epochs)
+    logger.info(
+        "pretraining %d epochs on %d molecules (%d parameters)",
+        tcfg.epochs, len(inputs.train), store.n_parameters(),
+    )
+    logs = run_pretrain(
+        store, mcfg, tokenizer, inputs.train, inputs.validation or [], tcfg, policy,
+        checkpoint_dir=args.checkpoint_dir,
+    )
+    _save_model_and_log(args, store, mcfg, logs)
     if logs:
         logger.info("final train loss %.4f, val loss %.4f", logs[-1].train_loss, logs[-1].val_loss)
 
 
-def _cmd_finetune(args, cfg: RunConfig) -> None:
-    _require_inputs(args.model, args.tokenizer, args.dataset)
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    store, mcfg, _ = load_model(args.model)
-    splits, labels = dataset.load_tsv(args.dataset)
+def _cmd_finetune(args, cfg: RunConfig, inputs) -> None:
+    store, mcfg = inputs.model
+    splits, labels = inputs.dataset
     if len(labels) != mcfg.n_labels:
         raise TrainingError(
             f"dataset has {len(labels)} labels, model expects {mcfg.n_labels}"
         )
-    epochs = cfg.finetune_epochs if args.epochs is None else args.epochs
+    tcfg = _train_config(args, cfg, cfg.finetune_epochs)
     logger.info(
         "fine-tuning %d epochs on %d molecules, %d labels",
-        epochs, len(splits.train), len(labels),
+        tcfg.epochs, len(splits.train), len(labels),
     )
-    tcfg = cfg.build(TrainConfig, "training", epochs=epochs)
     logs = run_finetune(
-        store, mcfg, tokenizer, splits, tcfg,
+        store, mcfg, inputs.tokenizer, splits, tcfg,
         checkpoint_dir=args.checkpoint_dir, threshold=cfg.threshold,
     )
-    save_model(store, mcfg, args.out)
-    log_path = args.log or os.path.join(os.path.dirname(os.path.abspath(args.out)), "training_log.csv")
-    append_epoch_logs(log_path, logs)
+    _save_model_and_log(args, store, mcfg, logs)
     if logs:
         logger.info(
             "final val loss %.4f, val samples-F1 %.4f",
@@ -207,15 +239,15 @@ def _cmd_finetune(args, cfg: RunConfig) -> None:
         )
 
 
-def _cmd_evaluate(args, cfg: RunConfig) -> None:
-    _require_inputs(args.model, args.tokenizer, args.test, args.labels)
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    store, mcfg, _ = load_model(args.model)
-    molecules, labels = dataset.load_split_tsv(args.test)
-    if args.labels:
-        labels = dataset.load_labels(args.labels)
+def _cmd_evaluate(args, cfg: RunConfig, inputs) -> None:
+    molecules, labels = inputs.test
+    if inputs.labels is not None and inputs.labels != labels:
+        # the label columns of the TSV are the header's; another order would
+        # score each column against the wrong class
+        raise dataset.DatasetError(f"{args.labels} does not match the header of {args.test}")
+    store, mcfg = inputs.model
     report, class_rows, molecule_rows = metrics.evaluate_model(
-        store, mcfg, tokenizer, molecules, labels, threshold=cfg.threshold,
+        store, mcfg, inputs.tokenizer, molecules, labels, threshold=cfg.threshold,
         batch_size=cfg.batch_size,
     )
     metrics.write_report(report, class_rows, molecule_rows, args.out)
@@ -227,23 +259,23 @@ def _cmd_evaluate(args, cfg: RunConfig) -> None:
         )
 
 
-def _cmd_classify(args, cfg: RunConfig) -> None:
-    _require_inputs(args.model, args.tokenizer, args.labels, args.input)
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    store, mcfg, _ = load_model(args.model)
-    labels = dataset.load_labels(args.labels)
-    smiles_list = _read_smiles_file(args.input)
-    results = extension.classify_batch(
-        store, mcfg, tokenizer, labels, smiles_list,
+def _classify(cfg: RunConfig, inputs) -> list[extension.ClassificationResult]:
+    store, mcfg = inputs.model
+    return extension.classify_batch(
+        store, mcfg, inputs.tokenizer, inputs.labels, inputs.input,
         threshold=cfg.threshold, top_k=cfg.top_k, batch_size=cfg.batch_size,
     )
+
+
+def _cmd_classify(args, cfg: RunConfig, inputs) -> None:
+    results = _classify(cfg, inputs)
     doc = {
         "threshold": cfg.threshold,
         "results": [
             {
                 "smiles": r.smiles,
                 "accepted": [
-                    {"label": cid, "probability": float(r.probabilities[labels.column(cid)])}
+                    {"label": cid, "probability": float(r.probabilities[inputs.labels.column(cid)])}
                     for cid in r.accepted
                 ],
                 "below_threshold": r.below_threshold,
@@ -260,14 +292,12 @@ def _cmd_classify(args, cfg: RunConfig) -> None:
     logger.info("classified %d molecules (%d below threshold)", len(results), n_below)
 
 
-def _cmd_explain(args, cfg: RunConfig) -> None:
-    _require_inputs(args.model, args.tokenizer, args.labels)
-    if (args.smiles is None) == (args.input is None):
+def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
+    if (args.smiles is None) == (inputs.input is None):
         raise ConfigError("explain needs exactly one of --smiles or --input")
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    store, mcfg, _ = load_model(args.model)
-    labels = dataset.load_labels(args.labels)
-    smiles_list = [args.smiles] if args.smiles else _read_smiles_file(args.input)
+    tokenizer, labels = inputs.tokenizer, inputs.labels
+    store, mcfg = inputs.model
+    smiles_list = inputs.input or [args.smiles]
     os.makedirs(args.out, exist_ok=True)
     for i, smiles in enumerate(smiles_list):
         seq = tokenizer.encode(smiles, truncate=True)
@@ -291,17 +321,9 @@ def _cmd_explain(args, cfg: RunConfig) -> None:
     logger.info("wrote %d explanation report(s) to %s", len(smiles_list), args.out)
 
 
-def _cmd_extend(args, cfg: RunConfig) -> None:
-    _require_inputs(args.model, args.tokenizer, args.labels, args.ontology, args.input)
-    tokenizer = tok.Tokenizer.load(args.tokenizer)
-    store, mcfg, _ = load_model(args.model)
-    labels = dataset.load_labels(args.labels)
-    graph = ontology.load_obo(args.ontology)
-    smiles_list = _read_smiles_file(args.input)
-    results = extension.classify_batch(
-        store, mcfg, tokenizer, labels, smiles_list,
-        threshold=cfg.threshold, top_k=cfg.top_k, batch_size=cfg.batch_size,
-    )
+def _cmd_extend(args, cfg: RunConfig, inputs) -> None:
+    graph, labels = inputs.ontology, inputs.labels
+    results = _classify(cfg, inputs)
     proposals, skipped = extension.propose_extensions(
         graph, labels, results, id_prefix=cfg.id_prefix, id_width=cfg.id_width
     )
@@ -328,12 +350,6 @@ def _add_setting(sub: argparse.ArgumentParser, flag: str, key: str | None = None
     sub.add_argument(flag, dest=key, type=setting_type(key), **kwargs)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file; flags override it")
-    _add_setting(sub, "--seed", help="random seed (mandatory here or in config)")
-    _add_setting(sub, "--threshold", help="classification threshold")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontograft",
@@ -345,95 +361,41 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the documented default config to PATH and exit",
     )
     subs = parser.add_subparsers(dest="command")
+    p = {}  # subcommand -> its parser
+    for name, (help_text, out_help, required, optional) in STAGES.items():
+        sub = p[name] = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="INI config file; flags override it")
+        _add_setting(sub, "--seed", help="random seed (mandatory here or in config)")
+        _add_setting(sub, "--threshold", help="classification threshold")
+        for key in required + optional:
+            sub.add_argument("--" + key.replace("_", "-"), required=key in required,
+                             help=INPUTS[key][1])
+        if out_help:
+            sub.add_argument("--out", required=True, help=out_help)
+        # looked up now, so a replaced _cmd_* function is the one that runs
+        func = globals()["_cmd_" + name.replace("-", "_")]
+        sub.set_defaults(func=func, inputs=required + optional)
 
-    p = subs.add_parser("build-dataset", help="ontology -> labeled TSV splits")
-    _add_common(p)
-    p.add_argument("--ontology", required=True)
-    p.add_argument("--out", required=True, help="output dataset directory")
-    _add_setting(p, "--n-labels", "n_label_classes")
-    _add_setting(p, "--min-members")
-    p.set_defaults(func=_cmd_build_dataset)
-
-    p = subs.add_parser("train-tokenizer", help="learn BPE merges from SMILES")
-    _add_common(p)
-    p.add_argument("--input", required=True, help="TSV or newline-delimited SMILES")
-    p.add_argument("--out", required=True, help="tokenizer file")
-    _add_setting(p, "--target-vocab")
-    _add_setting(p, "--max-len")
-    p.set_defaults(func=_cmd_train_tokenizer)
-
-    p = subs.add_parser("pretrain", help="masked-language-model pretraining")
-    _add_common(p)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--train", required=True, help="training TSV or SMILES file")
-    p.add_argument("--validation", help="validation TSV or SMILES file")
-    p.add_argument("--labels", help="labels.txt fixing the classifier width")
-    p.add_argument("--init-model", help="continue from an existing model file")
-    p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--checkpoint-dir")
-    p.add_argument("--log", help="epoch log CSV (default: training_log.csv next to --out)")
-    _add_setting(p, "--mask-probability")
-    _add_setting(p, "--learning-rate")
-    _add_setting(p, "--batch-size")
-    p.set_defaults(func=_cmd_pretrain)
-
-    p = subs.add_parser("finetune", help="multi-label fine-tuning")
-    _add_common(p)
-    p.add_argument("--model", required=True, help="input (pretrained) model file")
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--dataset", required=True, help="dataset directory from build-dataset")
-    p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--checkpoint-dir")
-    p.add_argument("--log")
-    _add_setting(p, "--learning-rate")
-    _add_setting(p, "--batch-size")
-    p.set_defaults(func=_cmd_finetune)
-
-    p = subs.add_parser("evaluate", help="metric report on a labeled split")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--test", required=True, help="labeled TSV to evaluate")
-    p.add_argument("--labels", help="labels.txt (defaults to the TSV header)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = subs.add_parser("classify", help="predict classes for unseen SMILES")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--input", required=True, help="newline-delimited SMILES")
-    p.add_argument("--out", required=True, help="results JSON")
-    _add_setting(p, "--top-k")
-    p.set_defaults(func=_cmd_classify)
-
-    p = subs.add_parser("explain", help="attention-based explanation report")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--smiles", help="one molecule to explain")
-    p.add_argument("--input", help="newline-delimited SMILES to explain")
-    p.add_argument("--out", required=True, help="output directory for HTML reports")
-    p.add_argument("--layer", type=int, default=-1, help="encoder layer to aggregate")
-    p.add_argument("--csv", action="store_true", help="also dump attribution CSVs")
-    p.set_defaults(func=_cmd_explain)
-
-    p = subs.add_parser("extend", help="classify and graft into the ontology")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--ontology", required=True)
-    p.add_argument("--input", required=True, help="newline-delimited SMILES")
-    p.add_argument("--out-ontology", required=True)
-    p.add_argument("--out-report", required=True)
-    _add_setting(p, "--id-prefix")
-    p.set_defaults(func=_cmd_extend)
-
+    _add_setting(p["build-dataset"], "--n-labels", "n_label_classes")
+    _add_setting(p["build-dataset"], "--min-members")
+    _add_setting(p["train-tokenizer"], "--target-vocab")
+    _add_setting(p["train-tokenizer"], "--max-len")
+    for name in ("pretrain", "finetune"):
+        p[name].add_argument("--epochs", type=int)
+        p[name].add_argument("--checkpoint-dir")
+        p[name].add_argument(
+            "--log", help="epoch log CSV (default: training_log.csv next to --out)"
+        )
+        _add_setting(p[name], "--learning-rate")
+        _add_setting(p[name], "--batch-size")
+    _add_setting(p["pretrain"], "--mask-probability")
+    _add_setting(p["classify"], "--top-k")
+    p["explain"].add_argument("--smiles", help="one molecule to explain")
+    p["explain"].add_argument("--layer", type=int, default=-1, help="encoder layer to aggregate")
+    p["explain"].add_argument("--csv", action="store_true", help="also dump attribution CSVs")
+    p["extend"].add_argument("--out-ontology", required=True)
+    p["extend"].add_argument("--out-report", required=True)
+    _add_setting(p["extend"], "--id-prefix")
     return parser
 
 
@@ -448,20 +410,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.config:
-            _require_inputs(args.config)
+        for path in (args.config, *(getattr(args, key) for key in args.inputs)):
+            if path is not None and not os.path.exists(path):
+                raise ConfigError(f"input path does not exist: {path}")
         cfg = build_run_config(args.config, vars(args))
-        args.func(args, cfg)
+        args.func(args, cfg, _load_inputs(args))
         return 0
-    except tuple(_COMPONENTS) as exc:
+    except (*_COMPONENTS, FileNotFoundError) as exc:
         component = next(
             (name for etype, name in _COMPONENTS.items() if isinstance(exc, etype)),
             "cli",
         )
         print(f"ERROR\t{component}\t{exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"ERROR\tcli\t{exc}", file=sys.stderr)
         return 1
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._io import atomic_copy
 from .dataset import DatasetSplits, LabeledMolecule
 from .model import (
     ModelConfig,
@@ -304,8 +305,11 @@ def _fit(
                 names.append("best.bin")
             if tcfg.checkpoint_every and epoch % tcfg.checkpoint_every == 0:
                 names.append(f"epoch{epoch:04d}.bin")
-            for name in names:
-                save_model(store, config, os.path.join(checkpoint_dir, name))
+            # the checkpoints of one epoch hold the same bytes: serialize once
+            paths = [os.path.join(checkpoint_dir, name) for name in names]
+            save_model(store, config, paths[0])
+            for path in paths[1:]:
+                atomic_copy(paths[0], path)
     return logs
 
 

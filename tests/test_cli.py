@@ -1,11 +1,15 @@
 import argparse
 import json
+import re
+import shlex
 import struct
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from ontograft import cli
+from ontograft import cli, model, ontology, tokenizer
 from ontograft.cli import build_parser, main
 from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
@@ -50,6 +54,10 @@ def workspace(tmp_path_factory):
         "root": root, "config": config, "obo": obo, "dataset": dataset,
         "tokenizer": tokenizer, "pretrained": model, "finetuned": finetuned,
     }
+
+
+def _subparsers() -> argparse._SubParsersAction:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
 
 
 class TestPipeline:
@@ -149,11 +157,28 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("ERROR\tcli\t")
 
-    def test_missing_input_path(self, tmp_path, capsys):
-        code = main(["build-dataset", "--seed", "1",
-                     "--ontology", str(tmp_path / "gone.obo"), "--out", str(tmp_path / "d")])
+    @pytest.mark.parametrize("command, missing", [
+        (command, key) for command, (_, _, required, optional) in cli.STAGES.items()
+        for key in required + optional
+    ])
+    def test_missing_input_path(self, tmp_path, capsys, command, missing):
+        """Every input a subcommand names is checked before anything loads."""
+        present = tmp_path / "present"
+        present.write_text("")  # never loaded: the missing path stops the run first
+        gone = tmp_path / "gone"
+        sub = _subparsers().choices[command]
+        argv = [command, "--seed", "1"]
+        for action in sub._actions:
+            if action.dest == missing:
+                argv += [action.option_strings[0], str(gone)]
+            elif action.required:
+                path = present if action.dest in cli.INPUTS else tmp_path / "out" / action.dest
+                argv += [action.option_strings[0], str(path)]
+        code = main(argv)
         assert code == 1
-        assert "does not exist" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tcli\tinput path does not exist: {gone}"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
@@ -279,6 +304,22 @@ class TestErrors:
         assert err.splitlines()[-1].startswith("ERROR\ttokenizer\t")
         assert not (tmp_path / "out.json").exists()
 
+    def test_evaluate_labels_must_match_header(self, workspace, tmp_path, capsys):
+        """A labels.txt in another order than the TSV header would score
+        every column against the wrong class."""
+        classes = (workspace["dataset"] / "labels.txt").read_text().split()
+        reordered = tmp_path / "labels.txt"
+        reordered.write_text("\n".join(reversed(classes)) + "\n")
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--config", str(workspace["config"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--test", str(workspace["dataset"] / "test.tsv"),
+                     "--labels", str(reordered), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("ERROR\tdataset\t")
+        assert not (out / "report.json").exists()
+
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"
         obo.write_text("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n")
@@ -306,6 +347,53 @@ class TestErrors:
         info_lines = [l for l in err.splitlines() if l.startswith("INFO\t")]
         assert info_lines
         assert all(len(l.split("\t")) == 3 for l in info_lines)
+
+
+class TestInputs:
+    def test_loaders_are_looked_up_when_they_run(self, workspace, tmp_path, monkeypatch):
+        """Loaders replaced through their module attributes after cli is
+        imported, as a profiler does, are the ones a stage calls."""
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, attr in ((model, "load_model"), (ontology, "load_obo")):
+            original = getattr(module, attr)
+            wrapped = counting(f"{module.__name__}.{attr}", original)
+            for name, loaded in list(sys.modules.items()):
+                if name.split(".")[0] == "ontograft" and getattr(loaded, attr, None) is original:
+                    monkeypatch.setattr(loaded, attr, wrapped)
+        monkeypatch.setattr(tokenizer.Tokenizer, "load", staticmethod(
+            counting("ontograft.tokenizer.Tokenizer.load", tokenizer.Tokenizer.load)))
+        queries = tmp_path / "query.smi"
+        queries.write_text("CCC(NN)CC\n")
+        common = ["--config", str(workspace["config"]), "--model", str(workspace["finetuned"]),
+                  "--tokenizer", str(workspace["tokenizer"]),
+                  "--labels", str(workspace["dataset"] / "labels.txt"), "--input", str(queries)]
+        assert main(["classify", *common, "--out", str(tmp_path / "c.json")]) == 0
+        assert calls == ["ontograft.tokenizer.Tokenizer.load", "ontograft.model.load_model"]
+        calls.clear()
+        assert main(["extend", *common, "--ontology", str(workspace["obo"]),
+                     "--out-ontology", str(tmp_path / "e.obo"),
+                     "--out-report", str(tmp_path / "e.json")]) == 0
+        assert calls == ["ontograft.tokenizer.Tokenizer.load", "ontograft.model.load_model",
+                         "ontograft.ontology.load_obo"]
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = [
+            shlex.split(line)
+            for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("ontograft ")
+        ]
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+        assert {argv[1] for argv in commands if not argv[1].startswith("-")} == set(cli.STAGES)
 
 
 # One non-default value for every setting: the section and key sets must be
@@ -394,12 +482,14 @@ class TestSettings:
     def test_every_setting_flag_overrides_the_file(self, tmp_path, monkeypatch):
         ini = _write_ini(tmp_path / "run.ini", NON_DEFAULT)
         resolved = []
-        subparsers = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        )
+        subparsers = _subparsers()
         for command in subparsers.choices:
             monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
-                                lambda args, cfg: resolved.append(cfg))
+                                lambda args, cfg, inputs: resolved.append(cfg))
+        # every required path below is "x": make it exist, and load nothing
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x").touch()
+        monkeypatch.setattr(cli, "_load_inputs", lambda args: None)
         keys = {key for values in SETTINGS.values() for key in values}
         seen = set()
         for command, sub in subparsers.choices.items():

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ontograft import training
 from ontograft.dataset import DatasetSplits, LabeledMolecule
 from ontograft.model import (
     ModelConfig,
@@ -409,6 +410,29 @@ class TestPretrain:
             assert (directory / "best.bin").read_bytes() == (
                 directory / f"epoch{best:04d}.bin"
             ).read_bytes(), phase
+
+    def test_one_serialization_per_epoch(self, tmp_path, monkeypatch):
+        """last.bin, best.bin and epochNNNN.bin of one epoch are one
+        save_model call; the other names get its bytes by copy."""
+        tok, config, corpus, _ = toy_setup()
+        store = init_model(config)
+        saved = []
+
+        def counting_save(store, config, path):
+            saved.append(path)
+            save_model(store, config, path)
+
+        monkeypatch.setattr(training, "save_model", counting_save)
+        directory = tmp_path / "ckpt"
+        logs = pretrain(
+            store, config, tok, corpus, corpus[:4],
+            TrainConfig(epochs=3, batch_size=4, learning_rate=1e-3, seed=1, checkpoint_every=1),
+            MaskingPolicy(seed=1), checkpoint_dir=str(directory),
+        )
+        assert len(logs) == 3
+        assert len(saved) == 3
+        assert (directory / "epoch0003.bin").read_bytes() == (directory / "last.bin").read_bytes()
+        assert not list(directory.glob("*.tmp"))
 
 
 class TestFinetune:
