@@ -8,6 +8,13 @@ import shutil
 import tempfile
 
 
+def _umask() -> int:
+    """The process umask (reading it means setting it, briefly, to 0)."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextlib.contextmanager
 def _replacing(path, *open_args, **open_kwargs):
     """A temp file beside path, opened as asked: renamed to path on success, removed on error."""
@@ -16,6 +23,8 @@ def _replacing(path, *open_args, **open_kwargs):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, *open_args, **open_kwargs) as fh:
+            # mkstemp creates the file owner-only; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
             yield fh
         os.replace(tmp, path)
     except BaseException:

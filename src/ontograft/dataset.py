@@ -75,6 +75,33 @@ class DatasetSplits:
         return self.train + self.validation + self.test
 
 
+def _structured_leaf_members(graph: OntologyGraph, position: dict[str, int]):
+    """Class id -> sorted indices (values of position) of its structured-leaf
+    descendants, for every class, each built from its children's."""
+    empty = np.empty(0, dtype=np.int64)
+    members: dict[str, np.ndarray] = {}
+    for root in graph.ids():
+        stack = [root]
+        while stack:
+            cid = stack[-1]
+            if cid in members:
+                stack.pop()
+                continue
+            children = graph.children(cid)
+            pending = [child for child in children if child not in members]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if not children:
+                members[cid] = empty
+                continue
+            own = [position[child] for child in children if child in position]
+            parts = [members[child] for child in children]
+            members[cid] = np.unique(np.concatenate(parts + [np.array(own, dtype=np.int64)]))
+    return members
+
+
 def select_label_classes(
     graph: OntologyGraph, k: int, min_members: int, seed: int
 ) -> LabelIndex:
@@ -89,38 +116,50 @@ def select_label_classes(
         raise DatasetError("graph is empty")
     if k < 1:
         raise DatasetError("k must be >= 1")
-    structured = graph.structured_leaves()
-    desc: dict[str, frozenset[str]] = {}
-    for cid in graph.ids():
-        cls = graph[cid]
-        if cls.obsolete or graph.is_leaf(cid):
-            continue
-        members = frozenset(graph.descendants(cid) & structured)
-        if len(members) >= min_members:
-            desc[cid] = members
-    if len(desc) < k:
+    structured = sorted(graph.structured_leaves())
+    members = _structured_leaf_members(
+        graph, {leaf: i for i, leaf in enumerate(structured)}
+    )
+    candidates = [
+        cid for cid in graph.ids()
+        if not graph[cid].obsolete and not graph.is_leaf(cid)
+        and members[cid].size >= min_members
+    ]
+    if len(candidates) < k:
         raise DatasetError(
-            f"only {len(desc)} classes have >= {min_members} structured leaf "
+            f"only {len(candidates)} classes have >= {min_members} structured leaf "
             f"descendants; {k} requested"
         )
-    candidates = sorted(desc)
+    # candidate x leaf incidence as (row, leaf) pairs; the overlap with the
+    # covered leaves is kept as integer counts, updated by each pick's new leaves
+    leaves = [members[cid] for cid in candidates]
+    size = np.array([m.size for m in leaves], dtype=np.int64)
+    rows = np.repeat(np.arange(len(candidates)), size)
+    cols = np.concatenate(leaves)
+    inter = np.zeros(len(candidates), dtype=np.int64)
+    covered = np.zeros(len(structured), dtype=bool)
+    n_covered = 0
+    taken = np.zeros(len(candidates), dtype=bool)
     rng = np.random.default_rng(seed)
-    selected = [candidates[int(rng.integers(len(candidates)))]]
-    covered = set(desc[selected[0]])
-    remaining = [c for c in candidates if c != selected[0]]
-    while len(selected) < k:
-        best = None
-        best_overlap = None
-        for cand in remaining:
-            members = desc[cand]
-            union = len(members | covered)
-            overlap = len(members & covered) / union if union else 0.0
-            if best_overlap is None or overlap < best_overlap:
-                best, best_overlap = cand, overlap
-        selected.append(best)
-        covered |= desc[best]
-        remaining.remove(best)
-    return LabelIndex(tuple(selected))
+    pick = int(rng.integers(len(candidates)))
+    selected = []
+    while True:
+        selected.append(candidates[pick])
+        taken[pick] = True
+        if len(selected) == k:
+            return LabelIndex(tuple(selected))
+        newly = np.zeros(len(structured), dtype=bool)
+        newly[leaves[pick]] = True
+        newly &= ~covered
+        covered |= newly
+        n_covered += int(newly.sum())
+        inter += np.bincount(rows[newly[cols]], minlength=len(candidates))
+        union = size + n_covered - inter
+        with np.errstate(invalid="ignore", divide="ignore"):
+            overlap = np.where(union > 0, inter / union, 0.0)
+        overlap[taken] = np.inf
+        # first minimum in id order: the strict-< tie rule of a sorted scan
+        pick = int(np.argmin(overlap))
 
 
 def build_dataset(
@@ -135,36 +174,36 @@ def build_dataset(
     for cid in labels:
         if cid not in graph:
             raise UnknownClassError(cid)
+    structured = sorted(graph.structured_leaves())
+    position = {leaf: i for i, leaf in enumerate(structured)}
+    y = np.zeros((len(structured), len(labels)), dtype=np.int8)
+    for j, cid in enumerate(labels):
+        y[[position[d] for d in graph.descendants(cid) if d in position], j] = 1
     by_smiles: dict[str, np.ndarray] = {}
-    order: list[str] = []
-    for leaf in sorted(graph.structured_leaves()):
-        anc = graph.ancestors(leaf)
-        vec = np.zeros(len(labels), dtype=np.int8)
-        for j, cid in enumerate(labels):
-            if cid in anc:
-                vec[j] = 1
-        if not vec.any():
-            continue
-        smiles = graph[leaf].smiles
+    for i in np.flatnonzero(y.any(axis=1)):
+        smiles = graph[structured[i]].smiles
         if smiles in by_smiles:
-            by_smiles[smiles] |= vec
+            by_smiles[smiles] |= y[i]
         else:
-            by_smiles[smiles] = vec
-            order.append(smiles)
-    if not order:
+            by_smiles[smiles] = y[i].copy()
+    if not by_smiles:
         raise DatasetError("no structured leaf matches any label class")
-    molecules = [LabeledMolecule(s, by_smiles[s]) for s in order]
+    molecules = [LabeledMolecule(s, vec) for s, vec in by_smiles.items()]
     return molecules, compute_stats(molecules, labels)
 
 
 def compute_stats(molecules: list[LabeledMolecule], labels: LabelIndex) -> DatasetStats:
-    per_class = {cid: 0 for cid in labels}
-    histogram: dict[int, int] = {}
-    for mol in molecules:
-        n = int(mol.labels.sum())
-        histogram[n] = histogram.get(n, 0) + 1
-        for j, cid in enumerate(labels):
-            per_class[cid] += int(mol.labels[j])
+    if not molecules:
+        return DatasetStats({cid: 0 for cid in labels}, {}, 0)
+    y = np.stack([mol.labels for mol in molecules]).astype(np.int64)
+    per_class = dict(zip(labels, y.sum(axis=0).tolist()))
+    n_labels, first, n_molecules = np.unique(
+        y.sum(axis=1), return_index=True, return_counts=True
+    )
+    # histogram keys in order of first appearance, as a scan over molecules
+    histogram = {
+        int(n_labels[i]): int(n_molecules[i]) for i in np.argsort(first, kind="stable")
+    }
     return DatasetStats(per_class, histogram, len(molecules))
 
 
@@ -212,8 +251,19 @@ LABELS_FILE = "labels.txt"
 
 def _write_split(path: str, molecules: list[LabeledMolecule], labels: LabelIndex) -> None:
     lines = ["smiles\t" + "\t".join(labels)]
-    for mol in molecules:
-        lines.append(mol.smiles + "\t" + "\t".join(str(int(v)) for v in mol.labels))
+    if molecules:
+        y = np.stack([mol.labels for mol in molecules])
+        if y.min() < 0 or y.max() > 1:
+            raise DatasetError(f"{path}: labels must be 0 or 1")
+        # every label row as digits and tabs in one block of fixed-width rows
+        cells = np.full((len(molecules), 2 * len(labels)), ord("\t"), dtype=np.uint8)
+        cells[:, ::2] = y + ord("0")
+        block = cells.tobytes().decode("ascii")
+        width = cells.shape[1]
+        lines += [
+            mol.smiles + "\t" + block[i * width:(i + 1) * width - 1]
+            for i, mol in enumerate(molecules)
+        ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -5,6 +5,15 @@ Zero-division convention throughout: a precision, recall, or F1 whose
 denominator is 0 evaluates to 0.  Per-class AUC is undefined for single-class
 columns; those are excluded from macro/weighted averages with a counted
 warning.
+
+AUC is the Mann-Whitney statistic computed from midranks, for every column
+(macro, weighted), row (samples) or the flattened matrix (micro) at once.
+Scores are ranked by a stable sort; equal scores form a tie run and share
+the mean of its ranks, so a tie counts half.  NaN sorts last and equals
+nothing, so each NaN score is a tie run of its own and the AUC stays a
+number.  Midranks are integers or halves, so every rank sum below 2**52 is
+exact in float64 whatever the summation order, and the AUCs equal those of
+a per-element loop bit for bit.
 """
 
 from __future__ import annotations
@@ -104,32 +113,59 @@ def prf(
     return _left_fold_mean(prec), _left_fold_mean(rec), _left_fold_mean(f1)
 
 
-def _binary_auc(y: np.ndarray, s: np.ndarray) -> float | None:
-    """Mann-Whitney AUC with ties counted half; None when only one class is
-    present."""
-    y = np.asarray(y).astype(bool)
-    n_pos = int(y.sum())
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = _midranks(np.asarray(s, dtype=np.float64))
-    rank_sum = ranks[y].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+# Which axis each averaging ranks along: one AUC per column for macro and
+# weighted, one per row for samples, one over the flattened matrix for micro.
+_AUC_AXIS = {"micro": None, "samples": 1, "macro": 0, "weighted": 0}
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties given the mean of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
+    """1-based ranks of values already stable-sorted along the last axis,
+    ties given the mean of their rank range.
+
+    A tie run is a stretch of equal neighbours; NaN sorts last and equals
+    nothing, so each NaN is a run of its own."""
+    n = ordered.shape[-1]
+    position = np.arange(n)
+    starts_run = np.ones(ordered.shape, dtype=bool)
+    starts_run[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends_run = np.ones(ordered.shape, dtype=bool)
+    ends_run[..., :-1] = starts_run[..., 1:]
+    start = np.maximum.accumulate(np.where(starts_run, position, 0), axis=-1)
+    end = np.minimum.accumulate(
+        np.where(ends_run, position, n - 1)[..., ::-1], axis=-1
+    )[..., ::-1]
+    return (start + end) / 2.0 + 1.0
+
+
+def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
+    """Mann-Whitney AUC, ties counted half, of every slice along axis (None:
+    the flattened matrix, as a 1-element array), and which of them are
+    defined (both classes present)."""
+    if axis is None:
+        t, s = t.reshape(1, -1), s.reshape(1, -1)
+    elif axis == 0:
+        t, s = t.T, s.T
+    order = np.argsort(s, axis=-1, kind="stable")
+    ranks = _sorted_midranks(np.take_along_axis(s, order, axis=-1))
+    positive = np.take_along_axis(t, order, axis=-1)
+    rank_sum = np.where(positive, ranks, 0.0).sum(axis=-1)
+    n_pos = t.sum(axis=-1)
+    n_neg = t.shape[-1] - n_pos
+    with np.errstate(invalid="ignore", divide="ignore"):
+        auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return auc, (n_pos > 0) & (n_neg > 0)
+
+
+def _average_auc(t: np.ndarray, averaging: str, auc: np.ndarray, defined: np.ndarray):
+    """(average of the defined AUCs, number of undefined ones excluded)."""
+    excluded = int(defined.size - defined.sum())
+    valid = auc[defined]
+    if valid.size == 0:
+        return 0.0, excluded
+    if averaging == "weighted":
+        support = t.sum(axis=0)[defined].astype(np.float64)
+        return float(sum((valid * support).tolist()) / support.sum()), excluded
+    return float(np.mean(valid)), excluded
 
 
 def roc_auc_detail(
@@ -139,30 +175,9 @@ def roc_auc_detail(
     y_true, y_score = _check_shapes(y_true, y_score)
     if averaging not in AVERAGINGS:
         raise MetricsError(f"unknown averaging {averaging!r}")
-    if averaging == "micro":
-        auc = _binary_auc(y_true.reshape(-1), y_score.reshape(-1))
-        return (auc if auc is not None else 0.0), (0 if auc is not None else 1)
-    if averaging == "samples":
-        per_row = [_binary_auc(y_true[i], y_score[i]) for i in range(y_true.shape[0])]
-        valid = [a for a in per_row if a is not None]
-        excluded = len(per_row) - len(valid)
-        return (float(np.mean(valid)) if valid else 0.0), excluded
-    per_col = [_binary_auc(y_true[:, j], y_score[:, j]) for j in range(y_true.shape[1])]
-    valid_idx = [j for j, a in enumerate(per_col) if a is not None]
-    excluded = y_true.shape[1] - len(valid_idx)
-    if not valid_idx:
-        return 0.0, excluded
-    if averaging == "macro":
-        return float(np.mean([per_col[j] for j in valid_idx])), excluded
-    support = y_true.astype(bool).sum(axis=0).astype(np.float64)
-    weights = support[valid_idx]
-    total = weights.sum()
-    if total == 0:
-        return 0.0, excluded
-    return (
-        float(sum(per_col[j] * support[j] for j in valid_idx) / total),
-        excluded,
-    )
+    t = y_true.astype(bool)
+    aucs = _binary_aucs(t, y_score.astype(np.float64), _AUC_AXIS[averaging])
+    return _average_auc(t, averaging, *aucs)
 
 
 def roc_auc(y_true: np.ndarray, y_score: np.ndarray, averaging: str) -> float:
@@ -197,11 +212,17 @@ class MetricReport:
 def compute_report(
     y_true: np.ndarray, y_score: np.ndarray, threshold: float = 0.5
 ) -> MetricReport:
+    y_true, y_score = _check_shapes(y_true, y_score)
     y_pred = binarize(y_score, threshold)
+    t = y_true.astype(bool)
+    s = y_score.astype(np.float64)
+    per_column = _binary_aucs(t, s, 0)  # shared by macro and weighted
     report = MetricReport(threshold=threshold)
     for averaging in AVERAGINGS:
         precision, recall, f1 = prf(y_true, y_pred, averaging)
-        auc, excluded = roc_auc_detail(y_true, y_score, averaging)
+        axis = _AUC_AXIS[averaging]
+        aucs = per_column if axis == 0 else _binary_aucs(t, s, axis)
+        auc, excluded = _average_auc(t, averaging, *aucs)
         report.values[averaging] = {
             "f1": f1,
             "precision": precision,

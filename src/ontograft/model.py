@@ -15,14 +15,13 @@ float32 array to float64.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erf, expit
 
+from ._io import _replacing
 from .tokenizer import PAD_ID, TokenSequence
 
 LN_EPS = 1e-5
@@ -678,22 +677,14 @@ def save_model(store: ParameterStore, config: ModelConfig, path) -> None:
     Arrays go to the file straight from their buffers.  Written atomically
     (temp file + rename)."""
     cfg = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(cfg)) + cfg)
-            fh.write(struct.pack("<I", len(store.params)))
-            for name, arr in store.params.items():
-                name_b = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(name_b)) + name_b)
-                fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-                fh.write(memoryview(np.ascontiguousarray(arr, "<f8")).cast("B"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _replacing(path, "wb") as fh:
+        fh.write(MODEL_MAGIC + struct.pack("<II", MODEL_VERSION, len(cfg)) + cfg)
+        fh.write(struct.pack("<I", len(store.params)))
+        for name, arr in store.params.items():
+            name_b = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(name_b)) + name_b)
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(memoryview(np.ascontiguousarray(arr, "<f8")).cast("B"))
 
 
 def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:

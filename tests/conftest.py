@@ -33,8 +33,14 @@ def make_graph(spec: dict[str, dict]) -> OntologyGraph:
     return OntologyGraph(classes)
 
 
-def random_dag(rng: np.random.Generator, n_classes: int, smiles_fraction: float = 0.5):
-    """Random acyclic hierarchy: each class picks parents among earlier ones."""
+def random_dag(
+    rng: np.random.Generator,
+    n_classes: int,
+    smiles_fraction: float = 0.5,
+    obsolete_fraction: float = 0.0,
+):
+    """Random acyclic hierarchy: each class picks parents among earlier ones.
+    With obsolete_fraction > 0, that share of classes is marked obsolete."""
     spec = {"N000": {}}
     for i in range(1, n_classes):
         n_parents = int(rng.integers(1, min(3, i) + 1))
@@ -42,5 +48,7 @@ def random_dag(rng: np.random.Generator, n_classes: int, smiles_fraction: float 
         entry = {"parents": [f"N{p:03d}" for p in parents]}
         if rng.random() < smiles_fraction:
             entry["smiles"] = "C" * (i + 1)
+        if obsolete_fraction and rng.random() < obsolete_fraction:
+            entry["obsolete"] = True
         spec[f"N{i:03d}"] = entry
     return make_graph(spec)

@@ -32,6 +32,64 @@ def two_subtree_graph():
     return make_graph(spec)
 
 
+# the set-based implementations that the incremental and array forms
+# replaced, kept verbatim as bit-for-bit references
+
+
+def loop_select_label_classes(graph, k, min_members, seed):
+    if len(graph) == 0:
+        raise DatasetError("graph is empty")
+    if k < 1:
+        raise DatasetError("k must be >= 1")
+    structured = graph.structured_leaves()
+    desc = {}
+    for cid in graph.ids():
+        cls = graph[cid]
+        if cls.obsolete or graph.is_leaf(cid):
+            continue
+        members = frozenset(graph.descendants(cid) & structured)
+        if len(members) >= min_members:
+            desc[cid] = members
+    if len(desc) < k:
+        raise DatasetError("too few candidates")
+    candidates = sorted(desc)
+    rng = np.random.default_rng(seed)
+    selected = [candidates[int(rng.integers(len(candidates)))]]
+    covered = set(desc[selected[0]])
+    remaining = [c for c in candidates if c != selected[0]]
+    while len(selected) < k:
+        best = None
+        best_overlap = None
+        for cand in remaining:
+            members = desc[cand]
+            union = len(members | covered)
+            overlap = len(members & covered) / union if union else 0.0
+            if best_overlap is None or overlap < best_overlap:
+                best, best_overlap = cand, overlap
+        selected.append(best)
+        covered |= desc[best]
+        remaining.remove(best)
+    return LabelIndex(tuple(selected))
+
+
+def loop_compute_stats(molecules, labels):
+    per_class = {cid: 0 for cid in labels}
+    histogram = {}
+    for mol in molecules:
+        n = int(mol.labels.sum())
+        histogram[n] = histogram.get(n, 0) + 1
+        for j, cid in enumerate(labels):
+            per_class[cid] += int(mol.labels[j])
+    return per_class, histogram
+
+
+def loop_split_text(molecules, labels):
+    lines = ["smiles\t" + "\t".join(labels)]
+    for mol in molecules:
+        lines.append(mol.smiles + "\t" + "\t".join(str(int(v)) for v in mol.labels))
+    return "\n".join(lines) + "\n"
+
+
 class TestSelectLabelClasses:
     def test_exactly_k_candidates_selects_all(self):
         graph = two_subtree_graph()
@@ -78,6 +136,25 @@ class TestSelectLabelClasses:
         a = select_label_classes(graph, k=3, min_members=2, seed=5)
         b = select_label_classes(graph, k=3, min_members=2, seed=5)
         assert a.classes == b.classes
+
+    @pytest.mark.parametrize("graph_seed", range(6))
+    def test_equals_loop_implementation(self, graph_seed):
+        rng = np.random.default_rng(graph_seed)
+        graph = random_dag(rng, 80, obsolete_fraction=0.15 if graph_seed % 2 else 0.0)
+        compared = 0
+        for min_members in (0, 1, 3, 8):
+            for k in (1, 2, 5, 12):
+                for seed in (0, 1, 7):
+                    try:
+                        want = loop_select_label_classes(graph, k, min_members, seed)
+                    except DatasetError:
+                        with pytest.raises(DatasetError):
+                            select_label_classes(graph, k, min_members, seed)
+                        continue
+                    got = select_label_classes(graph, k, min_members, seed)
+                    assert got.classes == want.classes, (min_members, k, seed)
+                    compared += 1
+        assert compared > 0
 
     def test_obsolete_classes_are_not_candidates(self):
         spec = {"ROOT": {}, "OLD": {"parents": ["ROOT"], "obsolete": True}}
@@ -143,6 +220,19 @@ class TestBuildDataset:
             brute[n] = brute.get(n, 0) + 1
         assert stats.labels_per_molecule == brute
         assert sum(stats.labels_per_molecule.values()) == stats.n_molecules
+
+    def test_stats_equal_loop_implementation(self):
+        rng = np.random.default_rng(10)
+        labels = LabelIndex(tuple(f"L{j}" for j in range(30)))
+        molecules = [
+            LabeledMolecule(f"C{i}", (rng.random(30) < 0.1).astype(np.int8))
+            for i in range(200)
+        ]
+        stats = compute_stats(molecules, labels)
+        per_class, histogram = loop_compute_stats(molecules, labels)
+        assert stats.per_class_counts == per_class
+        assert list(stats.labels_per_molecule.items()) == list(histogram.items())
+        assert compute_stats([], labels).per_class_counts == {cid: 0 for cid in labels}
 
 
 class TestSplit:
@@ -233,6 +323,33 @@ class TestTsv:
         _, loaded = load_split_tsv(str(tmp_path / "train.tsv"))
         assert len(loaded) == 500
         assert len(load_labels(str(tmp_path / "labels.txt"))) == 500
+        rng = np.random.default_rng(5)
+        data = [
+            LabeledMolecule(f"C{i}", (rng.random(500) < 0.05).astype(np.int8))
+            for i in range(40)
+        ]
+        splits = split_dataset(data, (0.5, 0.25, 0.25), seed=0)
+        save_tsv(splits, labels, str(tmp_path))
+        for part, filename in (("train", "train.tsv"), ("validation", "validation.tsv"),
+                               ("test", "test.tsv")):
+            want = loop_split_text(getattr(splits, part), labels).encode("utf-8")
+            assert (tmp_path / filename).read_bytes() == want
+
+    def test_empty_split_writes_header_only(self, tmp_path):
+        labels = LabelIndex(("A", "B"))
+        data = [LabeledMolecule(f"C{i}", np.array([1, 0], dtype=np.int8)) for i in range(3)]
+        splits = split_dataset(data, (0.8, 0.1, 0.1), seed=0)
+        assert not splits.validation
+        save_tsv(splits, labels, str(tmp_path))
+        assert (tmp_path / "validation.tsv").read_bytes() == b"smiles\tA\tB\n"
+
+    def test_non_binary_label_not_written(self, tmp_path):
+        labels = LabelIndex(("A",))
+        data = [LabeledMolecule(f"C{i}", np.array([2], dtype=np.int8)) for i in range(3)]
+        splits = split_dataset(data, (0.4, 0.3, 0.3), seed=0)
+        with pytest.raises(DatasetError):
+            save_tsv(splits, labels, str(tmp_path))
+        assert not (tmp_path / "train.tsv").exists()
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(DatasetError):

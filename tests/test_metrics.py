@@ -3,6 +3,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontograft.metrics import (
     AVERAGINGS,
@@ -67,6 +69,75 @@ def brute_auc(y, s):
         return None
     wins = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
     return wins / (len(pos) * len(neg))
+
+
+# the per-element loop implementation that the array form replaced, kept
+# verbatim as the bit-for-bit reference
+
+
+def loop_midranks(values: np.ndarray) -> np.ndarray:
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_binary_auc(y, s):
+    y = np.asarray(y).astype(bool)
+    n_pos = int(y.sum())
+    n_neg = y.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = loop_midranks(np.asarray(s, dtype=np.float64))
+    rank_sum = ranks[y].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def loop_roc_auc_detail(y_true, y_score, averaging):
+    if averaging == "micro":
+        auc = loop_binary_auc(y_true.reshape(-1), y_score.reshape(-1))
+        return (auc if auc is not None else 0.0), (0 if auc is not None else 1)
+    if averaging == "samples":
+        per_row = [loop_binary_auc(y_true[i], y_score[i]) for i in range(y_true.shape[0])]
+        valid = [a for a in per_row if a is not None]
+        excluded = len(per_row) - len(valid)
+        return (float(np.mean(valid)) if valid else 0.0), excluded
+    per_col = [loop_binary_auc(y_true[:, j], y_score[:, j]) for j in range(y_true.shape[1])]
+    valid_idx = [j for j, a in enumerate(per_col) if a is not None]
+    excluded = y_true.shape[1] - len(valid_idx)
+    if not valid_idx:
+        return 0.0, excluded
+    if averaging == "macro":
+        return float(np.mean([per_col[j] for j in valid_idx])), excluded
+    support = y_true.astype(bool).sum(axis=0).astype(np.float64)
+    total = support[valid_idx].sum()
+    return float(sum(per_col[j] * support[j] for j in valid_idx) / total), excluded
+
+
+@st.composite
+def label_score_matrices(draw):
+    """(y_true, y_score): scores rounded to force ties, some rows and columns
+    single-class, and up to three NaN scores."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    y = (rng.random((n, k)) < draw(st.floats(0.0, 1.0))).astype(np.int8)
+    if draw(st.booleans()):
+        y[:, rng.integers(k)] = rng.integers(2)
+    if draw(st.booleans()):
+        y[rng.integers(n), :] = rng.integers(2)
+    s = np.round(rng.random((n, k)), draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 3))):
+        s[rng.integers(n), rng.integers(k)] = np.nan
+    return y, s
 
 
 class TestBinarize:
@@ -191,6 +262,47 @@ class TestRocAuc:
                 got, excluded = roc_auc_detail(y, s, "macro")
                 assert excluded == k - len(valid)
                 assert abs(got - sum(valid) / len(valid)) < 1e-12
+                support = [int(y[:, j].sum()) for j in range(k) if cols[j] is not None]
+                got, excluded = roc_auc_detail(y, s, "weighted")
+                assert excluded == k - len(valid)
+                want = sum(a * w for a, w in zip(valid, support)) / sum(support)
+                assert abs(got - want) < 1e-12
+            rows = [brute_auc(y[i].tolist(), s[i].tolist()) for i in range(n)]
+            valid = [a for a in rows if a is not None]
+            got, excluded = roc_auc_detail(y, s, "samples")
+            assert excluded == n - len(valid)
+            assert abs(got - (sum(valid) / len(valid) if valid else 0.0)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_score_matrices())
+    def test_equals_loop_implementation(self, matrices):
+        y, s = matrices
+        for averaging in AVERAGINGS:
+            got = roc_auc_detail(y, s, averaging)
+            want = loop_roc_auc_detail(y, s, averaging)
+            # each NaN score ranks as a tie run of its own, so every AUC stays
+            # a number
+            assert got == want, averaging
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2)])
+    def test_degenerate_shapes_equal_loop_implementation(self, shape):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            y = (rng.random(shape) < 0.5).astype(np.int8)
+            s = np.round(rng.random(shape), 1)
+            for averaging in AVERAGINGS:
+                assert roc_auc_detail(y, s, averaging) == loop_roc_auc_detail(y, s, averaging)
+
+    def test_report_equals_loop_implementation(self):
+        rng = np.random.default_rng(11)
+        y = (rng.random((60, 40)) < 0.1).astype(np.int8)
+        y[:, 0] = 0  # a column with no positives
+        s = np.round(rng.random((60, 40)), 2)
+        report = compute_report(y, s)
+        for averaging in AVERAGINGS:
+            want_auc, want_excluded = loop_roc_auc_detail(y, s, averaging)
+            assert report.values[averaging]["roc_auc"] == want_auc
+            assert report.auc_excluded[averaging] == want_excluded
 
     def test_samples_averaging(self):
         y = np.array([[1, 0], [1, 1]])  # second row has one class only

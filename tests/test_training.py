@@ -1,8 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from ontograft import training
+from ontograft._io import atomic_copy
 from ontograft.dataset import DatasetSplits, LabeledMolecule
 from ontograft.model import (
     ModelConfig,
@@ -29,7 +33,10 @@ from ontograft.training import (
     finetune,
     pretrain,
 )
-from ontograft.metrics import binarize, prf
+from ontograft.metrics import binarize, compute_report, prf, write_report
+from ontograft.ontology import save_obo
+
+from conftest import make_graph
 
 
 def make_sequences(rng, n, vocab_size, min_len=4, max_len=20):
@@ -495,3 +502,29 @@ class TestEpochLogCsv:
         assert len(lines) == 3
         assert lines[1].startswith("1,pretrain,2,2.1,,")
         assert lines[2].startswith("1,finetune,0.4,0.5,0.9,")
+
+
+class TestFileModes:
+    def test_artifacts_follow_the_umask(self, tmp_path):
+        """Every artifact writer creates its file with mode 0o666 & ~umask,
+        as open() would, not mkstemp's owner-only 0o600."""
+        old = os.umask(0o022)
+        try:
+            tok, config, corpus, _ = toy_setup()
+            store = init_model(config)
+            pretrain(
+                store, config, tok, corpus, corpus[:4],
+                TrainConfig(epochs=1, batch_size=4, seed=1, checkpoint_every=1),
+                MaskingPolicy(seed=1), checkpoint_dir=str(tmp_path / "ckpt"),
+            )
+            save_model(store, config, tmp_path / "model.bin")
+            y = np.array([[1, 0], [0, 1]])
+            write_report(compute_report(y, y * 0.9), [], [], str(tmp_path / "eval"))
+            save_obo(make_graph({"A": {}, "B": {"parents": ["A"]}}), tmp_path / "ext.obo")
+            atomic_copy(tmp_path / "model.bin", tmp_path / "copy.bin")
+        finally:
+            os.umask(old)
+        for path in ("model.bin", "ckpt/last.bin", "ckpt/epoch0001.bin",
+                     "eval/report.json", "ext.obo", "copy.bin"):
+            mode = stat.S_IMODE(os.stat(tmp_path / path).st_mode)
+            assert mode == 0o644, (path, oct(mode))
