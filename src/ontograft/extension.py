@@ -54,26 +54,6 @@ class ChangeReport:
         ) + "\n"
 
 
-def classify(
-    store: ParameterStore,
-    config: ModelConfig,
-    tokenizer: Tokenizer,
-    labels: LabelIndex,
-    smiles: str,
-    threshold: float = 0.5,
-    top_k: int = 3,
-) -> ClassificationResult:
-    """Encode, run the model, threshold the sigmoid probabilities.
-
-    Over-length inputs are truncated with a flag (inference degrades
-    gracefully).  If nothing is accepted, the top_k highest-probability
-    labels are reported as suggestions only.
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ExtensionError(f"threshold must be in (0, 1), got {threshold}")
-    return classify_batch(store, config, tokenizer, labels, [smiles], threshold, top_k)[0]
-
-
 def classify_batch(
     store: ParameterStore,
     config: ModelConfig,
@@ -84,6 +64,14 @@ def classify_batch(
     top_k: int = 3,
     batch_size: int = 32,
 ) -> list[ClassificationResult]:
+    """Encode, run the model, threshold the sigmoid probabilities.
+
+    Over-length inputs are truncated with a flag (inference degrades
+    gracefully).  If nothing is accepted, the top_k highest-probability
+    labels are reported as suggestions only.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ExtensionError(f"threshold must be in (0, 1), got {threshold}")
     if len(labels) != config.n_labels:
         raise ExtensionError(
             f"label index has {len(labels)} classes, model expects {config.n_labels}"

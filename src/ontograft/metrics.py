@@ -270,6 +270,8 @@ def evaluate_model(
         raise MetricsError(
             f"label index has {len(labels)} classes, model expects {config.n_labels}"
         )
+    if not molecules:
+        raise MetricsError("no molecules to evaluate")
     seqs = [tokenizer.encode(m.smiles, truncate=True) for m in molecules]
     y_true = np.stack([m.labels for m in molecules]).astype(np.int8)
     y_score = predict_probabilities(store, config, seqs, batch_size)

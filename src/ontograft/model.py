@@ -5,6 +5,11 @@ filling per-parameter gradient slots.  Pre-norm residual blocks, learned
 absolute position embeddings, BOS pooling for classification, and an MLM
 projection tied to the token embedding matrix.
 
+Every pass goes through ``_forward_core``.  Attention dropout applies iff an
+rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` and
+``forward(capture_attention=True)`` keep per-layer intermediates; inference
+and validation hold one layer's activations at a time.
+
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
 here is float32.  Constants are Python floats, never NumPy scalars: under
@@ -302,40 +307,44 @@ class ForwardOutput:
 def _forward_core(
     store: ParameterStore,
     config: ModelConfig,
-    ids: np.ndarray,
-    mask: np.ndarray,
-    train_mode: bool = False,
+    batch: list[TokenSequence],
     rng: np.random.Generator | None = None,
+    layers: list | None = None,
 ):
-    """Run the encoder stack, returning final hidden states and a cache of
-    every intermediate needed by the backward pass."""
+    """Pad ``batch`` and run the encoder stack; the one way into the encoder.
+
+    Attention dropout applies iff ``rng`` is given.  When ``layers`` is a
+    list, each layer's backward cache is appended to it; otherwise only one
+    layer's activations are alive at a time.  Returns the final hidden
+    states and what the backward pass needs beyond ``layers``: the token ids
+    and the final layer norm's cache.
+    """
+    ids, mask = pad_batch(batch)
     p = store.params
-    B, T = ids.shape
+    T = ids.shape[1]
     if T > config.max_len:
         raise ModelError(f"sequence length {T} exceeds max_len {config.max_len}")
     if ids.max() >= config.vocab_size or ids.min() < 0:
         raise ModelError("token id out of range")
-    dropout = config.attention_dropout if train_mode else 0.0
-    if dropout > 0.0 and rng is None:
-        raise ModelError("train_mode forward with dropout requires an rng")
+    dropout = config.attention_dropout if rng is not None else 0.0
 
     x = p["tok_emb"][ids] + p["pos_emb"][:T]
-    cache = {"ids": ids, "mask": mask, "layers": [], "T": T}
-    key_mask = mask[:, None, None, :]  # broadcast over heads and queries
+    padded_keys = ~mask[:, None, None, :]  # broadcast over heads and queries
     scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
 
     for i in range(config.n_layers):
         lp = f"layers.{i}."
-        lc: dict = {}
         h1, ln1_cache = _layer_norm(x, p[lp + "ln1.g"], p[lp + "ln1.b"])
         q = _split_heads(h1 @ p[lp + "attn.wq"] + p[lp + "attn.bq"], config.n_heads)
         k = _split_heads(h1 @ p[lp + "attn.wk"] + p[lp + "attn.bk"], config.n_heads)
         v = _split_heads(h1 @ p[lp + "attn.wv"] + p[lp + "attn.bv"], config.n_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        scores = np.where(key_mask, scores, -np.inf)
-        scores -= scores.max(axis=-1, keepdims=True)
-        exp = np.exp(scores)
-        probs = exp / exp.sum(axis=-1, keepdims=True)
+        # softmax in place: scores, exponentials and probabilities share one array
+        probs = q @ k.swapaxes(-1, -2)
+        probs *= scale
+        np.copyto(probs, -np.inf, where=padded_keys)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         if dropout > 0.0:
             keep = rng.random(probs.shape) >= dropout
             probs_used = probs * keep / (1.0 - dropout)
@@ -343,26 +352,25 @@ def _forward_core(
             keep = None
             probs_used = probs
         ctx = _merge_heads(probs_used @ v)
-        attn_out = ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"]
-        x_mid = x + attn_out
-        h2, ln2_cache = _layer_norm(x_mid, p[lp + "ln2.g"], p[lp + "ln2.b"])
+        x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
+        h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
         e1 = _gelu_term(a1, config.activation)
-        f_out = _gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"]
-        x = x_mid + f_out
-        lc.update(
-            h1=h1, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, keep=keep,
-            probs_used=probs_used, ctx=ctx, x_mid=x_mid, h2=h2, ln2=ln2_cache,
-            a1=a1, e1=e1,
-        )
-        cache["layers"].append(lc)
+        x = x + (_gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
+        if layers is not None:
+            layers.append(dict(
+                h1=h1, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, keep=keep,
+                probs_used=probs_used, ctx=ctx, h2=h2, ln2=ln2_cache, a1=a1, e1=e1,
+            ))
 
-    hidden, final_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
-    cache["final_ln_in"] = x
-    cache["final_ln"] = final_cache
-    cache["hidden"] = hidden
-    cache["dropout"] = dropout
-    return hidden, cache
+    hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
+    return hidden, (ids, final_ln_cache)
+
+
+def _classification_logits(store: ParameterStore, hidden: np.ndarray):
+    """The classification head on BOS-pooled hidden states: (pooled, logits)."""
+    pooled = hidden[:, 0, :]
+    return pooled, pooled @ store.params["cls.w"] + store.params["cls.b"]
 
 
 def forward(
@@ -370,25 +378,22 @@ def forward(
     config: ModelConfig,
     batch: list[TokenSequence],
     capture_attention: bool = False,
-    train_mode: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> list[ForwardOutput]:
-    """Encode a batch and apply the classification head.
+    """Encode a batch and apply the classification head, without dropout.
 
     Padded positions are masked out of attention; the pooled vector is the
     hidden state at BOS; label probabilities are elementwise sigmoids.
     """
-    ids, mask = pad_batch(batch)
-    hidden, cache = _forward_core(store, config, ids, mask, train_mode, rng)
-    pooled = hidden[:, 0, :]
-    logits = pooled @ store.params["cls.w"] + store.params["cls.b"]
+    layers = [] if capture_attention else None
+    hidden, _ = _forward_core(store, config, batch, layers=layers)
+    pooled, logits = _classification_logits(store, hidden)
     probs = _sigmoid(logits)
     outputs = []
     for b, seq in enumerate(batch):
         att = None
         if capture_attention:
             att = AttentionSummary(
-                weights=np.stack([lc["probs"][b] for lc in cache["layers"]]),
+                weights=np.stack([lc["probs"][b] for lc in layers]),
                 seq_len=len(seq),
             )
         outputs.append(
@@ -404,7 +409,8 @@ def forward(
 
 
 def _mlm_head_forward(store: ParameterStore, config: ModelConfig, rows: np.ndarray):
-    """Transform (dense + gelu + layer norm), then the tied decoder."""
+    """Vocabulary logits for hidden-state rows: transform (dense + gelu +
+    layer norm), then the decoder tied to the token embeddings plus a bias."""
     p = store.params
     a = rows @ p["mlm.w"] + p["mlm.b"]
     e = _gelu_term(a, config.activation)
@@ -428,45 +434,25 @@ def _mlm_head_backward(store: ParameterStore, config: ModelConfig, dlogits, cach
     return da @ p["mlm.w"].T
 
 
-def mlm_logits(
-    store: ParameterStore,
-    config: ModelConfig,
-    hidden: np.ndarray,
-    positions: list[int],
-) -> np.ndarray:
-    """Vocabulary logits at the given positions of one item's hidden states.
-
-    The decoder weight is the transposed token embedding plus a learned bias,
-    applied after the head's transform.
-    """
-    T = hidden.shape[0]
-    for pos in positions:
-        if not 0 <= pos < T:
-            raise ModelError(f"masked position {pos} out of range for length {T}")
-    rows = hidden[np.asarray(positions, dtype=np.int64)]
-    logits, _ = _mlm_head_forward(store, config, rows)
-    return logits
-
-
 # ---------------------------------------------------------------------------
 # losses and backward
 
 
-def _backward_core(store: ParameterStore, config: ModelConfig, cache, d_hidden):
-    """Propagate d(loss)/d(final hidden) back to every parameter gradient."""
+def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_hidden):
+    """Propagate d(loss)/d(final hidden) back to every parameter gradient,
+    consuming ``layers`` (each layer's cache is dropped once used)."""
     p, g = store.params, store.grads
-    ids, T = cache["ids"], cache["T"]
+    ids, final_ln_cache = cache
     d = config.hidden_dim
     scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
-    dropout = cache["dropout"]
 
-    dx, dg_f, db_f = _layer_norm_backward(d_hidden, cache["final_ln"], p["final_ln.g"])
+    dx, dg_f, db_f = _layer_norm_backward(d_hidden, final_ln_cache, p["final_ln.g"])
     g["final_ln.g"] += dg_f
     g["final_ln.b"] += db_f
 
     for i in reversed(range(config.n_layers)):
         lp = f"layers.{i}."
-        lc = cache["layers"][i]
+        lc = layers.pop()
         # FFN block
         df = dx  # gradient at x_out flows to both f_out and x_mid
         a1, e1 = lc["a1"], lc["e1"]
@@ -491,8 +477,8 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, d_hidden):
         dctx = _split_heads(da_out @ p[lp + "attn.wo"].T, config.n_heads)
         dp_used = dctx @ lc["v"].swapaxes(-1, -2)
         dv = lc["probs_used"].swapaxes(-1, -2) @ dctx
-        if dropout > 0.0:
-            dp = dp_used * lc["keep"] / (1.0 - dropout)
+        if lc["keep"] is not None:  # dropout ran in the forward pass
+            dp = dp_used * lc["keep"] / (1.0 - config.attention_dropout)
         else:
             dp = dp_used
         probs = lc["probs"]
@@ -515,7 +501,7 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, d_hidden):
         dx = dx_mid + dx_in
 
     np.add.at(g["tok_emb"], ids.reshape(-1), dx.reshape(-1, d))
-    g["pos_emb"][:T] += dx.sum(axis=0)
+    g["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
 
 
 def multilabel_loss_value(logits: np.ndarray, y: np.ndarray) -> float:
@@ -543,13 +529,19 @@ def _mlm_objective(config: ModelConfig, logits: np.ndarray, targets: np.ndarray)
     return loss, dlogits
 
 
-def _mlm_head_loss(store, config, rows: np.ndarray, targets: np.ndarray):
-    """Loss and d(loss)/d(rows) for MLM rows gathered at masked positions;
-    also accumulates the head's own gradients."""
-    logits, cache = _mlm_head_forward(store, config, rows)
-    loss, dlogits = _mlm_objective(config, logits, targets)
-    drows = _mlm_head_backward(store, config, dlogits, cache)
-    return loss, drows
+def _gather_mlm(hidden: np.ndarray, targets: list[list[tuple[int, int]]]):
+    """The hidden rows at the masked positions, their (item, position)
+    index in target order, and the original token ids."""
+    b_idx, t_idx, tgt = [], [], []
+    for b, entries in enumerate(targets):
+        for pos, original in entries:
+            b_idx.append(b)
+            t_idx.append(pos)
+            tgt.append(original)
+    if not tgt:
+        raise ModelError("MLM batch contains no masked positions")
+    index = (np.asarray(b_idx), np.asarray(t_idx))
+    return hidden[index], index, np.asarray(tgt, dtype=np.int64)
 
 
 def mlm_loss_value(
@@ -559,25 +551,11 @@ def mlm_loss_value(
     targets: list[list[tuple[int, int]]],
 ) -> float:
     """Forward-only MLM loss (no gradients touched); used for validation."""
-    ids, mask = pad_batch(batch)
-    hidden, _ = _forward_core(store, config, ids, mask, train_mode=False)
-    rows, tgt = _gather_mlm(hidden, targets)
+    hidden, _ = _forward_core(store, config, batch)
+    rows, _, tgt = _gather_mlm(hidden, targets)
     logits, _ = _mlm_head_forward(store, config, rows)
     loss, _ = _mlm_objective(config, logits, tgt)
     return loss
-
-
-def _gather_mlm(hidden: np.ndarray, targets: list[list[tuple[int, int]]]):
-    b_idx, t_idx, tgt = [], [], []
-    for b, entries in enumerate(targets):
-        for pos, original in entries:
-            b_idx.append(b)
-            t_idx.append(pos)
-            tgt.append(original)
-    if not tgt:
-        raise ModelError("MLM batch contains no masked positions")
-    rows = hidden[np.asarray(b_idx), np.asarray(t_idx)]
-    return rows, np.asarray(tgt, dtype=np.int64)
 
 
 def loss_and_grad(
@@ -587,10 +565,10 @@ def loss_and_grad(
     objective: str,
     labels: np.ndarray | None = None,
     mlm_targets: list[list[tuple[int, int]]] | None = None,
-    train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Compute the objective and fill every gradient slot.
+    """Compute the objective and fill every gradient slot; attention dropout
+    applies iff ``rng`` is given.
 
     objective "multilabel" needs ``labels`` [batch, n_labels]; "mlm" needs
     ``mlm_targets``: per item, (position, original token id) pairs for the
@@ -599,8 +577,8 @@ def loss_and_grad(
     if objective not in ("multilabel", "mlm"):
         raise ModelError(f"unknown objective {objective!r}")
     store.zero_grads()
-    ids, mask = pad_batch(batch)
-    hidden, cache = _forward_core(store, config, ids, mask, train_mode, rng)
+    layers: list = []
+    hidden, cache = _forward_core(store, config, batch, rng, layers)
     d_hidden = np.zeros_like(hidden)
 
     if objective == "multilabel":
@@ -611,8 +589,7 @@ def loss_and_grad(
             raise ModelError(
                 f"labels shape {y.shape} != {(len(batch), config.n_labels)}"
             )
-        pooled = hidden[:, 0, :]
-        logits = pooled @ store.params["cls.w"] + store.params["cls.b"]
+        pooled, logits = _classification_logits(store, hidden)
         loss = multilabel_loss_value(logits, y)
         dlogits = (_sigmoid(logits) - y) / y.size
         store.grads["cls.w"] += pooled.T @ dlogits
@@ -621,17 +598,15 @@ def loss_and_grad(
     else:
         if mlm_targets is None:
             raise ModelError("mlm objective requires mlm_targets")
-        rows, tgt = _gather_mlm(hidden, mlm_targets)
-        loss, drows = _mlm_head_loss(store, config, rows, tgt)
-        j = 0
-        for b, entries in enumerate(mlm_targets):
-            for pos, _ in entries:
-                d_hidden[b, pos] += drows[j]
-                j += 1
+        rows, index, tgt = _gather_mlm(hidden, mlm_targets)
+        logits, head_cache = _mlm_head_forward(store, config, rows)
+        loss, dlogits = _mlm_objective(config, logits, tgt)
+        # np.add.at, not +=: a position listed twice gets both rows, in target order
+        np.add.at(d_hidden, index, _mlm_head_backward(store, config, dlogits, head_cache))
 
     if not np.isfinite(loss):
         raise NumericError("loss")
-    _backward_core(store, config, cache, d_hidden)
+    _backward_core(store, config, cache, layers, d_hidden)
 
     for name in store.names():
         if not np.isfinite(store.grads[name]).all():
@@ -645,15 +620,12 @@ def predict_logits(
     seqs: list[TokenSequence],
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Classification logits for a list of sequences, batched, inference mode."""
+    """Classification logits for a list of sequences, batched, without dropout."""
     out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
-        ids, mask = pad_batch(chunk)
-        hidden, _ = _forward_core(store, config, ids, mask)
-        out[start:start + len(chunk)] = (
-            hidden[:, 0, :] @ store.params["cls.w"] + store.params["cls.b"]
-        )
+        hidden, _ = _forward_core(store, config, chunk)
+        out[start:start + len(chunk)] = _classification_logits(store, hidden)[1]
     return out
 
 
@@ -663,7 +635,7 @@ def predict_probabilities(
     seqs: list[TokenSequence],
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Label probabilities for a list of sequences, batched, inference mode."""
+    """Label probabilities for a list of sequences, batched, without dropout."""
     return _sigmoid(predict_logits(store, config, seqs, batch_size))
 
 

@@ -15,15 +15,19 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import expit
 
 from ._io import atomic_copy
 from .dataset import DatasetSplits, LabeledMolecule
+from .metrics import binarize, prf
 from .model import (
     ModelConfig,
     NumericError,
     ParameterStore,
     loss_and_grad,
     mlm_loss_value,
+    multilabel_loss_value,
+    predict_logits,
     save_model,
 )
 from .tokenizer import MASK_ID, N_SPECIALS, TokenSequence, Tokenizer
@@ -270,8 +274,11 @@ def _fit(
     ``step(indices, rng) -> (loss, weight)``, which fills the gradients of one
     batch, and the train loss is the weighted mean of the batch losses.
     ``validate()`` returns (val_loss, val_f1_samples, score); a higher score
-    is better and picks ``best.bin``.  A checkpoint is a model file.
+    is better and picks ``best.bin``.  A checkpoint is a model file.  No
+    training items is an error, whatever the number of epochs.
     """
+    if n_items == 0:
+        raise TrainingError(f"{phase}: no training molecules")
     state = OptimizerState.for_store(store, tcfg.learning_rate, tcfg.weight_decay)
     logs: list[EpochLog] = []
     if checkpoint_dir:
@@ -346,7 +353,7 @@ def pretrain(
             batch_targets = [targets[i] for i in idx]
             loss = loss_and_grad(
                 store, config, [masked[i] for i in idx], "mlm",
-                mlm_targets=batch_targets, train_mode=True, rng=rng,
+                mlm_targets=batch_targets, rng=rng,
             )
             return loss, sum(len(t) for t in batch_targets)
 
@@ -374,16 +381,11 @@ def _batched_mlm_loss(store, config, masked, targets, batch_size) -> float:
 
 
 def _multilabel_val(store, config, seqs, labels, batch_size, threshold=0.5):
-    from scipy.special import expit
-
-    from .metrics import prf
-    from .model import multilabel_loss_value, predict_logits
-
     if not seqs:
         return 0.0, 0.0
     logits = predict_logits(store, config, seqs, batch_size)
     loss = multilabel_loss_value(logits, labels.astype(np.float64))
-    y_pred = (expit(logits) >= threshold).astype(np.int8)
+    y_pred = binarize(expit(logits), threshold)
     _, _, f1 = prf(labels.astype(np.int8), y_pred, "samples")
     return loss, f1
 
@@ -398,12 +400,15 @@ def finetune(
     threshold: float = 0.5,
 ) -> list[EpochLog]:
     """Multi-label fine-tuning; logs validation loss and samples-F1 per epoch.
-    The best checkpoint has the highest validation samples-F1."""
+    The best checkpoint has the highest validation samples-F1.  Like
+    pretraining without validation data, an empty validation split logs a
+    loss and F1 of 0 and keeps the first epoch as ``best.bin``."""
 
     def prepare(molecules: list[LabeledMolecule]):
         seqs = encode_corpus(tokenizer, [m.smiles for m in molecules])
-        labels = np.stack([m.labels for m in molecules]).astype(np.float64)
-        return seqs, labels
+        if not molecules:
+            return seqs, None
+        return seqs, np.stack([m.labels for m in molecules]).astype(np.float64)
 
     if splits.train and len(splits.train[0].labels) != config.n_labels:
         raise TrainingError(
@@ -416,7 +421,7 @@ def finetune(
     def step(idx, rng):
         loss = loss_and_grad(
             store, config, [train_seqs[i] for i in idx], "multilabel",
-            labels=train_labels[idx], train_mode=True, rng=rng,
+            labels=train_labels[idx], rng=rng,
         )
         return loss, len(idx)
 

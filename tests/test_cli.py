@@ -349,6 +349,89 @@ class TestErrors:
         assert all(len(l.split("\t")) == 3 for l in info_lines)
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A dataset so small that build-dataset gives it no validation rows
+    (largest remainder at 0.7/0.09/0.21 over 4 molecules), with a tokenizer
+    and an untrained model for it."""
+    root = tmp_path_factory.mktemp("small")
+    obo = root / "toy.obo"
+    save_obo(generate_toy_ontology(seed=3, n_leaves=10), obo)
+    config = root / "run.ini"
+    config.write_text(
+        "[run]\nseed = 3\n\n[dataset]\nn_label_classes = 2\nmin_members = 1\n\n"
+        "[tokenizer]\ntarget_vocab = 30\nmax_len = 96\n\n"
+        "[model]\nn_layers = 1\nn_heads = 2\nhidden_dim = 8\nffn_dim = 16\n"
+    )
+    common = ["--config", str(config)]
+    assert main(["build-dataset", *common, "--ontology", str(obo),
+                 "--out", str(root / "data")]) == 0
+    assert main(["train-tokenizer", *common, "--input", str(root / "data" / "train.tsv"),
+                 "--out", str(root / "tok.txt")]) == 0
+    assert main(["pretrain", *common, "--tokenizer", str(root / "tok.txt"),
+                 "--train", str(root / "data" / "train.tsv"),
+                 "--labels", str(root / "data" / "labels.txt"),
+                 "--out", str(root / "model.bin"), "--epochs", "0"]) == 0
+    return root, common
+
+
+def _header_only(src: Path, dst: Path) -> None:
+    dst.write_text(src.read_text().split("\n", 1)[0] + "\n")
+
+
+class TestEmptySplits:
+    def test_finetune_without_validation_rows(self, small_run, tmp_path):
+        root, common = small_run
+        stats = json.loads((root / "data" / "stats.json").read_text())
+        assert stats["split_sizes"] == {"train": 3, "validation": 0, "test": 1}
+        code = main(["finetune", *common, "--model", str(root / "model.bin"),
+                     "--tokenizer", str(root / "tok.txt"), "--dataset", str(root / "data"),
+                     "--out", str(tmp_path / "ft.bin"), "--epochs", "2",
+                     "--checkpoint-dir", str(tmp_path / "ck")])
+        assert code == 0
+        # no validation data: validation loss and F1 read 0, as pretraining logs them
+        rows = (tmp_path / "training_log.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:5] for row in rows] == [["0", "0"], ["0", "0"]]
+        assert (tmp_path / "ck" / "best.bin").exists()
+
+    def test_finetune_without_training_rows(self, small_run, tmp_path, capsys):
+        root, common = small_run
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("labels.txt", "validation.tsv", "test.tsv"):
+            (data / name).write_bytes((root / "data" / name).read_bytes())
+        _header_only(root / "data" / "train.tsv", data / "train.tsv")
+        code = main(["finetune", *common, "--model", str(root / "model.bin"),
+                     "--tokenizer", str(root / "tok.txt"), "--dataset", str(data),
+                     "--out", str(tmp_path / "ft.bin")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("ERROR\ttraining\t")
+        assert not (tmp_path / "ft.bin").exists()
+
+    def test_pretrain_without_training_rows(self, small_run, tmp_path, capsys):
+        root, common = small_run
+        train = tmp_path / "train.tsv"
+        _header_only(root / "data" / "train.tsv", train)
+        code = main(["pretrain", *common, "--tokenizer", str(root / "tok.txt"),
+                     "--train", str(train), "--labels", str(root / "data" / "labels.txt"),
+                     "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("ERROR\ttraining\t")
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_evaluate_header_only_test_split(self, small_run, tmp_path, capsys):
+        root, common = small_run
+        test = tmp_path / "test.tsv"
+        _header_only(root / "data" / "test.tsv", test)
+        out = tmp_path / "eval"
+        code = main(["evaluate", *common, "--model", str(root / "model.bin"),
+                     "--tokenizer", str(root / "tok.txt"), "--test", str(test),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("ERROR\tevaluation\t")
+        assert not out.exists()
+
+
 class TestInputs:
     def test_loaders_are_looked_up_when_they_run(self, workspace, tmp_path, monkeypatch):
         """Loaders replaced through their module attributes after cli is

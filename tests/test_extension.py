@@ -9,7 +9,6 @@ from ontograft.extension import (
     ExtensionError,
     ExtensionProposal,
     FreshIdAllocator,
-    classify,
     classify_batch,
     edge_comment_map,
     extend,
@@ -60,8 +59,8 @@ def toy_model():
 class TestClassify:
     def test_near_one_threshold_gives_suggestions(self, toy_model):
         store, config, tok, labels, molecules = toy_model
-        result = classify(store, config, tok, labels, molecules[0].smiles,
-                          threshold=0.999999)
+        result = classify_batch(store, config, tok, labels, [molecules[0].smiles],
+                                threshold=0.999999)[0]
         assert result.below_threshold
         assert len(result.top_k) == 3
         probs = [p for _, p in result.top_k]
@@ -70,14 +69,15 @@ class TestClassify:
     def test_overfit_model_recovers_training_labels(self, toy_model):
         store, config, tok, labels, molecules = toy_model
         for mol in molecules[:6]:
-            result = classify(store, config, tok, labels, mol.smiles, threshold=0.5)
+            result = classify_batch(store, config, tok, labels, [mol.smiles], threshold=0.5)[0]
             expected = {labels.classes[j] for j in range(3) if mol.labels[j]}
             assert set(result.accepted) == expected
 
     def test_threshold_bounds(self, toy_model):
         store, config, tok, labels, _ = toy_model
-        with pytest.raises(ExtensionError):
-            classify(store, config, tok, labels, "CC", threshold=1.0)
+        for threshold in (0.0, 1.0):  # 0 would accept every label for every query
+            with pytest.raises(ExtensionError):
+                classify_batch(store, config, tok, labels, ["CC"], threshold=threshold)
 
     def test_label_width_check(self, toy_model):
         store, config, tok, _, _ = toy_model
@@ -86,7 +86,7 @@ class TestClassify:
 
     def test_overlong_input_truncated_with_flag(self, toy_model):
         store, config, tok, labels, _ = toy_model
-        result = classify(store, config, tok, labels, "C" * 100, threshold=0.5)
+        result = classify_batch(store, config, tok, labels, ["C" * 100], threshold=0.5)[0]
         assert result.truncated
 
 

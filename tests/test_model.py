@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,14 +12,14 @@ from ontograft.model import (
     ModelError,
     NumericError,
     _forward_core,
+    _mlm_head_forward,
     expected_parameter_count,
     forward,
     init_model,
     load_model,
     loss_and_grad,
-    mlm_logits,
+    mlm_loss_value,
     multilabel_loss_value,
-    pad_batch,
     predict_logits,
     save_model,
 )
@@ -152,6 +153,14 @@ class TestForward:
         b = forward(tiny_store, tiny_config, [seq(5, 6, 7)])[0]
         npt.assert_array_equal(a.logits, b.logits)
 
+    def test_every_inference_path_gives_the_same_logits(self, tiny_config, tiny_store):
+        batch = [seq(5, 6, 7, 8), seq(9), seq(10, 11)]
+        rows = predict_logits(tiny_store, tiny_config, batch, batch_size=len(batch))
+        plain = np.stack([out.logits for out in forward(tiny_store, tiny_config, batch)])
+        captured = forward(tiny_store, tiny_config, batch, capture_attention=True)
+        npt.assert_array_equal(rows, plain)
+        npt.assert_array_equal(rows, np.stack([out.logits for out in captured]))
+
     def test_invalid_token_id(self, tiny_config, tiny_store):
         with pytest.raises(ModelError):
             forward(tiny_store, tiny_config, [seq(99)])
@@ -169,25 +178,20 @@ class TestMlmHead:
         store.params["mlm.b"][...] = 0.0
         store.params["mlm_ln.g"][...] = 0.0
         store.params["mlm_bias"][...] = 0.0
-        hidden = np.zeros((4, tiny_config.hidden_dim))
-        logits = mlm_logits(store, tiny_config, hidden, [1, 2])
+        rows = np.zeros((2, tiny_config.hidden_dim))
+        logits, _ = _mlm_head_forward(store, tiny_config, rows)
         npt.assert_allclose(logits, logits[0, 0])
 
     def test_shapes(self, tiny_config, tiny_store):
-        hidden = np.ones((5, tiny_config.hidden_dim))
-        assert mlm_logits(tiny_store, tiny_config, hidden, [3]).shape == (
+        rows = np.ones((1, tiny_config.hidden_dim))
+        assert _mlm_head_forward(tiny_store, tiny_config, rows)[0].shape == (
             1, tiny_config.vocab_size,
         )
-
-    def test_position_out_of_range(self, tiny_config, tiny_store):
-        hidden = np.ones((3, tiny_config.hidden_dim))
-        with pytest.raises(ModelError):
-            mlm_logits(tiny_store, tiny_config, hidden, [3])
 
     def test_argmax_matches_recomputation(self, tiny_config, tiny_store):
         item = seq(5, 9, 14, 6)
         out = forward(tiny_store, tiny_config, [item])[0]
-        logits = mlm_logits(tiny_store, tiny_config, out.hidden, [1, 2])
+        logits, _ = _mlm_head_forward(tiny_store, tiny_config, out.hidden[[1, 2]])
         p = tiny_store.params
         a = out.hidden[1] @ p["mlm.w"] + p["mlm.b"]
         g = 0.5 * a * (1 + np.vectorize(math.erf)(a / math.sqrt(2)))
@@ -264,15 +268,32 @@ class TestLoss:
 
 
 class TestDropout:
-    def test_train_mode_needs_rng(self, tiny_config, tiny_store):
-        with pytest.raises(ModelError):
-            forward(tiny_store, tiny_config, [seq(5)], train_mode=True)
+    """Attention dropout applies iff an rng is passed."""
 
     def test_dropout_changes_outputs(self, tiny_config, tiny_store):
-        rng = np.random.default_rng(0)
-        a = forward(tiny_store, tiny_config, [seq(5, 6, 7)], train_mode=True, rng=rng)[0]
-        b = forward(tiny_store, tiny_config, [seq(5, 6, 7)])[0]
-        assert not np.allclose(a.logits, b.logits)
+        batch = [seq(5, 6, 7)]
+        dropped, _ = _forward_core(tiny_store, tiny_config, batch, rng=np.random.default_rng(0))
+        plain, _ = _forward_core(tiny_store, tiny_config, batch)
+        assert not np.allclose(dropped, plain)
+        labels = np.array([[1, 0, 1]], dtype=float)
+        a = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
+                          rng=np.random.default_rng(0))
+        b = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+        assert a != b
+
+    def test_no_rng_is_the_inference_pass(self, tiny_config, tiny_store):
+        batch = [seq(5, 6, 7), seq(8, 9)]
+        labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=float)
+        loss = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+        logits = np.stack([out.logits for out in forward(tiny_store, tiny_config, batch)])
+        assert loss == multilabel_loss_value(logits, labels)
+
+    def test_zero_rate_ignores_the_rng(self, tiny_config, tiny_store):
+        config = replace(tiny_config, attention_dropout=0.0)
+        batch = [seq(5, 6, 7)]
+        with_rng, _ = _forward_core(tiny_store, config, batch, rng=np.random.default_rng(0))
+        plain, _ = _forward_core(tiny_store, config, batch)
+        npt.assert_array_equal(with_rng, plain)
 
 
 def float_arrays(tree):
@@ -284,6 +305,39 @@ def float_arrays(tree):
     if isinstance(tree, np.ndarray) and tree.dtype.kind == "f":
         return [tree]
     return []
+
+
+class TestInferenceMemory:
+    """Inference and validation hold one layer's activations at a time, not
+    the backward cache of every layer, so their peak does not grow with
+    depth."""
+
+    @staticmethod
+    def peaks(n_layers):
+        config = ModelConfig(vocab_size=20, n_labels=3, n_layers=n_layers, n_heads=4,
+                             hidden_dim=16, ffn_dim=32, max_len=64, seed=1)
+        store = init_model(config)
+        batch = [seq(*([5, 6, 7] * 20)) for _ in range(4)]
+        targets = [[(1, 5), (2, 6)] for _ in batch]
+        peaks = []
+        for call in (lambda: predict_logits(store, config, batch),
+                     lambda: mlm_loss_value(store, config, batch, targets)):
+            call()  # first-call allocations stay out of the measured peak
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    def test_peak_near_one_layer(self):
+        # a one-layer model's peak is one layer's activations (the weights
+        # are allocated before the measurement).  Six layers may add the
+        # previous layer's last arrays while the next one starts (1.34x
+        # measured); keeping every layer's cache reads over 3x.
+        for deep, shallow in zip(self.peaks(6), self.peaks(1)):
+            assert deep < 1.5 * shallow
 
 
 class TestDtype:
@@ -306,10 +360,10 @@ class TestDtype:
         want = np.dtype(dtype)
         store = self.perturbed(config)
         batch = [seq(5, 6, 7, 8), seq(9, 10)]
-        ids, mask = pad_batch(batch)
-        hidden, cache = _forward_core(store, config, ids, mask, train_mode=True,
-                                      rng=np.random.default_rng(0))
-        cached = float_arrays(cache)
+        layers = []
+        hidden, cache = _forward_core(store, config, batch, rng=np.random.default_rng(0),
+                                      layers=layers)
+        cached = float_arrays([hidden, cache, layers])
         assert len(cached) > 20
         assert {a.dtype for a in cached} == {want}
 
@@ -317,7 +371,7 @@ class TestDtype:
             targets = dict(labels=np.array([[1, 0, 1], [0, 1, 0]], dtype=float))
         else:
             targets = dict(mlm_targets=[[(1, 5), (3, 8)], [(2, 10)]])
-        loss = loss_and_grad(store, config, batch, objective, train_mode=True,
+        loss = loss_and_grad(store, config, batch, objective,
                              rng=np.random.default_rng(0), **targets)
         assert np.isfinite(loss)
         assert {g.dtype for g in store.grads.values()} == {want}
@@ -327,7 +381,7 @@ class TestDtype:
         for out in outs:
             for array in (out.hidden, out.pooled, out.logits, out.probabilities):
                 assert array.dtype == want
-        assert mlm_logits(store, config, outs[0].hidden, [1, 2]).dtype == want
+        assert _mlm_head_forward(store, config, outs[0].hidden[[1, 2]])[0].dtype == want
         assert predict_logits(store, config, batch).dtype == want
 
     def test_float32_agrees_with_float64(self, tiny_config):
