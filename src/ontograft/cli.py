@@ -218,10 +218,6 @@ def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
 def _cmd_finetune(args, cfg: RunConfig, inputs) -> None:
     store, mcfg = inputs.model
     splits, labels = inputs.dataset
-    if len(labels) != mcfg.n_labels:
-        raise TrainingError(
-            f"dataset has {len(labels)} labels, model expects {mcfg.n_labels}"
-        )
     tcfg = _train_config(args, cfg, cfg.finetune_epochs)
     logger.info(
         "fine-tuning %d epochs on %d molecules, %d labels",
@@ -297,6 +293,10 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         raise ConfigError("explain needs exactly one of --smiles or --input")
     tokenizer, labels = inputs.tokenizer, inputs.labels
     store, mcfg = inputs.model
+    if len(labels) != mcfg.n_labels:
+        raise attribution.AttributionError(
+            f"label index has {len(labels)} classes, model expects {mcfg.n_labels}"
+        )
     smiles_list = inputs.input or [args.smiles]
     os.makedirs(args.out, exist_ok=True)
     for i, smiles in enumerate(smiles_list):

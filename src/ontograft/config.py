@@ -57,8 +57,7 @@ SETTINGS: dict[str, dict[str, object]] = {
         "finetune_epochs": 30,
         **_field_defaults(TrainConfig, "seed"),
     },
-    # force_minimum is fixed in code, not a setting.
-    "masking": _field_defaults(MaskingPolicy, "seed", "force_minimum"),
+    "masking": _field_defaults(MaskingPolicy, "seed"),
     "extension": {
         "id_prefix": "ONTOGRAFT:",
         "id_width": 6,

@@ -69,7 +69,6 @@ class DatasetSplits:
     train: list[LabeledMolecule]
     validation: list[LabeledMolecule]
     test: list[LabeledMolecule]
-    seed: int = 0
 
     def all_molecules(self) -> list[LabeledMolecule]:
         return self.train + self.validation + self.test
@@ -241,7 +240,6 @@ def split_dataset(
         train=shuffled[:n_train],
         validation=shuffled[n_train:n_train + n_val],
         test=shuffled[n_train + n_val:],
-        seed=seed,
     )
 
 
@@ -313,13 +311,13 @@ def load_labels(path: str) -> LabelIndex:
 
 
 def load_tsv(in_dir: str) -> tuple[DatasetSplits, LabelIndex]:
-    """Inverse of save_tsv.  The stored files do not carry the split seed."""
+    """Inverse of save_tsv."""
     labels = load_labels(os.path.join(in_dir, LABELS_FILE))
     parts = {
         name: _read_split(os.path.join(in_dir, filename), labels)
         for name, filename in SPLIT_FILES.items()
     }
-    return DatasetSplits(parts["train"], parts["validation"], parts["test"], seed=0), labels
+    return DatasetSplits(parts["train"], parts["validation"], parts["test"]), labels
 
 
 def load_split_tsv(path: str) -> tuple[list[LabeledMolecule], LabelIndex]:

@@ -6,9 +6,10 @@ absolute position embeddings, BOS pooling for classification, and an MLM
 projection tied to the token embedding matrix.
 
 Every pass goes through ``_forward_core``.  Attention dropout applies iff an
-rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` and
-``forward(capture_attention=True)`` keep per-layer intermediates; inference
-and validation hold one layer's activations at a time.
+rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` keeps
+every layer's intermediates; ``forward(capture_attention=True)`` keeps each
+layer's attention probabilities, and inference and validation hold one
+layer's activations at a time.
 
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf, expit
@@ -163,7 +165,8 @@ class ParameterStore:
             start = stop
         self._layout = {name: (spans[name], tuple(shape)) for name, shape in shapes.items()}
         self.param_arena = np.zeros(start, dtype=dtype)
-        self.grad_arena = np.zeros_like(self.param_arena)
+        # np.zeros, not zeros_like: no page is touched until training writes it
+        self.grad_arena = np.zeros(start, dtype=dtype)
         self.params = self.views(self.param_arena)
         self.grads = self.views(self.grad_arena)
 
@@ -309,15 +312,15 @@ def _forward_core(
     config: ModelConfig,
     batch: list[TokenSequence],
     rng: np.random.Generator | None = None,
-    layers: list | None = None,
+    on_layer: Callable[[dict], None] | None = None,
 ):
     """Pad ``batch`` and run the encoder stack; the one way into the encoder.
 
-    Attention dropout applies iff ``rng`` is given.  When ``layers`` is a
-    list, each layer's backward cache is appended to it; otherwise only one
-    layer's activations are alive at a time.  Returns the final hidden
-    states and what the backward pass needs beyond ``layers``: the token ids
-    and the final layer norm's cache.
+    Attention dropout applies iff ``rng`` is given.  ``on_layer``, if given,
+    is called with each layer's backward cache and keeps what it needs of
+    it; otherwise only one layer's activations are alive at a time.  Returns
+    the final hidden states and what the backward pass needs beyond the
+    layer caches: the token ids and the final layer norm's cache.
     """
     ids, mask = pad_batch(batch)
     p = store.params
@@ -357,8 +360,8 @@ def _forward_core(
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
         e1 = _gelu_term(a1, config.activation)
         x = x + (_gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
-        if layers is not None:
-            layers.append(dict(
+        if on_layer is not None:
+            on_layer(dict(
                 h1=h1, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, keep=keep,
                 probs_used=probs_used, ctx=ctx, h2=h2, ln2=ln2_cache, a1=a1, e1=e1,
             ))
@@ -384,28 +387,30 @@ def forward(
     Padded positions are masked out of attention; the pooled vector is the
     hidden state at BOS; label probabilities are elementwise sigmoids.
     """
-    layers = [] if capture_attention else None
-    hidden, _ = _forward_core(store, config, batch, layers=layers)
+    attention = capture = None
+    if capture_attention:
+        # [item, layer, head, query, key], each layer copied in as it ends, so
+        # capturing adds the returned weights and nothing else to the peak
+        # (no wider than max_len: _forward_core rejects a longer batch first)
+        t = min(max(map(len, batch), default=0), config.max_len)
+        attention = np.empty(
+            (len(batch), config.n_layers, config.n_heads, t, t), config.np_dtype()
+        )
+        layer_views = iter(attention.swapaxes(0, 1))
+        capture = lambda lc: np.copyto(next(layer_views), lc["probs"])
+    hidden, _ = _forward_core(store, config, batch, on_layer=capture)
     pooled, logits = _classification_logits(store, hidden)
     probs = _sigmoid(logits)
-    outputs = []
-    for b, seq in enumerate(batch):
-        att = None
-        if capture_attention:
-            att = AttentionSummary(
-                weights=np.stack([lc["probs"][b] for lc in layers]),
-                seq_len=len(seq),
-            )
-        outputs.append(
-            ForwardOutput(
-                hidden=hidden[b, : len(seq)].copy(),
-                pooled=pooled[b].copy(),
-                logits=logits[b].copy(),
-                probabilities=probs[b].copy(),
-                attention=att,
-            )
+    return [
+        ForwardOutput(
+            hidden=hidden[b, : len(seq)].copy(),
+            pooled=pooled[b].copy(),
+            logits=logits[b].copy(),
+            probabilities=probs[b].copy(),
+            attention=None if attention is None else AttentionSummary(attention[b], len(seq)),
         )
-    return outputs
+        for b, seq in enumerate(batch)
+    ]
 
 
 def _mlm_head_forward(store: ParameterStore, config: ModelConfig, rows: np.ndarray):
@@ -578,7 +583,7 @@ def loss_and_grad(
         raise ModelError(f"unknown objective {objective!r}")
     store.zero_grads()
     layers: list = []
-    hidden, cache = _forward_core(store, config, batch, rng, layers)
+    hidden, cache = _forward_core(store, config, batch, rng, layers.append)
     d_hidden = np.zeros_like(hidden)
 
     if objective == "multilabel":
@@ -662,52 +667,45 @@ def save_model(store: ParameterStore, config: ModelConfig, path) -> None:
 def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
     """Inverse of save_model; also returns any bytes after the last array
     (``b""`` for a file save_model wrote, the optimizer state for a
-    checkpoint written by an older version).  A file cut short or otherwise
-    unreadable raises ModelError."""
+    checkpoint written by an older version).  Each array is read from the
+    file into its view of the parameter arena, so loading holds one array's
+    bytes beyond the arena.  A file cut short or otherwise unreadable raises
+    ModelError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
-        raise ModelError(f"{path}: not a model file")
-    try:
-        return _parse_model(path, blob)
-    except (struct.error, ValueError, TypeError) as exc:
-        # struct.error / ValueError (incl. JSON and UTF-8 decoding, and
-        # np.frombuffer past the end): bytes missing; TypeError: config keys
-        # that ModelConfig does not take
-        raise ModelError(f"{path}: truncated or corrupt model file") from exc
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            raise ModelError(f"{path}: not a model file")
+        try:
+            return _read_model(path, fh)
+        except (struct.error, ValueError, TypeError) as exc:
+            # struct.error / ValueError (incl. JSON and UTF-8 decoding, and
+            # np.frombuffer of a short read): bytes missing; TypeError:
+            # config keys that ModelConfig does not take
+            raise ModelError(f"{path}: truncated or corrupt model file") from exc
 
 
-def _parse_model(path, blob: bytes) -> tuple[ParameterStore, ModelConfig, bytes]:
-    off = len(MODEL_MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
+def _unpack(fh, fmt: str) -> tuple:
+    """The next fields of ``fh``; struct.error if the file ends first."""
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+
+def _read_model(path, fh) -> tuple[ParameterStore, ModelConfig, bytes]:
+    (version,) = _unpack(fh, "<I")
     if version != MODEL_VERSION:
         raise ModelError(f"{path}: unsupported model format version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    config = ModelConfig(**json.loads(blob[off:off + cfg_len].decode("utf-8")))
-    off += cfg_len
-    (n_arrays,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    (cfg_len,) = _unpack(fh, "<I")
+    config = ModelConfig(**json.loads(fh.read(cfg_len).decode("utf-8")))
+    (n_arrays,) = _unpack(fh, "<I")
     expected = parameter_shapes(config)
     mismatch = f"{path}: parameter names or shapes do not match the stored config"
     if n_arrays != len(expected):
         raise ModelError(mismatch)
     store = ParameterStore(expected, config.np_dtype())
-    for want_name, want_shape in expected.items():
-        (name_len,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        if name != want_name or shape != want_shape:
+    for want_name, view in store.params.items():
+        (name_len,) = _unpack(fh, "<H")
+        name = fh.read(name_len).decode("utf-8")
+        (ndim,) = _unpack(fh, "<B")
+        shape = _unpack(fh, f"<{ndim}I")
+        if name != want_name or shape != view.shape:
             raise ModelError(mismatch)
-        count = int(np.prod(shape)) if ndim else 1
-        store.params[name][...] = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=off
-        ).reshape(shape)
-        off += 8 * count
-    return store, config, blob[off:]
+        view[...] = np.frombuffer(fh.read(8 * view.size), dtype="<f8").reshape(view.shape)
+    return store, config, fh.read()

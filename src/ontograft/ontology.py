@@ -9,7 +9,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-DEFAULT_SMILES_KEY = "http://purl.obolibrary.org/obo/chebi/smiles"
+# The property_value key whose value is a class's SMILES: the ChEBI IRI.
+SMILES_KEY = "http://purl.obolibrary.org/obo/chebi/smiles"
 
 
 class OntologyError(Exception):
@@ -140,12 +141,6 @@ class OntologyGraph:
     def ids(self) -> list[str]:
         return sorted(self._classes)
 
-    def classes(self) -> list[OntologyClass]:
-        return [self._classes[cid] for cid in self.ids()]
-
-    def parents(self, class_id: str) -> frozenset[str]:
-        return self[class_id].parents
-
     def children(self, class_id: str) -> frozenset[str]:
         self[class_id]
         return frozenset(self._children[class_id])
@@ -233,12 +228,12 @@ def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def parse_obo(text: str, smiles_key: str = DEFAULT_SMILES_KEY) -> OntologyGraph:
+def parse_obo(text: str) -> OntologyGraph:
     """Parse the supported OBO subset into an :class:`OntologyGraph`.
 
     Recognized inside ``[Term]`` stanzas: ``id:``, ``name:``, ``is_a:``
     (trailing ``!`` comment stripped), ``is_obsolete:``, and
-    ``property_value: <smiles_key> "..." xsd:string``.  Anything else is kept
+    ``property_value: <SMILES_KEY> "..." xsd:string``.  Anything else is kept
     verbatim.  Non-``[Term]`` stanzas are preserved as opaque blocks.
     """
     header_lines: list[str] = []
@@ -312,7 +307,7 @@ def parse_obo(text: str, smiles_key: str = DEFAULT_SMILES_KEY) -> OntologyGraph:
                 obsolete = _strip_comment(value).lower() == "true"
             elif tag == "property_value":
                 m = _PROPERTY_VALUE_RE.match(raw.strip())
-                if m is not None and m.group("key") == smiles_key:
+                if m is not None and m.group("key") == SMILES_KEY:
                     smiles = _unescape(m.group("value"))
                     if not smiles:
                         raise OboSyntaxError("empty SMILES value", lineno)
@@ -348,7 +343,6 @@ def parse_obo(text: str, smiles_key: str = DEFAULT_SMILES_KEY) -> OntologyGraph:
 
 def serialize_obo(
     graph: OntologyGraph,
-    smiles_key: str = DEFAULT_SMILES_KEY,
     edge_comments: dict[tuple[str, str], str] | None = None,
 ) -> str:
     """Serialize a graph to the OBO subset, stanzas sorted by class id.
@@ -374,7 +368,7 @@ def serialize_obo(
             else:
                 out.append(f"is_a: {parent}")
         if cls.smiles is not None:
-            out.append(f'property_value: {smiles_key} "{_escape(cls.smiles)}" xsd:string')
+            out.append(f'property_value: {SMILES_KEY} "{_escape(cls.smiles)}" xsd:string')
         if cls.obsolete:
             out.append("is_obsolete: true")
         out.extend(cls.extra_lines)
@@ -385,17 +379,16 @@ def serialize_obo(
     return "\n".join(out)
 
 
-def load_obo(path, smiles_key: str = DEFAULT_SMILES_KEY) -> OntologyGraph:
+def load_obo(path) -> OntologyGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_obo(fh.read(), smiles_key=smiles_key)
+        return parse_obo(fh.read())
 
 
 def save_obo(
     graph: OntologyGraph,
     path,
-    smiles_key: str = DEFAULT_SMILES_KEY,
     edge_comments: dict[tuple[str, str], str] | None = None,
 ) -> None:
     from ._io import atomic_write_text
 
-    atomic_write_text(path, serialize_obo(graph, smiles_key=smiles_key, edge_comments=edge_comments))
+    atomic_write_text(path, serialize_obo(graph, edge_comments=edge_comments))

@@ -38,6 +38,11 @@ _STREAM_VALIDATION = 2
 _STREAM_SHUFFLE = 3
 _STREAM_DROPOUT = 4
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingError(Exception):
     pass
@@ -55,7 +60,9 @@ class MaskingPolicy:
     """Which tokens get hidden for MLM and what happens to them.
 
     A selected token becomes MASK, a random non-special token, or stays
-    unchanged, per the action fractions.  Specials are never selected.
+    unchanged, per the action fractions.  Specials are never selected; with
+    a nonzero probability, each sequence with a maskable token gets at least
+    one target.
     """
 
     mask_probability: float = 0.15
@@ -63,7 +70,6 @@ class MaskingPolicy:
     random_fraction: float = 0.1
     keep_fraction: float = 0.1
     seed: int = 0
-    force_minimum: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.mask_probability <= 1.0:
@@ -100,9 +106,9 @@ def apply_dynamic_masking(
                 selected = [
                     p for p, r in zip(maskable, draws) if r < policy.mask_probability
                 ]
-                if selected or not policy.force_minimum:
+                if selected:
                     break
-        if maskable and not selected and policy.force_minimum and policy.mask_probability > 0.0:
+        if maskable and not selected and policy.mask_probability > 0.0:
             selected = [maskable[int(rng.integers(len(maskable)))]]
         entry: list[tuple[int, int]] = []
         for pos in selected:
@@ -120,7 +126,7 @@ def apply_dynamic_masking(
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus the decoupled weight-decay hyperparameters.
+    """Adam moments, learning rate and decoupled weight decay.
 
     ``m_arena`` and ``v_arena`` are laid out like the store's parameter arena
     (decayed tensors first, see ``ParameterStore``); ``store.views`` gives
@@ -130,9 +136,6 @@ class OptimizerState:
     m_arena: np.ndarray
     v_arena: np.ndarray
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     step: int = 0
 
@@ -162,8 +165,8 @@ def adam_step(store: ParameterStore, state: OptimizerState) -> None:
     state.step += 1
     t = state.step
     # Python floats: a NumPy scalar would upcast a float32 arena (NEP 50)
-    beta1, beta2 = float(state.beta1), float(state.beta2)
-    lr, eps = float(state.lr), float(state.eps)
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    lr = float(state.lr)
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     decay = 1.0 - lr * float(state.weight_decay)

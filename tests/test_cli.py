@@ -320,6 +320,25 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines()[-1].startswith("ERROR\tdataset\t")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("mismatch", ["extra_class", "one_class"])
+    def test_explain_labels_must_match_model(self, workspace, tmp_path, capsys, mismatch):
+        """An extra class indexed past the model's outputs; fewer classes
+        paired the model's columns with the wrong labels."""
+        classes = (workspace["dataset"] / "labels.txt").read_text().split()
+        labels = tmp_path / "labels.txt"
+        chosen = classes + ["EXTRA:1"] if mismatch == "extra_class" else classes[:1]
+        labels.write_text("\n".join(chosen) + "\n")
+        out = tmp_path / "explain"
+        code = main(["explain", "--config", str(workspace["config"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--labels", str(labels), "--smiles", "CC(NN)CCC", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("ERROR\texplainability\t")
+        assert not out.exists()
+
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"
         obo.write_text("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n")

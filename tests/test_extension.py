@@ -44,7 +44,7 @@ def trained_toy():
         hidden_dim=16, ffn_dim=32, max_len=32, seed=0,
     )
     store = init_model(config)
-    splits = DatasetSplits(train=molecules, validation=molecules[:4], test=[], seed=0)
+    splits = DatasetSplits(train=molecules, validation=molecules[:4], test=[])
     finetune(store, config, tok, splits,
              TrainConfig(epochs=150, batch_size=4, learning_rate=3e-3, seed=0))
     labels = LabelIndex(("TOY:N", "TOY:O", "TOY:S"))

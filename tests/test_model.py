@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ontograft import model as model_module
 from ontograft.attribution import token_importance
 from ontograft.model import (
     ModelConfig,
@@ -307,29 +311,36 @@ def float_arrays(tree):
     return []
 
 
+def traced_peak(call):
+    """``call``'s result and the peak of the memory it allocates."""
+    call()  # first-call allocations stay out of the measured peak
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestInferenceMemory:
     """Inference and validation hold one layer's activations at a time, not
     the backward cache of every layer, so their peak does not grow with
     depth."""
 
     @staticmethod
-    def peaks(n_layers):
+    def model(n_layers):
         config = ModelConfig(vocab_size=20, n_labels=3, n_layers=n_layers, n_heads=4,
                              hidden_dim=16, ffn_dim=32, max_len=64, seed=1)
-        store = init_model(config)
+        return config, init_model(config)
+
+    @classmethod
+    def peaks(cls, n_layers):
+        config, store = cls.model(n_layers)
         batch = [seq(*([5, 6, 7] * 20)) for _ in range(4)]
         targets = [[(1, 5), (2, 6)] for _ in batch]
-        peaks = []
-        for call in (lambda: predict_logits(store, config, batch),
-                     lambda: mlm_loss_value(store, config, batch, targets)):
-            call()  # first-call allocations stay out of the measured peak
-            tracemalloc.start()
-            try:
-                call()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return peaks
+        return [traced_peak(call)[1] for call in (
+            lambda: predict_logits(store, config, batch),
+            lambda: mlm_loss_value(store, config, batch, targets),
+        )]
 
     def test_peak_near_one_layer(self):
         # a one-layer model's peak is one layer's activations (the weights
@@ -338,6 +349,57 @@ class TestInferenceMemory:
         # measured); keeping every layer's cache reads over 3x.
         for deep, shallow in zip(self.peaks(6), self.peaks(1)):
             assert deep < 1.5 * shallow
+
+    def test_capture_adds_only_the_returned_attention(self):
+        # keeping every layer's backward cache, as the training pass does,
+        # read 0.9 MB over this bound (the attention is 0.7 MB)
+        config, store = self.model(6)
+        batch = [seq(*([5, 6, 7] * 20))]
+        _, plain = traced_peak(lambda: forward(store, config, batch))
+        outputs, capturing = traced_peak(
+            lambda: forward(store, config, batch, capture_attention=True)
+        )
+        attention = outputs[0].attention.weights.nbytes
+        # a few hundred bytes of Python objects besides the weights
+        assert capturing <= plain + attention + 4096
+
+
+class TestLoadMemory:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak resident set from procfs")
+    def test_load_grows_by_one_arena_and_one_array(self, tmp_path):
+        """A fresh process loading a float32 model grows by the parameter
+        arena plus one array's float64 bytes: not by the file (twice the
+        arena) nor by a written gradient arena."""
+        config = ModelConfig(vocab_size=1000, n_labels=50, n_layers=8, n_heads=4,
+                             hidden_dim=256, ffn_dim=1024, max_len=512,
+                             dtype="float32", seed=1)
+        store = init_model(config)
+        save_model(store, config, tmp_path / "m.bin")
+        arena = store.param_arena.nbytes
+        largest = 8 * max(p.size for p in store.params.values())
+        del store
+        # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the RSS of the
+        # process that started it
+        script = (
+            "import sys\n"
+            "from ontograft.model import load_model\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+            "before = peak_kib()\n"
+            "load_model(sys.argv[1])\n"
+            "print(peak_kib() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.bin")],
+                             capture_output=True, text=True, env=env, check=True)
+        growth = 1024 * int(run.stdout)
+        # a 27 MB arena grew the process by 28 MB; holding the file and
+        # writing the gradient arena as well read 104 MB
+        assert growth < 1.25 * arena + largest
 
 
 class TestDtype:
@@ -362,7 +424,7 @@ class TestDtype:
         batch = [seq(5, 6, 7, 8), seq(9, 10)]
         layers = []
         hidden, cache = _forward_core(store, config, batch, rng=np.random.default_rng(0),
-                                      layers=layers)
+                                      on_layer=layers.append)
         cached = float_arrays([hidden, cache, layers])
         assert len(cached) > 20
         assert {a.dtype for a in cached} == {want}

@@ -20,6 +20,9 @@ from ontograft.model import (
 )
 from ontograft.tokenizer import MASK_ID, N_SPECIALS, TokenSequence, train_bpe
 from ontograft.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EpochLog,
     MaskingPolicy,
     OptimizerState,
@@ -51,10 +54,10 @@ def make_sequences(rng, n, vocab_size, min_len=4, max_len=20):
 
 
 class TestMasking:
-    def test_zero_probability_without_minimum_is_identity(self):
+    def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(0)
         batch = make_sequences(rng, 5, 20)
-        policy = MaskingPolicy(mask_probability=0.0, force_minimum=False, seed=1)
+        policy = MaskingPolicy(mask_probability=0.0, seed=1)
         masked, targets = apply_dynamic_masking(batch, policy, epoch=1, vocab_size=20)
         assert all(m.ids == b.ids for m, b in zip(masked, batch))
         assert all(t == [] for t in targets)
@@ -183,17 +186,17 @@ def oracle_adam_step(params, grads, m, v, state):
     bit: dicts of arrays, one whole-array expression at a time."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, grad in grads.items():
-        m[name] *= state.beta1
-        m[name] += (1.0 - state.beta1) * grad
-        v[name] *= state.beta2
-        v[name] += (1.0 - state.beta2) * grad * grad
+        m[name] *= ADAM_BETA1
+        m[name] += (1.0 - ADAM_BETA1) * grad
+        v[name] *= ADAM_BETA2
+        v[name] += (1.0 - ADAM_BETA2) * grad * grad
         p = params[name]
         if state.weight_decay != 0.0 and decayed(name):
             p *= 1.0 - state.lr * state.weight_decay
-        p -= state.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + state.eps)
+        p -= state.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)
 
 
 def random_shapes(rng) -> dict[str, tuple[int, ...]]:
@@ -386,7 +389,7 @@ class TestPretrain:
             checkpoint_dir=str(tmp_path / "pretrain"),
         )
         save_model(store, config, tmp_path / "pretrained.bin")
-        splits = DatasetSplits(train=molecules, validation=molecules[:6], test=[], seed=0)
+        splits = DatasetSplits(train=molecules, validation=molecules[:6], test=[])
         fine_logs = finetune(
             store, config, tok, splits,
             TrainConfig(epochs=4, batch_size=4, learning_rate=3e-3, seed=1, checkpoint_every=1),
@@ -444,7 +447,7 @@ class TestPretrain:
 
 class TestFinetune:
     def make_splits(self, molecules):
-        return DatasetSplits(train=molecules, validation=molecules[:6], test=[], seed=0)
+        return DatasetSplits(train=molecules, validation=molecules[:6], test=[])
 
     def test_zero_epochs_is_identity(self):
         tok, config, _, molecules = toy_setup()
