@@ -95,7 +95,6 @@ INPUTS = {
     "ontology": (lambda path: ontology.load_obo(path), "OBO ontology"),
     "tokenizer": (lambda path: tok.Tokenizer.load(path), "tokenizer file from train-tokenizer"),
     "model": (lambda path: load_model(path)[:2], "model file"),
-    "init_model": (lambda path: load_model(path)[:2], "continue from an existing model file"),
     "dataset": (lambda path: dataset.load_tsv(path), "dataset directory from build-dataset"),
     "test": (lambda path: dataset.load_split_tsv(path), "labeled TSV to evaluate"),
     "labels": (lambda path: dataset.load_labels(path), "labels.txt, one class id per column"),
@@ -112,7 +111,7 @@ STAGES = {
                       ("ontology",), ()),
     "train-tokenizer": ("learn BPE merges from SMILES", "tokenizer file", ("input",), ()),
     "pretrain": ("masked-language-model pretraining", "output model file",
-                 ("tokenizer", "train"), ("validation", "labels", "init_model")),
+                 ("tokenizer", "train", "labels"), ("validation",)),
     "finetune": ("multi-label fine-tuning", "output model file",
                  ("tokenizer", "model", "dataset"), ()),
     "evaluate": ("metric report on a labeled split", "output directory",
@@ -189,17 +188,11 @@ def _save_model_and_log(args, store, mcfg: ModelConfig, logs) -> None:
 
 def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
     tokenizer = inputs.tokenizer
-    if inputs.init_model:
-        store, mcfg = inputs.init_model
-    elif inputs.labels is None:
-        raise ConfigError("pretrain needs --labels (or --init-model)")
-    else:
-        mcfg = cfg.build(
-            ModelConfig, "model",
-            vocab_size=len(tokenizer.vocab), n_labels=len(inputs.labels),
-            max_len=tokenizer.max_len,
-        )
-        store = init_model(mcfg)
+    mcfg = cfg.build(
+        ModelConfig, "model",
+        vocab_size=len(tokenizer.vocab), n_labels=len(inputs.labels), max_len=tokenizer.max_len,
+    )
+    store = init_model(mcfg)
     policy = cfg.build(MaskingPolicy, "masking")
     tcfg = _train_config(args, cfg, cfg.pretrain_epochs)
     logger.info(

@@ -53,9 +53,6 @@ class LabeledMolecule:
     smiles: str
     labels: np.ndarray  # binary vector, dtype int8
 
-    def same_as(self, other: "LabeledMolecule") -> bool:
-        return self.smiles == other.smiles and np.array_equal(self.labels, other.labels)
-
 
 @dataclass
 class DatasetStats:
@@ -69,9 +66,6 @@ class DatasetSplits:
     train: list[LabeledMolecule]
     validation: list[LabeledMolecule]
     test: list[LabeledMolecule]
-
-    def all_molecules(self) -> list[LabeledMolecule]:
-        return self.train + self.validation + self.test
 
 
 def _structured_leaf_members(graph: OntologyGraph, position: dict[str, int]):
@@ -265,8 +259,25 @@ def _write_split(path: str, molecules: list[LabeledMolecule], labels: LabelIndex
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+_BINARY_CELLS = frozenset(("0", "1"))
+
+
+def _label_cells(path: str, lineno: int, cells: list[str]) -> str:
+    """A row's label cells in canonical form ("0"/"1", tab-joined), read
+    with ``int()`` so that spellings such as ``01`` or `` 1`` still load."""
+    try:
+        values = [int(v) for v in cells]
+    except ValueError:
+        raise DatasetError(f"{path}:{lineno}: non-integer label value") from None
+    if not set(values) <= {0, 1}:
+        raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
+    return "\t".join(map(str, values))
+
+
 def _read_split(path: str, labels: LabelIndex) -> list[LabeledMolecule]:
-    molecules = []
+    """The molecules of a split TSV; their label vectors are the rows of one
+    int8 matrix, read from one block of every row's cells."""
+    smiles, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         cols = header.split("\t")
@@ -282,14 +293,15 @@ def _read_split(path: str, labels: LabelIndex) -> list[LabeledMolecule]:
                     f"{path}:{lineno}: expected {len(labels) + 1} columns, "
                     f"got {len(fields)}"
                 )
-            try:
-                vec = np.array([int(v) for v in fields[1:]], dtype=np.int8)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer label value") from None
-            if not np.isin(vec, (0, 1)).all():
-                raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
-            molecules.append(LabeledMolecule(fields[0], vec))
-    return molecules
+            if _BINARY_CELLS.issuperset(fields[1:]):
+                rows.append(line[len(fields[0]) + 1:])
+            else:
+                rows.append(_label_cells(path, lineno, fields[1:]))
+            smiles.append(fields[0])
+    # every row is one-character cells and tabs: the digits are every other byte
+    block = np.frombuffer("\t".join(rows).encode("ascii"), dtype=np.uint8)[::2]
+    y = (block - ord("0")).astype(np.int8).reshape(len(rows), len(labels))
+    return [LabeledMolecule(s, y[i]) for i, s in enumerate(smiles)]
 
 
 def save_tsv(splits: DatasetSplits, labels: LabelIndex, out_dir: str) -> None:

@@ -3,8 +3,8 @@ schemes (samples, micro, macro, weighted).
 
 Zero-division convention throughout: a precision, recall, or F1 whose
 denominator is 0 evaluates to 0.  Per-class AUC is undefined for single-class
-columns; those are excluded from macro/weighted averages with a counted
-warning.
+columns; those are excluded from macro/weighted averages and counted
+(``roc_auc_detail``, ``MetricReport.auc_excluded``).
 
 AUC is the Mann-Whitney statistic computed from midranks, for every column
 (macro, weighted), row (samples) or the flattened matrix (micro) at once.
@@ -19,7 +19,6 @@ a per-element loop bit for bit.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 
@@ -29,8 +28,6 @@ from ._io import atomic_write_text
 from .dataset import LabeledMolecule, LabelIndex
 from .model import ModelConfig, ParameterStore, predict_probabilities
 from .tokenizer import Tokenizer
-
-logger = logging.getLogger("ontograft.metrics")
 
 AVERAGINGS = ("samples", "micro", "macro", "weighted")
 
@@ -178,17 +175,6 @@ def roc_auc_detail(
     t = y_true.astype(bool)
     aucs = _binary_aucs(t, y_score.astype(np.float64), _AUC_AXIS[averaging])
     return _average_auc(t, averaging, *aucs)
-
-
-def roc_auc(y_true: np.ndarray, y_score: np.ndarray, averaging: str) -> float:
-    auc, excluded = roc_auc_detail(y_true, y_score, averaging)
-    if excluded:
-        logger.warning(
-            "roc_auc(%s): excluded %d single-class column(s)/row(s)",
-            averaging,
-            excluded,
-        )
-    return auc
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Encoder-only transformer over token sequences, written directly in numpy.
 
 Forward pass with optional attention capture, plus an analytic backward pass
-filling per-parameter gradient slots.  Pre-norm residual blocks, learned
-absolute position embeddings, BOS pooling for classification, and an MLM
-projection tied to the token embedding matrix.
+filling per-parameter gradient slots.  Pre-norm residual blocks with the
+exact (erf) GELU, learned absolute position embeddings, BOS pooling for a
+sigmoid multi-label head, and an MLM head tied to the token embedding matrix
+and trained with softmax cross-entropy.
 
 Every pass goes through ``_forward_core``.  Attention dropout applies iff an
 rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` keeps
@@ -34,10 +35,12 @@ from .tokenizer import PAD_ID, TokenSequence
 LN_EPS = 1e-5
 _SQRT_2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
 MODEL_MAGIC = b"OGMODEL\n"
 MODEL_VERSION = 1
+# Config keys of retired options -> the one value the model still computes.
+# A file that stores a key at that value loads; any other value is an error.
+_RETIRED_CONFIG = {"activation": "gelu", "mlm_loss": "cross_entropy"}
 
 
 class ModelError(Exception):
@@ -62,8 +65,6 @@ class ModelConfig:
     ffn_dim: int = 3072
     max_len: int = 512
     attention_dropout: float = 0.1
-    activation: str = "gelu"  # "gelu" (exact, erf-based) or "gelu_tanh"
-    mlm_loss: str = "cross_entropy"  # or "bce": per-token binary cross-entropy
     dtype: str = "float64"
     seed: int = 0
 
@@ -86,10 +87,6 @@ class ModelConfig:
             )
         if not 0.0 <= self.attention_dropout < 1.0:
             raise ModelError("attention_dropout must be in [0, 1)")
-        if self.activation not in ("gelu", "gelu_tanh"):
-            raise ModelError(f"unknown activation {self.activation!r}")
-        if self.mlm_loss not in ("cross_entropy", "bce"):
-            raise ModelError(f"unknown mlm_loss {self.mlm_loss!r}")
         if self.dtype not in ("float64", "float32"):
             raise ModelError(f"unknown dtype {self.dtype!r}")
 
@@ -192,10 +189,6 @@ class ParameterStore:
         return out
 
 
-def expected_parameter_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
-
-
 def init_model(config: ModelConfig) -> ParameterStore:
     """Weights from N(0, 0.02^2), layer-norm scale 1 / offset 0, biases 0,
     PAD embedding row zeroed.  Deterministic given config.seed."""
@@ -235,30 +228,20 @@ def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
     return dx, dg, db
 
 
-def _gelu_term(x: np.ndarray, kind: str) -> np.ndarray:
-    """The erf (or tanh) term both GELU forms share: gelu = 0.5 x (1 + term).
-    Forward passes keep it so the backward pass need not evaluate it again."""
-    if kind == "gelu":
-        return erf(x / _SQRT_2)
-    return np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
+def _gelu_term(x: np.ndarray) -> np.ndarray:
+    """The erf term of the exact GELU: gelu = 0.5 x (1 + term).  Forward
+    passes keep it so the backward pass need not evaluate it again."""
+    return erf(x / _SQRT_2)
 
 
 def _gelu(x: np.ndarray, term: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + term)
 
 
-def _gelu_grad(x: np.ndarray, term: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "gelu":
-        cdf = 0.5 * (1.0 + term)
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return cdf + x * pdf
-    c = _SQRT_2_OVER_PI
-    t = term
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return expit(x)
+def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    cdf = 0.5 * (1.0 + term)
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return cdf + x * pdf
 
 
 def pad_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +341,7 @@ def _forward_core(
         x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
-        e1 = _gelu_term(a1, config.activation)
+        e1 = _gelu_term(a1)
         x = x + (_gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
         if on_layer is not None:
             on_layer(dict(
@@ -400,7 +383,7 @@ def forward(
         capture = lambda lc: np.copyto(next(layer_views), lc["probs"])
     hidden, _ = _forward_core(store, config, batch, on_layer=capture)
     pooled, logits = _classification_logits(store, hidden)
-    probs = _sigmoid(logits)
+    probs = expit(logits)
     return [
         ForwardOutput(
             hidden=hidden[b, : len(seq)].copy(),
@@ -413,18 +396,18 @@ def forward(
     ]
 
 
-def _mlm_head_forward(store: ParameterStore, config: ModelConfig, rows: np.ndarray):
+def _mlm_head_forward(store: ParameterStore, rows: np.ndarray):
     """Vocabulary logits for hidden-state rows: transform (dense + gelu +
     layer norm), then the decoder tied to the token embeddings plus a bias."""
     p = store.params
     a = rows @ p["mlm.w"] + p["mlm.b"]
-    e = _gelu_term(a, config.activation)
+    e = _gelu_term(a)
     t, ln_cache = _layer_norm(_gelu(a, e), p["mlm_ln.g"], p["mlm_ln.b"])
     logits = t @ p["tok_emb"].T + p["mlm_bias"]
     return logits, (rows, a, e, t, ln_cache)
 
 
-def _mlm_head_backward(store: ParameterStore, config: ModelConfig, dlogits, cache):
+def _mlm_head_backward(store: ParameterStore, dlogits, cache):
     rows, a, e, t, ln_cache = cache
     p, grad = store.params, store.grads
     grad["mlm_bias"] += dlogits.sum(axis=0)
@@ -433,7 +416,7 @@ def _mlm_head_backward(store: ParameterStore, config: ModelConfig, dlogits, cach
     dg, dlng, dlnb = _layer_norm_backward(dt, ln_cache, p["mlm_ln.g"])
     grad["mlm_ln.g"] += dlng
     grad["mlm_ln.b"] += dlnb
-    da = dg * _gelu_grad(a, e, config.activation)
+    da = dg * _gelu_grad(a, e)
     grad["mlm.w"] += rows.T @ da
     grad["mlm.b"] += da.sum(axis=0)
     return da @ p["mlm.w"].T
@@ -466,7 +449,7 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
         g[lp + "ffn.b2"] += df.sum(axis=(0, 1))
         # d(loss)/d(g1), turned into d(loss)/d(a1) in place: one array fewer at the peak
         da1 = df @ p[lp + "ffn.w2"].T
-        da1 *= _gelu_grad(a1, e1, config.activation)
+        da1 *= _gelu_grad(a1, e1)
         g[lp + "ffn.w1"] += lc["h2"].reshape(-1, d).T @ da1.reshape(-1, config.ffn_dim)
         g[lp + "ffn.b1"] += da1.sum(axis=(0, 1))
         dh2 = da1 @ p[lp + "ffn.w1"].T
@@ -516,21 +499,16 @@ def multilabel_loss_value(logits: np.ndarray, y: np.ndarray) -> float:
     return float(per_cell.mean())
 
 
-def _mlm_objective(config: ModelConfig, logits: np.ndarray, targets: np.ndarray):
-    """(loss, dloss/dlogits) for the configured MLM objective."""
-    M, V = logits.shape
-    if config.mlm_loss == "cross_entropy":
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=-1))
-        loss = float((logz - shifted[np.arange(M), targets]).mean())
-        dlogits = np.exp(shifted) / np.exp(logz)[:, None]
-        dlogits[np.arange(M), targets] -= 1.0
-        dlogits /= M
-    else:  # literal per-token binary cross-entropy over the vocabulary
-        onehot = np.zeros_like(logits)
-        onehot[np.arange(M), targets] = 1.0
-        loss = multilabel_loss_value(logits, onehot)
-        dlogits = (_sigmoid(logits) - onehot) / (M * V)
+def _mlm_objective(logits: np.ndarray, targets: np.ndarray):
+    """(loss, dloss/dlogits): mean softmax cross-entropy of the masked
+    positions' original tokens over the vocabulary."""
+    M = logits.shape[0]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1))
+    loss = float((logz - shifted[np.arange(M), targets]).mean())
+    dlogits = np.exp(shifted) / np.exp(logz)[:, None]
+    dlogits[np.arange(M), targets] -= 1.0
+    dlogits /= M
     return loss, dlogits
 
 
@@ -558,8 +536,8 @@ def mlm_loss_value(
     """Forward-only MLM loss (no gradients touched); used for validation."""
     hidden, _ = _forward_core(store, config, batch)
     rows, _, tgt = _gather_mlm(hidden, targets)
-    logits, _ = _mlm_head_forward(store, config, rows)
-    loss, _ = _mlm_objective(config, logits, tgt)
+    logits, _ = _mlm_head_forward(store, rows)
+    loss, _ = _mlm_objective(logits, tgt)
     return loss
 
 
@@ -577,7 +555,8 @@ def loss_and_grad(
 
     objective "multilabel" needs ``labels`` [batch, n_labels]; "mlm" needs
     ``mlm_targets``: per item, (position, original token id) pairs for the
-    already-masked batch.
+    already-masked batch.  A non-finite loss raises NumericError here;
+    the gradients are checked by ``training.adam_step``, which reads them.
     """
     if objective not in ("multilabel", "mlm"):
         raise ModelError(f"unknown objective {objective!r}")
@@ -596,7 +575,7 @@ def loss_and_grad(
             )
         pooled, logits = _classification_logits(store, hidden)
         loss = multilabel_loss_value(logits, y)
-        dlogits = (_sigmoid(logits) - y) / y.size
+        dlogits = (expit(logits) - y) / y.size
         store.grads["cls.w"] += pooled.T @ dlogits
         store.grads["cls.b"] += dlogits.sum(axis=0)
         d_hidden[:, 0, :] = dlogits @ store.params["cls.w"].T
@@ -604,18 +583,14 @@ def loss_and_grad(
         if mlm_targets is None:
             raise ModelError("mlm objective requires mlm_targets")
         rows, index, tgt = _gather_mlm(hidden, mlm_targets)
-        logits, head_cache = _mlm_head_forward(store, config, rows)
-        loss, dlogits = _mlm_objective(config, logits, tgt)
+        logits, head_cache = _mlm_head_forward(store, rows)
+        loss, dlogits = _mlm_objective(logits, tgt)
         # np.add.at, not +=: a position listed twice gets both rows, in target order
-        np.add.at(d_hidden, index, _mlm_head_backward(store, config, dlogits, head_cache))
+        np.add.at(d_hidden, index, _mlm_head_backward(store, dlogits, head_cache))
 
     if not np.isfinite(loss):
         raise NumericError("loss")
     _backward_core(store, config, cache, layers, d_hidden)
-
-    for name in store.names():
-        if not np.isfinite(store.grads[name]).all():
-            raise NumericError(f"gradient of {name}")
     return loss
 
 
@@ -641,7 +616,7 @@ def predict_probabilities(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Label probabilities for a list of sequences, batched, without dropout."""
-    return _sigmoid(predict_logits(store, config, seqs, batch_size))
+    return expit(predict_logits(store, config, seqs, batch_size))
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +668,12 @@ def _read_model(path, fh) -> tuple[ParameterStore, ModelConfig, bytes]:
     if version != MODEL_VERSION:
         raise ModelError(f"{path}: unsupported model format version {version}")
     (cfg_len,) = _unpack(fh, "<I")
-    config = ModelConfig(**json.loads(fh.read(cfg_len).decode("utf-8")))
+    stored = dict(json.loads(fh.read(cfg_len).decode("utf-8")))
+    for key, kept in _RETIRED_CONFIG.items():
+        value = stored.pop(key, kept)
+        if value != kept:
+            raise ModelError(f"{path}: {key} = {value!r} is no longer supported")
+    config = ModelConfig(**stored)
     (n_arrays,) = _unpack(fh, "<I")
     expected = parameter_shapes(config)
     mismatch = f"{path}: parameter names or shapes do not match the stored config"

@@ -17,7 +17,14 @@ SPECIAL_TOKENS = (PAD, UNK, BOS, EOS, MASK)
 N_SPECIALS = len(SPECIAL_TOKENS)
 
 FORMAT_HEADER = "ontograft-tokenizer"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# First line of each readable format version -> the header lines after it.
+# v2 adds the merge count, so a file cut on a line boundary inside [merges]
+# is caught.
+_HEADER_KEYS = {
+    f"{FORMAT_HEADER} v1": ("max_len",),
+    f"{FORMAT_HEADER} v{FORMAT_VERSION}": ("max_len", "merges"),
+}
 
 
 class TokenizerError(Exception):
@@ -118,7 +125,10 @@ class Tokenizer:
     def save(self, path) -> None:
         from ._io import atomic_write_text
 
-        lines = [f"{FORMAT_HEADER} v{FORMAT_VERSION}", f"max_len\t{self.max_len}", "[vocab]"]
+        lines = [
+            f"{FORMAT_HEADER} v{FORMAT_VERSION}", f"max_len\t{self.max_len}",
+            f"merges\t{len(self.merges)}", "[vocab]",
+        ]
         lines.extend(f"{i}\t{token}" for i, token in enumerate(self.vocab.tokens))
         lines.append("[merges]")
         lines.extend(f"{left}\t{right}" for left, right in self.merges)
@@ -126,47 +136,38 @@ class Tokenizer:
 
     @staticmethod
     def load(path) -> "Tokenizer":
+        """Inverse of ``save``; files of format v1, which have no merge
+        count, load as well.  A file cut short raises TokenizerError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
             lines = text.split("\n")
-            if lines[0] != f"{FORMAT_HEADER} v{FORMAT_VERSION}":
+            keys = _HEADER_KEYS.get(lines[0])
+            if keys is None:
                 raise TokenizerError(
-                    f"{path}: not a {FORMAT_HEADER} v{FORMAT_VERSION} file"
+                    f"{path}: not a {FORMAT_HEADER} v1 or v{FORMAT_VERSION} file"
                 )
             if not text.endswith("\n"):
                 # save() ends every file with a newline; a cut mid-line has none.
                 raise ValueError("no final newline")
-            key, _, value = lines[1].partition("\t")
-            if key != "max_len":
-                raise TokenizerError(f"{path}: missing max_len line")
-            max_len = int(value)
-            if lines[2] != "[vocab]":
-                raise TokenizerError(f"{path}: missing [vocab] section")
-            tokens: list[str] = []
-            i = 3
-            while i < len(lines) and lines[i] != "[merges]":
-                if lines[i] == "":
-                    i += 1
-                    continue
-                idx, _, token = lines[i].partition("\t")
-                if int(idx) != len(tokens):
-                    raise TokenizerError(f"{path}: vocabulary ids are not contiguous")
-                tokens.append(token)
-                i += 1
-            if i >= len(lines):
-                raise TokenizerError(f"{path}: missing [merges] section")
-            merges: list[tuple[str, str]] = []
-            for line in lines[i + 1:]:
-                if not line:
-                    continue
-                left, sep, right = line.partition("\t")
-                if not sep:
-                    raise TokenizerError(f"{path}: malformed merge line {line!r}")
-                merges.append((left, right))
+            vocab_line = len(keys) + 1
+            header = dict(line.partition("\t")[::2] for line in lines[1:vocab_line])
+            if tuple(header) != keys or lines[vocab_line] != "[vocab]":
+                raise TokenizerError(f"{path}: malformed header")
+            merge_start = lines.index("[merges]")  # ValueError if the file ends first
+            entries = [line.split("\t", 1) for line in lines[vocab_line + 1:merge_start] if line]
+            if [int(i) for i, _ in entries] != list(range(len(entries))):
+                raise TokenizerError(f"{path}: vocabulary ids are not contiguous")
+            merges = [tuple(line.split("\t", 1)) for line in lines[merge_start + 1:] if line]
+            if any(len(merge) != 2 for merge in merges):
+                raise TokenizerError(f"{path}: malformed merge line")
+            if len(merges) != int(header.get("merges", len(merges))):
+                raise ValueError("merge count differs from the header")
+            max_len = int(header["max_len"])
         except (IndexError, ValueError):  # ValueError includes UnicodeDecodeError
             raise TokenizerError(f"{path}: truncated or corrupt tokenizer file") from None
-        return Tokenizer(Vocabulary(tuple(tokens)), tuple(merges), max_len=max_len)
+        tokens = tuple(token for _, token in entries)
+        return Tokenizer(Vocabulary(tokens), tuple(merges), max_len=max_len)
 
 
 def _apply_merge(parts: list[str], left: str, right: str) -> list[str]:

@@ -249,12 +249,6 @@ def append_epoch_logs(path, logs: list[EpochLog]) -> None:
             )
 
 
-def encode_corpus(tokenizer: Tokenizer, smiles_list: list[str]) -> list[TokenSequence]:
-    """Encode training strings; over-length inputs are an error here because
-    truncation would corrupt what the model is supposed to learn."""
-    return [tokenizer.encode(s) for s in smiles_list]
-
-
 def _batches(order: np.ndarray, batch_size: int):
     for start in range(0, len(order), batch_size):
         yield order[start:start + batch_size]
@@ -340,8 +334,10 @@ def pretrain(
     never touches the weights.  The best checkpoint has the lowest
     validation loss.
     """
-    seqs = encode_corpus(tokenizer, corpus)
-    val_seqs = encode_corpus(tokenizer, val_corpus)
+    # no truncation: an over-length molecule is an error, because a cut one
+    # would corrupt what the model is supposed to learn
+    seqs = [tokenizer.encode(s) for s in corpus]
+    val_seqs = [tokenizer.encode(s) for s in val_corpus]
     val_policy = replace(policy, seed=policy.seed + _STREAM_VALIDATION * 1_000_003)
     val_masked, val_targets = apply_dynamic_masking(
         val_seqs, val_policy, epoch=0, vocab_size=config.vocab_size
@@ -408,7 +404,8 @@ def finetune(
     loss and F1 of 0 and keeps the first epoch as ``best.bin``."""
 
     def prepare(molecules: list[LabeledMolecule]):
-        seqs = encode_corpus(tokenizer, [m.smiles for m in molecules])
+        # no truncation, as in pretraining: an over-length molecule is an error
+        seqs = [tokenizer.encode(m.smiles) for m in molecules]
         if not molecules:
             return seqs, None
         return seqs, np.stack([m.labels for m in molecules]).astype(np.float64)

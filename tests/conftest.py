@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,16 @@ def tiny_config():
 @pytest.fixture
 def tiny_store(tiny_config):
     return init_model(tiny_config)
+
+
+def with_config_keys(blob: bytes, **keys) -> bytes:
+    """A model file's bytes with ``keys`` added to its config JSON (sorted
+    keys, as ``save_model`` writes it): how a file saved when ``ModelConfig``
+    had those fields looks."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 12)  # after magic and version
+    cfg = json.loads(blob[16:16 + cfg_len])
+    new = json.dumps({**cfg, **keys}, sort_keys=True).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(new)) + new + blob[16 + cfg_len:]
 
 
 def make_graph(spec: dict[str, dict]) -> OntologyGraph:

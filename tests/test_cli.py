@@ -15,6 +15,8 @@ from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
 from ontograft.synthetic import generate_toy_ontology
 
+from conftest import with_config_keys
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -136,16 +138,6 @@ class TestPipeline:
         assert len(extended) >= len(original)
         doc = json.loads(out_report.read_text())
         assert len(doc["added"]) + len(doc["below_threshold"]) == 1
-
-    def test_pretrain_zero_epochs_copies_model(self, workspace, tmp_path):
-        out = tmp_path / "copy.bin"
-        code = main(["pretrain", "--config", str(workspace["config"]),
-                     "--tokenizer", str(workspace["tokenizer"]),
-                     "--train", str(workspace["dataset"] / "train.tsv"),
-                     "--init-model", str(workspace["pretrained"]),
-                     "--out", str(out), "--epochs", "0"])
-        assert code == 0
-        assert out.read_bytes() == workspace["pretrained"].read_bytes()
 
 
 class TestErrors:
@@ -280,14 +272,20 @@ class TestErrors:
         assert err.splitlines()[-1].startswith("ERROR\tmodel\t")
         assert not (tmp_path / "out.json").exists()
 
-    @pytest.mark.parametrize("where", ["header", "max_len", "merges_header", "merge_line"])
+    @pytest.mark.parametrize("where", [
+        "header", "max_len", "merges_header", "merge_line", "merge_boundary", "last_merge",
+    ])
     def test_truncated_tokenizer(self, workspace, tmp_path, capsys, where):
         blob = workspace["tokenizer"].read_bytes()
+        merges = blob.index(b"[merges]\n") + len(b"[merges]\n")
         cut = {
             "header": 5,
             "max_len": blob.index(b"max_len\t") + len(b"max_len\t") + 1,
             "merges_header": blob.index(b"[merges]") + 3,
             "merge_line": len(blob) - 2,  # inside the last merge, newline gone
+            # whole lines: only the merge count in the header tells these apart
+            "merge_boundary": blob.index(b"\n", merges) + 1,
+            "last_merge": blob.rindex(b"\n", 0, len(blob) - 1) + 1,
         }[where]
         tokenizer = tmp_path / "cut.txt"
         tokenizer.write_bytes(blob[:cut])
@@ -303,6 +301,39 @@ class TestErrors:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("ERROR\ttokenizer\t")
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("activation", "gelu_tanh"), ("mlm_loss", "bce")])
+    def test_model_trained_with_retired_option(self, workspace, tmp_path, capsys, key, value):
+        """A model file saved while the option existed, with a value the model
+        no longer computes, names it instead of loading as another model."""
+        model = tmp_path / "old.bin"
+        model.write_bytes(with_config_keys(workspace["finetuned"].read_bytes(), **{key: value}))
+        smiles_file = tmp_path / "query.smi"
+        smiles_file.write_text("CCC(NN)CC\n")
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--model", str(model),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(smiles_file), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tmodel\t{model}: {key} = {value!r} is no longer supported"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("line", ["activation = gelu", "mlm_loss = cross_entropy"])
+    def test_retired_model_setting_is_an_unknown_key(self, tmp_path, capsys, line):
+        """An INI written by an older --write-default-config must drop the
+        two retired [model] lines; an unknown key is an error, as any is."""
+        config = tmp_path / "old.ini"
+        config.write_text(f"[run]\nseed = 1\n\n[model]\n{line}\n")
+        obo = tmp_path / "x.obo"
+        obo.write_text("[Term]\nid: A\n")
+        code = main(["build-dataset", "--config", str(config),
+                     "--ontology", str(obo), "--out", str(tmp_path / "d")])
+        assert code == 1
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tcli\t{config}: unknown key {key!r} in [model]"
 
     def test_evaluate_labels_must_match_header(self, workspace, tmp_path, capsys):
         """A labels.txt in another order than the TSV header would score
@@ -506,8 +537,7 @@ NON_DEFAULT = {
                 "ratio_validation": 0.25, "ratio_test": 0.25},
     "tokenizer": {"target_vocab": 45, "max_len": 90, "min_frequency": 3},
     "model": {"n_layers": 1, "n_heads": 2, "hidden_dim": 16, "ffn_dim": 32,
-              "attention_dropout": 0.05, "activation": "gelu_tanh", "mlm_loss": "bce",
-              "dtype": "float32"},
+              "attention_dropout": 0.05, "dtype": "float32"},
     "training": {"pretrain_epochs": 2, "finetune_epochs": 3, "batch_size": 5,
                  "learning_rate": 0.003, "weight_decay": 0.02, "checkpoint_every": 2},
     "masking": {"mask_probability": 0.2, "mask_fraction": 0.6, "random_fraction": 0.25,

@@ -90,6 +90,32 @@ def loop_split_text(molecules, labels):
     return "\n".join(lines) + "\n"
 
 
+def loop_read_split(path, labels):
+    """The per-cell reader that the block reader replaced: (smiles, int8
+    vector) per row, or the DatasetError it raised."""
+    molecules = []
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != len(labels) + 1:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected {len(labels) + 1} columns, "
+                    f"got {len(fields)}"
+                )
+            try:
+                vec = np.array([int(v) for v in fields[1:]], dtype=np.int8)
+            except ValueError:
+                raise DatasetError(f"{path}:{lineno}: non-integer label value") from None
+            if not np.isin(vec, (0, 1)).all():
+                raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
+            molecules.append((fields[0], vec))
+    return molecules
+
+
 class TestSelectLabelClasses:
     def test_exactly_k_candidates_selects_all(self):
         graph = two_subtree_graph()
@@ -249,7 +275,7 @@ class TestSplit:
         data = self.make(100)
         splits = split_dataset(data, (0.7, 0.09, 0.21), seed=4)
         assert (len(splits.train), len(splits.validation), len(splits.test)) == (70, 9, 21)
-        names = [m.smiles for m in splits.all_molecules()]
+        names = [m.smiles for m in splits.train + splits.validation + splits.test]
         assert len(set(names)) == 100
 
     def test_same_seed_identical(self):
@@ -292,7 +318,8 @@ class TestTsv:
         for part in ("train", "validation", "test"):
             orig, new = getattr(splits, part), getattr(loaded, part)
             assert len(orig) == len(new)
-            assert all(a.same_as(b) for a, b in zip(orig, new))
+            assert [a.smiles for a in orig] == [b.smiles for b in new]
+            assert all(np.array_equal(a.labels, b.labels) for a, b in zip(orig, new))
 
     def test_round_trip_byte_identical(self, tmp_path):
         splits, labels = self.roundtrip(tmp_path)
@@ -312,6 +339,55 @@ class TestTsv:
         path.write_text("smiles\tA\nCC\t2\n")
         with pytest.raises(DatasetError):
             load_split_tsv(str(path))
+
+    def test_label_value_outside_int8_rejected(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("smiles\tA\tB\nCC\t1\t0\nCCC\t0\t300\n")
+        with pytest.raises(DatasetError) as err:
+            load_split_tsv(str(path))
+        assert str(err.value) == f"{path}:3: labels must be 0 or 1"
+
+    def test_read_matches_the_per_cell_loop(self, tmp_path):
+        """Random files mixing 0/1 rows with cells that int() reads as 0 or
+        1 (kept), cells it rejects or reads as another number, short rows
+        and blank lines: the same molecules, or the same error message."""
+        rng = np.random.default_rng(0)
+        odd = ["01", "+1", " 1", "1 ", "00", "-0", "2", "-1", "x", "", "1.0"]
+        path = tmp_path / "split.tsv"
+        outcomes = {"loaded": 0, "loaded_odd": 0, "error": 0}
+        for _ in range(300):
+            k = int(rng.integers(1, 6))
+            lines = ["smiles\t" + "\t".join(f"L{j}" for j in range(k))]
+            has_odd = False
+            for i in range(int(rng.integers(0, 10))):
+                cells = [str(v) for v in rng.integers(0, 2, k)]
+                draw = rng.random()
+                if draw < 0.06:
+                    cells[int(rng.integers(k))] = str(rng.choice(odd))
+                    has_odd = True
+                elif draw < 0.08:
+                    cells = cells[:-1]
+                elif draw < 0.12:
+                    lines.append("")
+                lines.append(f"C{i}\t" + "\t".join(cells))
+            path.write_text("\n".join(lines) + "\n")
+            labels = LabelIndex(tuple(f"L{j}" for j in range(k)))
+            try:
+                want = loop_read_split(path, labels)
+            except DatasetError as exc:
+                with pytest.raises(DatasetError) as err:
+                    load_split_tsv(str(path))
+                assert str(err.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            got, got_labels = load_split_tsv(str(path))
+            assert got_labels == labels
+            assert [m.smiles for m in got] == [smiles for smiles, _ in want]
+            for mol, (_, vec) in zip(got, want):
+                assert mol.labels.dtype == np.int8
+                assert mol.labels.tolist() == vec.tolist()
+            outcomes["loaded_odd" if has_odd else "loaded"] += 1
+        assert min(outcomes.values()) >= 10, outcomes
 
     def test_500_label_header(self, tmp_path):
         labels = LabelIndex(tuple(f"CHEBI:{i:06d}" for i in range(500)))

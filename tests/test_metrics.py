@@ -14,7 +14,6 @@ from ontograft.metrics import (
     per_class_f1_rows,
     per_molecule_f1_rows,
     prf,
-    roc_auc,
     roc_auc_detail,
     write_report,
 )
@@ -232,18 +231,18 @@ class TestRocAuc:
     def test_perfect_ranking(self):
         y = np.array([[1], [0], [1], [0]])
         s = np.array([[0.9], [0.1], [0.8], [0.2]])
-        assert roc_auc(y, s, "micro") == 1.0
+        assert roc_auc_detail(y, s, "micro")[0] == 1.0
 
     def test_all_ties_give_half(self):
         y = np.array([[1], [0], [1]])
         s = np.full((3, 1), 0.5)
-        assert roc_auc(y, s, "micro") == 0.5
+        assert roc_auc_detail(y, s, "micro")[0] == 0.5
 
     def test_worked_example(self):
         # pairs: 4 total, 3 wins, 1 loss -> 0.75
         y = np.array([[1], [0], [1], [0]])
         s = np.array([[0.9], [0.8], [0.7], [0.1]])
-        assert abs(roc_auc(y, s, "macro") - 0.75) < 1e-12
+        assert abs(roc_auc_detail(y, s, "macro")[0] - 0.75) < 1e-12
         assert brute_auc([1, 0, 1, 0], [0.9, 0.8, 0.7, 0.1]) == 0.75
 
     def test_matches_pair_enumeration(self):
@@ -255,7 +254,7 @@ class TestRocAuc:
             s = np.round(rng.random((n, k)), 2)  # rounded to force ties
             want = brute_auc(y.reshape(-1).tolist(), s.reshape(-1).tolist())
             if want is not None:
-                assert abs(roc_auc(y, s, "micro") - want) < 1e-12
+                assert abs(roc_auc_detail(y, s, "micro")[0] - want) < 1e-12
             cols = [brute_auc(y[:, j].tolist(), s[:, j].tolist()) for j in range(k)]
             valid = [a for a in cols if a is not None]
             if valid:
@@ -316,8 +315,8 @@ class TestRocAuc:
         y = (rng.random((12, 4)) < 0.5).astype(np.int8)
         s = rng.random((12, 4))
         for averaging in AVERAGINGS:
-            a = roc_auc(y, s, averaging)
-            b = roc_auc(y, np.exp(3 * s), averaging)
+            a = roc_auc_detail(y, s, averaging)[0]
+            b = roc_auc_detail(y, np.exp(3 * s), averaging)[0]
             assert abs(a - b) < 1e-12
 
     def test_single_class_column_excluded_with_count(self):
@@ -345,7 +344,7 @@ class TestReports:
         rng = np.random.default_rng(8)
         y = (rng.random((400, 10)) < 0.5).astype(np.int8)
         s = rng.random((400, 10))
-        assert abs(roc_auc(y, s, "micro") - 0.5) < 0.05
+        assert abs(roc_auc_detail(y, s, "micro")[0] - 0.5) < 0.05
 
     def test_per_class_and_per_molecule_rows(self):
         y_true = np.array([[1, 0], [1, 1]])

@@ -171,6 +171,33 @@ class TestSerialization:
         assert loaded.merges == tok.merges
         assert loaded.max_len == tok.max_len
 
+    def test_every_cut_is_an_error(self, tmp_path):
+        """A v2 file cut at any byte offset, including every line boundary
+        inside [merges], fails to load instead of giving a shorter file."""
+        tok = train_bpe(random_smiles_corpus(np.random.default_rng(1), 30),
+                        target_vocab=30, max_len=64)
+        full = tmp_path / "tok.txt"
+        tok.save(full)
+        blob = full.read_bytes()
+        assert len(tok.merges) >= 5  # several line boundaries inside [merges]
+        cut = tmp_path / "cut.txt"
+        for offset in range(len(blob)):
+            cut.write_bytes(blob[:offset])
+            with pytest.raises(TokenizerError):
+                Tokenizer.load(cut)
+
+    def test_v1_file_loads(self, tmp_path):
+        """Format v1, which has no merge count, as earlier versions wrote it."""
+        tok = train_bpe(random_smiles_corpus(np.random.default_rng(2), 40),
+                        target_vocab=40, max_len=80)
+        lines = ["ontograft-tokenizer v1", "max_len\t80", "[vocab]"]
+        lines += [f"{i}\t{token}" for i, token in enumerate(tok.vocab.tokens)]
+        lines.append("[merges]")
+        lines += [f"{left}\t{right}" for left, right in tok.merges]
+        path = tmp_path / "tok_v1.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert Tokenizer.load(path) == tok
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "tok.txt"
         path.write_text("ontograft-tokenizer v999\nmax_len\t10\n[vocab]\n[merges]\n")

@@ -27,12 +27,12 @@ from ontograft.training import (
     MaskingPolicy,
     OptimizerState,
     TrainConfig,
+    TrainingAborted,
     TrainingError,
     _ADAM_BLOCK,
     adam_step,
     append_epoch_logs,
     apply_dynamic_masking,
-    encode_corpus,
     finetune,
     pretrain,
 )
@@ -369,7 +369,7 @@ class TestPretrain:
     def test_validation_leaves_parameters_untouched(self):
         tok, config, corpus, _ = toy_setup()
         store = init_model(config)
-        seqs = encode_corpus(tok, corpus)
+        seqs = [tok.encode(s) for s in corpus]
         masked, targets = apply_dynamic_masking(
             seqs, MaskingPolicy(seed=3), epoch=0, vocab_size=config.vocab_size
         )
@@ -467,7 +467,7 @@ class TestFinetune:
             store, config, tok, splits,
             TrainConfig(epochs=200, batch_size=8, learning_rate=3e-3, seed=1),
         )
-        seqs = encode_corpus(tok, [m.smiles for m in molecules])
+        seqs = [tok.encode(m.smiles) for m in molecules]
         probs = predict_probabilities(store, config, seqs)
         y = np.stack([m.labels for m in molecules])
         _, _, f1 = prf(y, binarize(probs, 0.5), "samples")
@@ -492,6 +492,27 @@ class TestFinetune:
         )
         with pytest.raises(TrainingError):
             finetune(init_model(bad), bad, tok, self.make_splits(molecules), TrainConfig(epochs=1))
+
+    def test_non_finite_gradient_aborts_naming_the_parameter(self, monkeypatch):
+        """loss_and_grad checks only the loss; a finite loss with a
+        non-finite gradient is stopped by adam_step's check, which names the
+        first bad parameter in declaration order, not in arena order."""
+        tok, config, _, molecules = toy_setup()
+        real = training.loss_and_grad
+
+        def poisoned(store, *args, **kwargs):
+            loss = real(store, *args, **kwargs)
+            store.grads["cls.w"][0, 0] = np.inf  # decayed: early in the arena
+            store.grads["layers.0.ln1.g"][1] = np.nan  # declared before cls.w
+            return loss
+
+        monkeypatch.setattr(training, "loss_and_grad", poisoned)
+        with pytest.raises(TrainingAborted) as err:
+            finetune(init_model(config), config, tok, self.make_splits(molecules),
+                     TrainConfig(epochs=1))
+        assert str(err.value) == (
+            "training aborted at epoch 1: non-finite value in gradient of layers.0.ln1.g"
+        )
 
 
 class TestEpochLogCsv:
