@@ -94,25 +94,6 @@ def head_token_share(
     return HeadTokenShare(tokens=tokens, row_labels=labels, matrix=np.stack(rows))
 
 
-def aggregate_shares(shares: list[HeadTokenShare]) -> HeadTokenShare:
-    """Corpus-level aggregation: collapse each molecule's matrix onto token
-    types (summing duplicate positions), then average the per-molecule
-    matrices.  Rows still sum to 100."""
-    if not shares:
-        raise AttributionError("no share matrices to average")
-    row_labels = shares[0].row_labels
-    for s in shares[1:]:
-        if s.row_labels != row_labels:
-            raise AttributionError("share matrices come from different model shapes")
-    types = sorted({t for s in shares for t in s.tokens})
-    col = {t: j for j, t in enumerate(types)}
-    stacked = np.zeros((len(shares), len(row_labels), len(types)))
-    for n, s in enumerate(shares):
-        for j, token in enumerate(s.tokens):
-            stacked[n, :, col[token]] += s.matrix[:, j]
-    return HeadTokenShare(types, row_labels, stacked.mean(axis=0))
-
-
 _QUINTILE_COLORS = ("#f7fbf2", "#d8eecb", "#a9dba1", "#66bd6f", "#1d8a41")
 
 

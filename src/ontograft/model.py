@@ -12,6 +12,13 @@ every layer's intermediates; ``forward(capture_attention=True)`` keeps each
 layer's attention probabilities, and inference and validation hold one
 layer's activations at a time.
 
+Position-wise work (embeddings, layer norms, the Q/K/V and output
+projections, the FFN, both heads, and all of their gradients) runs on the
+batch's real tokens, packed into one [n_tokens, d] matrix.  Only the
+attention scores, softmax, dropout and context use the padded
+[batch, heads, T_max, T_max] block, so masked keys get exactly 0 attention
+and the dropout draws keep the padded block's shape.
+
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
 here is float32.  Constants are Python floats, never NumPy scalars: under
@@ -24,7 +31,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf, expit
@@ -210,10 +218,16 @@ def init_model(config: ModelConfig) -> ParameterStore:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # x.mean and x.var would center x twice; these are the same operations
+    # in the same order, so the bits are theirs
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    xhat = x - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    var /= n
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mean) * inv_std
+    xhat *= inv_std
     return xhat * g + b, (xhat, inv_std)
 
 
@@ -244,28 +258,51 @@ def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
     return cdf + x * pdf
 
 
-def pad_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack sequences into an id matrix padded with PAD; mask marks real
-    positions."""
+class _Packing(NamedTuple):
+    """Where a batch's real tokens sit.  Packed row ``r`` holds token
+    ``ids[r]`` at position ``positions[r]``; item ``b`` has ``lengths[b]``
+    rows from ``offsets[b]``.  ``mask`` [batch, T_max] marks the real cells
+    of the padded block, in packed row order."""
+
+    ids: np.ndarray
+    positions: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    mask: np.ndarray
+
+
+def _pack(seqs: list[TokenSequence], config: ModelConfig) -> _Packing:
+    """Concatenate the sequences' tokens, with no padding between them."""
     if not seqs:
         raise ModelError("empty batch")
-    max_t = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), max_t), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(seqs), max_t), dtype=bool)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s.ids
-        mask[i, : len(s)] = True
-    return ids, mask
+    lengths = np.array([len(s) for s in seqs])
+    if lengths.min() < 1:
+        raise ModelError("empty sequence in batch")
+    if lengths.max() > config.max_len:
+        raise ModelError(f"sequence length {lengths.max()} exceeds max_len {config.max_len}")
+    ids = np.fromiter(chain.from_iterable(s.ids for s in seqs), np.int64, lengths.sum())
+    if ids.max() >= config.vocab_size or ids.min() < 0:
+        raise ModelError("token id out of range")
+    offsets = np.cumsum(lengths) - lengths
+    positions = np.arange(ids.size) - np.repeat(offsets, lengths)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    return _Packing(ids, positions, offsets, lengths, mask)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    b, t, d = x.shape
-    return x.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _to_heads(rows: np.ndarray, mask: np.ndarray, n_heads: int) -> np.ndarray:
+    """Packed rows [n, d] -> the padded block [b, heads, T, d / heads],
+    zero at padded cells."""
+    block = np.zeros(mask.shape + rows.shape[1:], rows.dtype)
+    block[mask] = rows
+    b, t, d = block.shape
+    return block.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def _from_heads(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The padded block [b, heads, T, d / heads] -> its real cells as packed
+    rows [n, d]."""
+    rows = x.transpose(0, 2, 1, 3)[mask]
+    return rows.reshape(len(rows), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -297,33 +334,33 @@ def _forward_core(
     rng: np.random.Generator | None = None,
     on_layer: Callable[[dict], None] | None = None,
 ):
-    """Pad ``batch`` and run the encoder stack; the one way into the encoder.
+    """Pack ``batch`` and run the encoder stack; the one way into the encoder.
 
-    Attention dropout applies iff ``rng`` is given.  ``on_layer``, if given,
-    is called with each layer's backward cache and keeps what it needs of
-    it; otherwise only one layer's activations are alive at a time.  Returns
-    the final hidden states and what the backward pass needs beyond the
-    layer caches: the token ids and the final layer norm's cache.
+    Position-wise operations run on the packed real tokens [n_tokens, d];
+    only Q, K and V enter the padded block [batch, heads, T_max, T_max] for
+    the scores, softmax, dropout and context.  Attention dropout applies iff
+    ``rng`` is given.  ``on_layer``, if given, is called with each layer's
+    backward cache and keeps what it needs of it; otherwise only one layer's
+    activations are alive at a time.  Returns the packed final hidden states
+    and what the backward pass needs beyond the layer caches: the packing and
+    the final layer norm's cache.
     """
-    ids, mask = pad_batch(batch)
+    pk = _pack(batch, config)
     p = store.params
-    T = ids.shape[1]
-    if T > config.max_len:
-        raise ModelError(f"sequence length {T} exceeds max_len {config.max_len}")
-    if ids.max() >= config.vocab_size or ids.min() < 0:
-        raise ModelError("token id out of range")
     dropout = config.attention_dropout if rng is not None else 0.0
 
-    x = p["tok_emb"][ids] + p["pos_emb"][:T]
-    padded_keys = ~mask[:, None, None, :]  # broadcast over heads and queries
+    x = p["tok_emb"][pk.ids] + p["pos_emb"][pk.positions]
+    padded_keys = ~pk.mask[:, None, None, :]  # broadcast over heads and queries
     scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
 
     for i in range(config.n_layers):
         lp = f"layers.{i}."
         h1, ln1_cache = _layer_norm(x, p[lp + "ln1.g"], p[lp + "ln1.b"])
-        q = _split_heads(h1 @ p[lp + "attn.wq"] + p[lp + "attn.bq"], config.n_heads)
-        k = _split_heads(h1 @ p[lp + "attn.wk"] + p[lp + "attn.bk"], config.n_heads)
-        v = _split_heads(h1 @ p[lp + "attn.wv"] + p[lp + "attn.bv"], config.n_heads)
+        q, k, v = (
+            _to_heads(h1 @ p[lp + f"attn.w{proj}"] + p[lp + f"attn.b{proj}"],
+                      pk.mask, config.n_heads)
+            for proj in "qkv"
+        )
         # softmax in place: scores, exponentials and probabilities share one array
         probs = q @ k.swapaxes(-1, -2)
         probs *= scale
@@ -337,7 +374,7 @@ def _forward_core(
         else:
             keep = None
             probs_used = probs
-        ctx = _merge_heads(probs_used @ v)
+        ctx = _from_heads(probs_used @ v, pk.mask)
         x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
@@ -350,12 +387,12 @@ def _forward_core(
             ))
 
     hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
-    return hidden, (ids, final_ln_cache)
+    return hidden, (pk, final_ln_cache)
 
 
-def _classification_logits(store: ParameterStore, hidden: np.ndarray):
-    """The classification head on BOS-pooled hidden states: (pooled, logits)."""
-    pooled = hidden[:, 0, :]
+def _classification_logits(store: ParameterStore, hidden: np.ndarray, offsets: np.ndarray):
+    """The classification head on the packed BOS rows: (pooled, logits)."""
+    pooled = hidden[offsets]
     return pooled, pooled @ store.params["cls.w"] + store.params["cls.b"]
 
 
@@ -368,7 +405,8 @@ def forward(
     """Encode a batch and apply the classification head, without dropout.
 
     Padded positions are masked out of attention; the pooled vector is the
-    hidden state at BOS; label probabilities are elementwise sigmoids.
+    hidden state at BOS; label probabilities are elementwise sigmoids.  Each
+    item's ``hidden`` and ``pooled`` are views into the batch's packed rows.
     """
     attention = capture = None
     if capture_attention:
@@ -381,18 +419,18 @@ def forward(
         )
         layer_views = iter(attention.swapaxes(0, 1))
         capture = lambda lc: np.copyto(next(layer_views), lc["probs"])
-    hidden, _ = _forward_core(store, config, batch, on_layer=capture)
-    pooled, logits = _classification_logits(store, hidden)
+    hidden, (pk, _) = _forward_core(store, config, batch, on_layer=capture)
+    _, logits = _classification_logits(store, hidden, pk.offsets)
     probs = expit(logits)
     return [
         ForwardOutput(
-            hidden=hidden[b, : len(seq)].copy(),
-            pooled=pooled[b].copy(),
+            hidden=hidden[start:start + length],
+            pooled=hidden[start],
             logits=logits[b].copy(),
             probabilities=probs[b].copy(),
-            attention=None if attention is None else AttentionSummary(attention[b], len(seq)),
+            attention=None if attention is None else AttentionSummary(attention[b], length),
         )
-        for b, seq in enumerate(batch)
+        for b, (start, length) in enumerate(zip(pk.offsets.tolist(), pk.lengths.tolist()))
     ]
 
 
@@ -427,11 +465,11 @@ def _mlm_head_backward(store: ParameterStore, dlogits, cache):
 
 
 def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_hidden):
-    """Propagate d(loss)/d(final hidden) back to every parameter gradient,
-    consuming ``layers`` (each layer's cache is dropped once used)."""
+    """Propagate d(loss)/d(packed final hidden) back to every parameter
+    gradient, consuming ``layers`` (each layer's cache is dropped once used).
+    Weight gradients sum over the real tokens only."""
     p, g = store.params, store.grads
-    ids, final_ln_cache = cache
-    d = config.hidden_dim
+    pk, final_ln_cache = cache
     scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
 
     dx, dg_f, db_f = _layer_norm_backward(d_hidden, final_ln_cache, p["final_ln.g"])
@@ -445,24 +483,24 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
         df = dx  # gradient at x_out flows to both f_out and x_mid
         a1, e1 = lc["a1"], lc["e1"]
         # the GELU output, rebuilt from the cached erf term by the forward's expression
-        g[lp + "ffn.w2"] += _gelu(a1, e1).reshape(-1, config.ffn_dim).T @ df.reshape(-1, d)
-        g[lp + "ffn.b2"] += df.sum(axis=(0, 1))
+        g[lp + "ffn.w2"] += _gelu(a1, e1).T @ df
+        g[lp + "ffn.b2"] += df.sum(axis=0)
         # d(loss)/d(g1), turned into d(loss)/d(a1) in place: one array fewer at the peak
         da1 = df @ p[lp + "ffn.w2"].T
         da1 *= _gelu_grad(a1, e1)
-        g[lp + "ffn.w1"] += lc["h2"].reshape(-1, d).T @ da1.reshape(-1, config.ffn_dim)
-        g[lp + "ffn.b1"] += da1.sum(axis=(0, 1))
+        g[lp + "ffn.w1"] += lc["h2"].T @ da1
+        g[lp + "ffn.b1"] += da1.sum(axis=0)
         dh2 = da1 @ p[lp + "ffn.w1"].T
         dx_mid, dg2, db2 = _layer_norm_backward(dh2, lc["ln2"], p[lp + "ln2.g"])
         g[lp + "ln2.g"] += dg2
         g[lp + "ln2.b"] += db2
         dx_mid = dx_mid + dx  # residual
 
-        # attention block
+        # attention block: the padded block only between Q/K/V and the context
         da_out = dx_mid
-        g[lp + "attn.wo"] += lc["ctx"].reshape(-1, d).T @ da_out.reshape(-1, d)
-        g[lp + "attn.bo"] += da_out.sum(axis=(0, 1))
-        dctx = _split_heads(da_out @ p[lp + "attn.wo"].T, config.n_heads)
+        g[lp + "attn.wo"] += lc["ctx"].T @ da_out
+        g[lp + "attn.bo"] += da_out.sum(axis=0)
+        dctx = _to_heads(da_out @ p[lp + "attn.wo"].T, pk.mask, config.n_heads)
         dp_used = dctx @ lc["v"].swapaxes(-1, -2)
         dv = lc["probs_used"].swapaxes(-1, -2) @ dctx
         if lc["keep"] is not None:  # dropout ran in the forward pass
@@ -473,11 +511,10 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
         ds = probs * (dp - (probs * dp).sum(axis=-1, keepdims=True))
         dq = (ds @ lc["k"]) * scale
         dk = (ds.swapaxes(-1, -2) @ lc["q"]) * scale
-        dq, dk, dv = (_merge_heads(a) for a in (dq, dk, dv))
-        h1_flat = lc["h1"].reshape(-1, d)
+        dq, dk, dv = (_from_heads(a, pk.mask) for a in (dq, dk, dv))
         for proj, darr in (("q", dq), ("k", dk), ("v", dv)):
-            g[lp + f"attn.w{proj}"] += h1_flat.T @ darr.reshape(-1, d)
-            g[lp + f"attn.b{proj}"] += darr.sum(axis=(0, 1))
+            g[lp + f"attn.w{proj}"] += lc["h1"].T @ darr
+            g[lp + f"attn.b{proj}"] += darr.sum(axis=0)
         dh1 = (
             dq @ p[lp + "attn.wq"].T
             + dk @ p[lp + "attn.wk"].T
@@ -488,8 +525,8 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
         g[lp + "ln1.b"] += db1_
         dx = dx_mid + dx_in
 
-    np.add.at(g["tok_emb"], ids.reshape(-1), dx.reshape(-1, d))
-    g["pos_emb"][: ids.shape[1]] += dx.sum(axis=0)
+    np.add.at(g["tok_emb"], pk.ids, dx)
+    np.add.at(g["pos_emb"], pk.positions, dx)
 
 
 def multilabel_loss_value(logits: np.ndarray, y: np.ndarray) -> float:
@@ -512,19 +549,18 @@ def _mlm_objective(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits
 
 
-def _gather_mlm(hidden: np.ndarray, targets: list[list[tuple[int, int]]]):
-    """The hidden rows at the masked positions, their (item, position)
-    index in target order, and the original token ids."""
-    b_idx, t_idx, tgt = [], [], []
-    for b, entries in enumerate(targets):
-        for pos, original in entries:
-            b_idx.append(b)
-            t_idx.append(pos)
-            tgt.append(original)
-    if not tgt:
+def _gather_mlm(hidden: np.ndarray, pk: _Packing, targets: list[list[tuple[int, int]]]):
+    """The packed hidden rows at the masked positions, their row index in
+    target order, and the original token ids."""
+    pairs = [(b, pos, original) for b, entries in enumerate(targets) for pos, original in entries]
+    if not pairs:
         raise ModelError("MLM batch contains no masked positions")
-    index = (np.asarray(b_idx), np.asarray(t_idx))
-    return hidden[index], index, np.asarray(tgt, dtype=np.int64)
+    item, pos, tgt = np.array(pairs, dtype=np.int64).T
+    # a position past its own item would read the next item's row
+    if len(targets) > len(pk.offsets) or np.any((pos < 0) | (pos >= pk.lengths[item])):
+        raise ModelError("MLM target position outside its sequence")
+    index = pk.offsets[item] + pos
+    return hidden[index], index, tgt
 
 
 def mlm_loss_value(
@@ -534,8 +570,8 @@ def mlm_loss_value(
     targets: list[list[tuple[int, int]]],
 ) -> float:
     """Forward-only MLM loss (no gradients touched); used for validation."""
-    hidden, _ = _forward_core(store, config, batch)
-    rows, _, tgt = _gather_mlm(hidden, targets)
+    hidden, (pk, _) = _forward_core(store, config, batch)
+    rows, _, tgt = _gather_mlm(hidden, pk, targets)
     logits, _ = _mlm_head_forward(store, rows)
     loss, _ = _mlm_objective(logits, tgt)
     return loss
@@ -563,6 +599,7 @@ def loss_and_grad(
     store.zero_grads()
     layers: list = []
     hidden, cache = _forward_core(store, config, batch, rng, layers.append)
+    pk = cache[0]
     d_hidden = np.zeros_like(hidden)
 
     if objective == "multilabel":
@@ -573,16 +610,16 @@ def loss_and_grad(
             raise ModelError(
                 f"labels shape {y.shape} != {(len(batch), config.n_labels)}"
             )
-        pooled, logits = _classification_logits(store, hidden)
+        pooled, logits = _classification_logits(store, hidden, pk.offsets)
         loss = multilabel_loss_value(logits, y)
         dlogits = (expit(logits) - y) / y.size
         store.grads["cls.w"] += pooled.T @ dlogits
         store.grads["cls.b"] += dlogits.sum(axis=0)
-        d_hidden[:, 0, :] = dlogits @ store.params["cls.w"].T
+        d_hidden[pk.offsets] = dlogits @ store.params["cls.w"].T
     else:
         if mlm_targets is None:
             raise ModelError("mlm objective requires mlm_targets")
-        rows, index, tgt = _gather_mlm(hidden, mlm_targets)
+        rows, index, tgt = _gather_mlm(hidden, pk, mlm_targets)
         logits, head_cache = _mlm_head_forward(store, rows)
         loss, dlogits = _mlm_objective(logits, tgt)
         # np.add.at, not +=: a position listed twice gets both rows, in target order
@@ -604,8 +641,8 @@ def predict_logits(
     out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
-        hidden, _ = _forward_core(store, config, chunk)
-        out[start:start + len(chunk)] = _classification_logits(store, hidden)[1]
+        hidden, (pk, _) = _forward_core(store, config, chunk)
+        out[start:start + len(chunk)] = _classification_logits(store, hidden, pk.offsets)[1]
     return out
 
 

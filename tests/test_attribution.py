@@ -6,7 +6,6 @@ from ontograft.attribution import (
     AttributionError,
     HeadTokenShare,
     TokenAttribution,
-    aggregate_shares,
     head_token_share,
     render_report,
     token_importance,
@@ -117,22 +116,6 @@ class TestHeadTokenShare:
         a = head_token_share(uniform_summary(1, 2, 4), seq, tok)
         b = head_token_share(uniform_summary(1, 2, 4, padded_to=8), seq, tok)
         npt.assert_allclose(a.matrix, b.matrix)
-
-
-class TestAggregateShares:
-    def test_rows_still_sum_to_100(self):
-        a = HeadTokenShare(["C", "N"], ["L1H1"], np.array([[60.0, 40.0]]))
-        b = HeadTokenShare(["N", "O"], ["L1H1"], np.array([[25.0, 75.0]]))
-        agg = aggregate_shares([a, b])
-        assert agg.tokens == ["C", "N", "O"]
-        npt.assert_allclose(agg.matrix.sum(axis=1), 100.0)
-        npt.assert_allclose(agg.matrix, [[30.0, 32.5, 37.5]])
-
-    def test_duplicate_tokens_collapse(self):
-        a = HeadTokenShare(["C", "C", "N"], ["L1H1"], np.array([[30.0, 30.0, 40.0]]))
-        agg = aggregate_shares([a])
-        assert agg.tokens == ["C", "N"]
-        npt.assert_allclose(agg.matrix, [[60.0, 40.0]])
 
 
 class TestRenderReport:

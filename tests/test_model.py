@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,14 +9,19 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from ontograft import model as model_module
 from ontograft.attribution import token_importance
 from ontograft.model import (
+    LN_EPS,
     ModelConfig,
     ModelError,
     NumericError,
     _forward_core,
+    _layer_norm,
     _mlm_head_forward,
     forward,
     init_model,
@@ -28,6 +34,7 @@ from ontograft.model import (
 )
 from ontograft.tokenizer import BOS_ID, EOS_ID, PAD_ID, TokenSequence, train_bpe
 
+import padded_oracle
 from conftest import with_config_keys
 
 
@@ -166,6 +173,18 @@ class TestForward:
         npt.assert_array_equal(rows, plain)
         npt.assert_array_equal(rows, np.stack([out.logits for out in captured]))
 
+    def test_hidden_and_pooled_are_views_of_the_packed_rows(self, tiny_config, tiny_store):
+        outs = forward(tiny_store, tiny_config, [seq(5, 6, 7), seq(8)])
+        packed = outs[0].hidden.base
+        assert packed is not None and outs[1].hidden.base is packed
+        for out in outs:
+            assert np.shares_memory(out.pooled, out.hidden)
+            npt.assert_array_equal(out.pooled, out.hidden[0])
+
+    def test_empty_sequence(self, tiny_config, tiny_store):
+        with pytest.raises(ModelError, match="empty sequence"):
+            forward(tiny_store, tiny_config, [seq(5), TokenSequence(())])
+
     def test_invalid_token_id(self, tiny_config, tiny_store):
         with pytest.raises(ModelError):
             forward(tiny_store, tiny_config, [seq(99)])
@@ -241,6 +260,13 @@ class TestLoss:
                 labels=np.array([[1, 0, 0]], dtype=float),
             )
 
+    @pytest.mark.parametrize("position", [-1, 4, 5])
+    def test_mlm_position_outside_its_sequence(self, tiny_config, tiny_store, position):
+        # packed, position 4 of the first item would be the second item's BOS
+        with pytest.raises(ModelError, match="outside its sequence"):
+            loss_and_grad(tiny_store, tiny_config, [seq(5, 6), seq(7, 8, 9)], "mlm",
+                          mlm_targets=[[(position, 5)], []])
+
     def test_label_shape_mismatch(self, tiny_config, tiny_store):
         with pytest.raises(ModelError):
             loss_and_grad(
@@ -299,6 +325,152 @@ class TestDropout:
         with_rng, _ = _forward_core(tiny_store, config, batch, rng=np.random.default_rng(0))
         plain, _ = _forward_core(tiny_store, config, batch)
         npt.assert_array_equal(with_rng, plain)
+
+
+def assert_mean_var_bits(x):
+    """``_layer_norm`` gives the bits of the x.mean / x.var form it replaced."""
+    rng = np.random.default_rng(x.size)
+    g = rng.normal(1.0, 0.1, x.shape[-1]).astype(x.dtype)
+    b = rng.normal(0.0, 0.1, x.shape[-1]).astype(x.dtype)
+    out, (xhat, inv_std) = _layer_norm(x, g, b)
+    mean = x.mean(axis=-1, keepdims=True)
+    want_inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + LN_EPS)
+    want_xhat = (x - mean) * want_inv_std
+    for got, want in ((inv_std, want_inv_std), (xhat, want_xhat), (out, want_xhat * g + b)):
+        assert got.dtype == x.dtype
+        npt.assert_array_equal(got, want)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(4, 48, 768), (913, 768), (8, 30, 32), (7, 1)])
+    def test_model_shapes_keep_the_mean_var_bits(self, shape, dtype):
+        x = np.random.default_rng(0).normal(0.5, 2.0, shape).astype(dtype)
+        assert_mean_var_bits(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        loc=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes_keep_the_mean_var_bits(self, shape, dtype, loc, seed):
+        x = np.random.default_rng(seed).normal(loc, 3.0, shape).astype(dtype)
+        assert_mean_var_bits(x)
+
+
+class TestGemmRows:
+    """Packed inference has the padded block's bits because each row of a
+    matrix product depends on that row alone: not on how many rows the
+    product has, nor on where the row sits.  A one-row product is left out:
+    numpy computes it as a matrix-vector product, which rounds differently
+    (only a batch of one one-token item has a one-row product, packed or
+    padded)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n, d, f", [(150, 32, 64), (150, 64, 32), (40, 768, 3072)])
+    def test_rows_do_not_depend_on_row_count(self, n, d, f, dtype):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(n, d)).astype(dtype)
+        w = rng.normal(0.0, 0.05, size=(d, f)).astype(dtype)
+        full = a @ w
+        for k in sorted({2, 3, 4, 5, 7, 8, 9, 16, 17, n // 2, n - 2, n - 1}):
+            npt.assert_array_equal(full[:k], a[:k] @ w)
+            npt.assert_array_equal(full[n - k:], a[n - k:] @ w)
+
+
+@functools.cache
+def oracle_model():
+    """A perturbed float64 model with dropout, long enough for 40 tokens."""
+    config = ModelConfig(vocab_size=20, n_labels=3, n_layers=2, n_heads=2, hidden_dim=8,
+                         ffn_dim=16, max_len=40, attention_dropout=0.3, seed=7)
+    return config, TestDtype.perturbed(config)
+
+
+BATCHES = st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=40),
+                   min_size=1, max_size=8)
+
+
+class TestPackedAgainstPaddedOracle:
+    """The packed encoder against the padded one it replaced
+    (``padded_oracle``): inference bit for bit, gradients to a relative
+    1e-12.  Padded query rows of the attention are not compared: the
+    oracle fills them from the PAD embedding, the packed encoder from zero
+    queries; neither reaches an output."""
+
+    @staticmethod
+    def check(exact):
+        # a batch of several one-token items: the oracle multiplies each
+        # item's single row by itself (a matrix-vector product), the packed
+        # encoder all rows at once (see TestGemmRows)
+        if exact:
+            return npt.assert_array_equal
+        return lambda a, b: npt.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=BATCHES, dropout=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(batch=[[5], [5, 5, 5, 5], [7], [5, 9]], dropout=True, seed=0)
+    def test_inference_is_bitwise_the_padded_oracle(self, batch, dropout, seed):
+        config, store = oracle_model()
+        seqs = [TokenSequence(tuple(ids)) for ids in batch]
+        lengths = [len(s) for s in seqs]
+        check = self.check(max(lengths) > 1 or len(seqs) == 1)
+        rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+        packed_layers, padded_layers = [], []
+        hidden, (pk, _) = _forward_core(store, config, seqs, rng(), packed_layers.append)
+        ref, _ = padded_oracle.forward_core(store, config, seqs, rng(), padded_layers.append)
+        for b, n in enumerate(lengths):
+            check(hidden[pk.offsets[b]:pk.offsets[b] + n], ref[b, :n])
+            for mine, theirs in zip(packed_layers, padded_layers):
+                # real queries; padded keys must be exactly 0 in both
+                check(mine["probs_used"][b, :, :n], theirs["probs_used"][b, :, :n])
+                npt.assert_array_equal(mine["probs"][b, :, :, n:], 0.0)
+        if dropout:
+            return
+        ref_logits = padded_oracle.classification_logits(store, ref)[1]
+        check(predict_logits(store, config, seqs), ref_logits)
+        outs = forward(store, config, seqs, capture_attention=True)
+        for b, (out, n) in enumerate(zip(outs, lengths)):
+            check(out.hidden, ref[b, :n])
+            check(out.pooled, ref[b, 0])
+            check(out.logits, ref_logits[b])
+            check(out.probabilities, expit(ref_logits[b]))
+            att = np.stack([layer["probs"][b] for layer in padded_layers])
+            check(out.attention.weights[:, :, :n], att[:, :, :n])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=BATCHES,
+        objective=st.sampled_from(["multilabel", "mlm"]),
+        dropout=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=[[5], [5, 5, 5], [9]], objective="mlm", dropout=True, seed=1)
+    @example(batch=[[5], [5, 5, 5], [9]], objective="multilabel", dropout=False, seed=1)
+    @example(batch=[[3] * 40, [3] * 40, [3]], objective="mlm", dropout=False, seed=2)
+    def test_gradients_match_the_padded_oracle(self, batch, objective, dropout, seed):
+        config, store = oracle_model()
+        seqs = [TokenSequence(tuple(ids)) for ids in batch]
+        rng = np.random.default_rng(seed)
+        if objective == "multilabel":
+            targets = dict(labels=(rng.random((len(seqs), config.n_labels)) < 0.5).astype(float))
+        else:
+            # positions drawn with replacement: a position may be listed twice
+            mlm = [[(int(pos), int(rng.integers(config.vocab_size)))
+                    for pos in rng.integers(0, len(s), rng.integers(0, 4))] for s in seqs]
+            mlm[0].append((0, 6))
+            targets = dict(mlm_targets=mlm)
+        draws = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
+        packed, padded = store.copy(), store.copy()
+        loss = loss_and_grad(packed, config, seqs, objective, rng=draws(), **targets)
+        ref = padded_oracle.loss_and_grad(padded, config, seqs, objective, rng=draws(),
+                                          **targets)
+        self.check(max(map(len, seqs)) > 1 or len(seqs) == 1)(loss, ref)
+        for name in packed.names():
+            want = padded.grads[name]
+            npt.assert_allclose(packed.grads[name], want, rtol=1e-12,
+                                atol=1e-12 * np.abs(want).max(), err_msg=name)
 
 
 def float_arrays(tree):
