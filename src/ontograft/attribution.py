@@ -36,8 +36,15 @@ class HeadTokenShare:
     matrix: np.ndarray  # [n_layers * n_heads, n_tokens], rows sum to 100
 
 
-def _content_positions(seq: TokenSequence) -> list[int]:
+def content_positions(seq: TokenSequence) -> list[int]:
+    """Positions of the real (non-special) tokens."""
     return [p for p in range(len(seq)) if seq.ids[p] >= N_SPECIALS]
+
+
+def check_layer(layer: int, n_layers: int) -> None:
+    """A layer index, negative from the end, must name one of ``n_layers``."""
+    if not -n_layers <= layer < n_layers:
+        raise AttributionError(f"layer {layer} out of range for {n_layers} layers")
 
 
 def token_importance(
@@ -50,10 +57,8 @@ def token_importance(
     and all real query positions of one layer (default: last)."""
     if att is None:
         raise AttributionError("attention was not captured for this forward pass")
-    n_layers = att.weights.shape[0]
-    if not -n_layers <= layer < n_layers:
-        raise AttributionError(f"layer {layer} out of range for {n_layers} layers")
-    content = _content_positions(seq)
+    check_layer(layer, att.weights.shape[0])
+    content = content_positions(seq)
     if not content:
         raise AttributionError("sequence has no real tokens")
     # [head, query, key] restricted to real queries and content keys
@@ -74,24 +79,26 @@ def head_token_share(
 
     share(head, t) = 100 * sum_q w[head][q][t] / sum_q sum_t' w[head][q][t'],
     with queries over real positions and t' over real tokens, so every row
-    sums to 100.
+    sums to 100; a head with no mass on real tokens gets a row of zeros.
     """
     if att is None:
         raise AttributionError("attention was not captured for this forward pass")
-    content = _content_positions(seq)
+    content = content_positions(seq)
     if not content:
         raise AttributionError("sequence has no real tokens")
     n_layers, n_heads = att.weights.shape[:2]
-    rows = []
-    labels = []
-    for layer in range(n_layers):
-        for head in range(n_heads):
-            w = att.weights[layer, head, : att.seq_len, :][:, content]
-            total = w.sum()
-            rows.append(100.0 * w.sum(axis=0) / total if total > 0 else np.zeros(len(content)))
-            labels.append(f"L{layer + 1}H{head + 1}")
+    # [layer, head, token, query], contiguous: the memory order of one head's
+    # [query, token] block as fancy indexing lays it out (column-major), so
+    # each sum adds the same elements in the same order as that block's sums
+    w = np.take(att.weights[:, :, : att.seq_len].swapaxes(2, 3), content, axis=2)
+    mass = w.sum(axis=3)
+    mass *= 100.0
+    total = w.sum(axis=(2, 3))[..., None]
+    shares = np.divide(mass, total, out=np.zeros_like(mass), where=total > 0)
+    labels = [f"L{layer + 1}H{head + 1}" for layer in range(n_layers) for head in range(n_heads)]
     tokens = [tokenizer.vocab.token_of(seq.ids[p]) for p in content]
-    return HeadTokenShare(tokens=tokens, row_labels=labels, matrix=np.stack(rows))
+    return HeadTokenShare(tokens=tokens, row_labels=labels,
+                          matrix=shares.reshape(n_layers * n_heads, len(content)))
 
 
 _QUINTILE_COLORS = ("#f7fbf2", "#d8eecb", "#a9dba1", "#66bd6f", "#1d8a41")

@@ -281,6 +281,22 @@ def _cmd_classify(args, cfg: RunConfig, inputs) -> None:
     logger.info("classified %d molecules (%d below threshold)", len(results), n_below)
 
 
+def _forward_by_length(store, mcfg: ModelConfig, seqs, batch_size: int):
+    """``(index, ForwardOutput)`` with attention for every sequence, from one
+    forward pass per chunk of up to ``batch_size`` sequences of one length.
+    With no padding, each item gets the bits it gets alone (see
+    ``model.forward``).  Lazy: a chunk is encoded when the previous one has
+    been consumed, so one chunk's attention is alive at a time."""
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(seqs):
+        by_length.setdefault(len(seq), []).append(i)
+    for group in by_length.values():
+        for start in range(0, len(group), batch_size):
+            chunk = group[start:start + batch_size]
+            yield from zip(chunk, forward(store, mcfg, [seqs[i] for i in chunk],
+                                          capture_attention=True))
+
+
 def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
     if (args.smiles is None) == (inputs.input is None):
         raise ConfigError("explain needs exactly one of --smiles or --input")
@@ -290,11 +306,15 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         raise attribution.AttributionError(
             f"label index has {len(labels)} classes, model expects {mcfg.n_labels}"
         )
+    attribution.check_layer(args.layer, mcfg.n_layers)
     smiles_list = inputs.input or [args.smiles]
+    seqs = [tokenizer.encode(smiles, truncate=True) for smiles in smiles_list]
+    for smiles, seq in zip(smiles_list, seqs):
+        if not attribution.content_positions(seq):
+            raise attribution.AttributionError(f"{smiles!r}: sequence has no real tokens")
     os.makedirs(args.out, exist_ok=True)
-    for i, smiles in enumerate(smiles_list):
-        seq = tokenizer.encode(smiles, truncate=True)
-        output = forward(store, mcfg, [seq], capture_attention=True)[0]
+    for i, output in _forward_by_length(store, mcfg, seqs, cfg.batch_size):
+        seq = seqs[i]
         attrib = attribution.token_importance(output.attention, seq, tokenizer, layer=args.layer)
         shares = attribution.head_token_share(output.attention, seq, tokenizer)
         predictions = [
@@ -304,7 +324,7 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         ]
         predictions.sort(key=lambda item: (-item[1], item[0]))
         html_doc = attribution.render_report(
-            smiles, attrib, shares, predictions, threshold=cfg.threshold
+            smiles_list[i], attrib, shares, predictions, threshold=cfg.threshold
         )
         atomic_write_text(os.path.join(args.out, f"explain_{i:04d}.html"), html_doc)
         if args.csv:

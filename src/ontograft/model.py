@@ -232,12 +232,17 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
+    # the reductions of .sum and .mean without numpy's Python wrappers, in
+    # the same order, so the bits are theirs
     xhat, inv_std = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    n, rows = dy.shape[-1], tuple(range(dy.ndim - 1))
+    dg = np.add.reduce(dy * xhat, axis=rows)
+    db = np.add.reduce(dy, axis=rows)
     dxhat = dy * g
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    mean_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    mean_dxhat /= n
+    mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
+    mean_dxhat_xhat /= n
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dg, db
 
@@ -407,6 +412,10 @@ def forward(
     Padded positions are masked out of attention; the pooled vector is the
     hidden state at BOS; label probabilities are elementwise sigmoids.  Each
     item's ``hidden`` and ``pooled`` are views into the batch's packed rows.
+
+    In a batch of equal-length sequences of two tokens or more there is no
+    padding, and every output of an item (hidden states, attention, logits,
+    probabilities) has the bits it has when the item is encoded alone.
     """
     attention = capture = None
     if capture_attention:
@@ -420,7 +429,13 @@ def forward(
         layer_views = iter(attention.swapaxes(0, 1))
         capture = lambda lc: np.copyto(next(layer_views), lc["probs"])
     hidden, (pk, _) = _forward_core(store, config, batch, on_layer=capture)
-    _, logits = _classification_logits(store, hidden, pk.offsets)
+    # the head one item at a time: numpy computes a one-row product as a
+    # matrix-vector product, which rounds differently from a product of
+    # several rows, so a batched head would move each item's logits off the
+    # bits it gets alone
+    logits = np.concatenate([
+        _classification_logits(store, hidden, pk.offsets[b:b + 1])[1] for b in range(len(batch))
+    ])
     probs = expit(logits)
     return [
         ForwardOutput(

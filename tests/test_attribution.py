@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontograft.attribution import (
     AttributionError,
@@ -12,7 +14,7 @@ from ontograft.attribution import (
     write_attribution_csv,
 )
 from ontograft.model import AttentionSummary
-from ontograft.tokenizer import BOS_ID, EOS_ID, TokenSequence, train_bpe
+from ontograft.tokenizer import BOS_ID, EOS_ID, N_SPECIALS, TokenSequence, train_bpe
 
 
 @pytest.fixture
@@ -116,6 +118,50 @@ class TestHeadTokenShare:
         a = head_token_share(uniform_summary(1, 2, 4), seq, tok)
         b = head_token_share(uniform_summary(1, 2, 4, padded_to=8), seq, tok)
         npt.assert_allclose(a.matrix, b.matrix)
+
+
+def head_token_share_loop(att, seq, tokenizer):
+    """The per-head loop ``head_token_share`` replaced: the reference for its
+    bits."""
+    content = [p for p in range(len(seq)) if seq.ids[p] >= N_SPECIALS]
+    rows = []
+    for layer in range(att.weights.shape[0]):
+        for head in range(att.weights.shape[1]):
+            w = att.weights[layer, head, : att.seq_len, :][:, content]
+            total = w.sum()
+            rows.append(100.0 * w.sum(axis=0) / total if total > 0 else np.zeros(len(content)))
+    return np.stack(rows)
+
+
+class TestHeadTokenShareAgainstLoop:
+    tok = train_bpe(["CNOS"], target_vocab=16)  # ids 0-8: five specials, C, N, O, S
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_layers=st.integers(1, 6),
+        n_heads=st.integers(1, 12),
+        ids=st.lists(st.integers(0, 8), min_size=1, max_size=130).filter(
+            lambda ids: max(ids) >= N_SPECIALS),
+        padding=st.integers(0, 4),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        zero_head=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_of_the_per_head_loop(self, n_layers, n_heads, ids, padding, dtype, zero_head,
+                                       seed):
+        tok = self.tok
+        n = len(ids) + padding
+        weights = np.random.default_rng(seed).random((n_layers, n_heads, n, n)).astype(dtype)
+        if zero_head:  # a head whose attention mass on real tokens is zero
+            weights[-1, 0] = 0.0
+        att = AttentionSummary(weights=weights, seq_len=len(ids))
+        seq = TokenSequence(tuple(ids))
+        got = head_token_share(att, seq, tok)
+        assert got.matrix.dtype == dtype
+        npt.assert_array_equal(got.matrix, head_token_share_loop(att, seq, tok))
+        assert got.row_labels == [f"L{l + 1}H{h + 1}" for l in range(n_layers) for h in range(n_heads)]
+        if zero_head:
+            npt.assert_array_equal(got.matrix[(n_layers - 1) * n_heads], 0.0)
 
 
 class TestRenderReport:

@@ -399,6 +399,75 @@ class TestErrors:
         assert all(len(l.split("\t")) == 3 for l in info_lines)
 
 
+def _explain_args(workspace, out, *extra, config=None) -> list[str]:
+    return ["explain", "--config", str(config or workspace["config"]),
+            "--model", str(workspace["finetuned"]), "--tokenizer", str(workspace["tokenizer"]),
+            "--labels", str(workspace["dataset"] / "labels.txt"), "--out", str(out), *extra]
+
+
+# token lengths repeat (a molecule twice, and distinct molecules of one
+# length) and differ, so batches of one length form beside single molecules
+EXPLAIN_MOLECULES = ["CCCC", "CC(NN)CCC", "CCCO", "CCCC", "CC(OO)C", "CCNC", "CC(NN)CCC",
+                     "CCCCCCCCCC", "CCOC", "CCC(OO)CC"]
+
+
+@pytest.fixture(scope="module")
+def explained_alone(workspace, tmp_path_factory):
+    """Each of EXPLAIN_MOLECULES explained by its own ``explain --smiles`` run."""
+    pages = []
+    for i, smiles in enumerate(EXPLAIN_MOLECULES):
+        out = tmp_path_factory.mktemp(f"alone{i}")
+        assert main(_explain_args(workspace, out, "--smiles", smiles, "--csv")) == 0
+        pages.append({ext: (out / f"explain_0000.{ext}").read_bytes() for ext in ("html", "csv")})
+    return pages
+
+
+class TestExplainBatches:
+    def test_molecules_mix_repeated_and_distinct_lengths(self, workspace):
+        tok = tokenizer.Tokenizer.load(workspace["tokenizer"])
+        lengths = [len(tok.encode(smiles, truncate=True)) for smiles in EXPLAIN_MOLECULES]
+        by_length = {n: {s for s, m in zip(EXPLAIN_MOLECULES, lengths) if m == n} for n in lengths}
+        assert 1 < len(by_length) < len(lengths)
+        assert any(len(group) > 1 for group in by_length.values())
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 4])
+    def test_same_bytes_as_one_molecule_at_a_time(self, workspace, explained_alone, tmp_path,
+                                                   batch_size):
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text().replace(
+            "batch_size = 8", f"batch_size = {batch_size}"))
+        molecules = tmp_path / "molecules.smi"
+        molecules.write_text("\n".join(EXPLAIN_MOLECULES) + "\n")
+        out = tmp_path / "explain"
+        assert main(_explain_args(workspace, out, "--input", str(molecules), "--csv",
+                                  config=config)) == 0
+        assert len(list(out.iterdir())) == 2 * len(EXPLAIN_MOLECULES)
+        for i, alone in enumerate(explained_alone):
+            for ext, page in alone.items():
+                assert (out / f"explain_{i:04d}.{ext}").read_bytes() == page, (i, ext)
+
+    def test_molecule_without_real_tokens_fails_before_any_page(self, workspace, tmp_path,
+                                                               capsys):
+        molecules = tmp_path / "molecules.smi"
+        molecules.write_text("CCCc1ccccc1\nCCO\n%%%\nCCCC\n")
+        out = tmp_path / "explain"
+        assert main(_explain_args(workspace, out, "--input", str(molecules))) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "ERROR\texplainability\t'%%%': sequence has no real tokens"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layer", ["5", "-2"])
+    def test_layer_out_of_range_fails_before_any_page(self, workspace, tmp_path, capsys, layer):
+        out = tmp_path / "explain"
+        assert main(_explain_args(workspace, out, "--smiles", "CCCC", "--layer", layer)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"ERROR\texplainability\tlayer {layer} out of range for 1 layers")
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """A dataset so small that build-dataset gives it no validation rows

@@ -22,6 +22,7 @@ from ontograft.model import (
     NumericError,
     _forward_core,
     _layer_norm,
+    _layer_norm_backward,
     _mlm_head_forward,
     forward,
     init_model,
@@ -168,10 +169,19 @@ class TestForward:
     def test_every_inference_path_gives_the_same_logits(self, tiny_config, tiny_store):
         batch = [seq(5, 6, 7, 8), seq(9), seq(10, 11)]
         rows = predict_logits(tiny_store, tiny_config, batch, batch_size=len(batch))
-        plain = np.stack([out.logits for out in forward(tiny_store, tiny_config, batch)])
+        plain = forward(tiny_store, tiny_config, batch)
         captured = forward(tiny_store, tiny_config, batch, capture_attention=True)
-        npt.assert_array_equal(rows, plain)
-        npt.assert_array_equal(rows, np.stack([out.logits for out in captured]))
+        p = tiny_store.params
+        # both paths pool the same rows; predict_logits applies the head to
+        # all of them at once, forward to one row at a time (see TestGemmRows)
+        npt.assert_array_equal(rows, np.stack([out.pooled for out in plain]) @ p["cls.w"] + p["cls.b"])
+        for out, cap in zip(plain, captured):
+            npt.assert_array_equal(cap.pooled, out.pooled)
+            npt.assert_array_equal(out.logits, (out.pooled[None] @ p["cls.w"] + p["cls.b"])[0])
+            npt.assert_array_equal(cap.logits, out.logits)
+        for item in batch:
+            npt.assert_array_equal(predict_logits(tiny_store, tiny_config, [item])[0],
+                                   forward(tiny_store, tiny_config, [item])[0].logits)
 
     def test_hidden_and_pooled_are_views_of_the_packed_rows(self, tiny_config, tiny_store):
         outs = forward(tiny_store, tiny_config, [seq(5, 6, 7), seq(8)])
@@ -341,6 +351,23 @@ def assert_mean_var_bits(x):
         npt.assert_array_equal(got, want)
 
 
+def assert_backward_mean_sum_bits(x):
+    """``_layer_norm_backward`` gives the bits of the .mean / .sum form it
+    replaced."""
+    rng = np.random.default_rng(x.size)
+    g = rng.normal(1.0, 0.1, x.shape[-1]).astype(x.dtype)
+    _, (xhat, inv_std) = _layer_norm(x, g, np.zeros_like(g))
+    dy = rng.normal(0.0, 1.0, x.shape).astype(x.dtype)
+    got = _layer_norm_backward(dy, (xhat, inv_std), g)
+    rows = tuple(range(dy.ndim - 1))
+    dxhat = dy * g
+    want_dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    for got_array, want in zip(got, (want_dx, (dy * xhat).sum(axis=rows), dy.sum(axis=rows))):
+        assert got_array.dtype == x.dtype
+        npt.assert_array_equal(got_array, want)
+
+
 class TestLayerNorm:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", [(4, 48, 768), (913, 768), (8, 30, 32), (7, 1)])
@@ -359,14 +386,33 @@ class TestLayerNorm:
         x = np.random.default_rng(seed).normal(loc, 3.0, shape).astype(dtype)
         assert_mean_var_bits(x)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(4, 48, 768), (913, 768), (8, 30, 32), (7, 1)])
+    def test_model_shapes_keep_the_backward_bits(self, shape, dtype):
+        x = np.random.default_rng(1).normal(0.5, 2.0, shape).astype(dtype)
+        assert_backward_mean_sum_bits(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        loc=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes_keep_the_backward_bits(self, shape, dtype, loc, seed):
+        x = np.random.default_rng(seed).normal(loc, 3.0, shape).astype(dtype)
+        assert_backward_mean_sum_bits(x)
+
 
 class TestGemmRows:
     """Packed inference has the padded block's bits because each row of a
     matrix product depends on that row alone: not on how many rows the
     product has, nor on where the row sits.  A one-row product is left out:
-    numpy computes it as a matrix-vector product, which rounds differently
-    (only a batch of one one-token item has a one-row product, packed or
-    padded)."""
+    numpy computes it as a matrix-vector product, which rounds differently.
+    The encoder's position-wise products have one row only for a batch of
+    one one-token item, but the classification head of every one-item batch
+    is a one-row product; so ``forward`` applies the head one item at a
+    time, and an item's logits do not depend on its batch."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n, d, f", [(150, 32, 64), (150, 64, 32), (40, 768, 3072)])
@@ -434,8 +480,10 @@ class TestPackedAgainstPaddedOracle:
         for b, (out, n) in enumerate(zip(outs, lengths)):
             check(out.hidden, ref[b, :n])
             check(out.pooled, ref[b, 0])
-            check(out.logits, ref_logits[b])
-            check(out.probabilities, expit(ref_logits[b]))
+            # forward applies the head to each item's row alone
+            item_logits = padded_oracle.classification_logits(store, ref[b:b + 1])[1][0]
+            check(out.logits, item_logits)
+            check(out.probabilities, expit(item_logits))
             att = np.stack([layer["probs"][b] for layer in padded_layers])
             check(out.attention.weights[:, :, :n], att[:, :, :n])
 
@@ -471,6 +519,40 @@ class TestPackedAgainstPaddedOracle:
             want = padded.grads[name]
             npt.assert_allclose(packed.grads[name], want, rtol=1e-12,
                                 atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+@functools.cache
+def perturbed_model(dtype):
+    """``oracle_model`` in ``dtype``."""
+    config = replace(oracle_model()[0], dtype=dtype)
+    return config, TestDtype.perturbed(config)
+
+
+EQUAL_LENGTH_BATCHES = st.integers(2, 40).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 19), min_size=n, max_size=n), min_size=1, max_size=8)
+)
+
+
+class TestEqualLengthBatches:
+    """A batch of equal-length sequences has no padding, so every output of
+    an item has the bits the item gets alone; ``explain`` batches on this.
+    One-token items are left out: alone, their position-wise products have
+    a single row (see TestGemmRows)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=EQUAL_LENGTH_BATCHES, dtype=st.sampled_from(["float64", "float32"]))
+    @example(batch=[[2, 5, 5, 3], [2, 5, 5, 3], [2, 7, 9, 3]], dtype="float32")
+    @example(batch=[[5, 6]] * 8, dtype="float64")
+    def test_items_get_the_bits_they_get_alone(self, batch, dtype):
+        config, store = perturbed_model(dtype)
+        seqs = [TokenSequence(tuple(ids)) for ids in batch]
+        outs = forward(store, config, seqs, capture_attention=True)
+        for item, out in zip(seqs, outs):
+            alone = forward(store, config, [item], capture_attention=True)[0]
+            for field in ("hidden", "pooled", "logits", "probabilities"):
+                assert getattr(out, field).dtype == np.dtype(dtype)
+                npt.assert_array_equal(getattr(out, field), getattr(alone, field), err_msg=field)
+            npt.assert_array_equal(out.attention.weights, alone.attention.weights)
 
 
 def float_arrays(tree):
