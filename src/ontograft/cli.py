@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from itertools import chain
 
 from . import attribution, dataset, extension, metrics, ontology, tokenizer as tok
 from ._io import atomic_write_text
@@ -281,22 +282,6 @@ def _cmd_classify(args, cfg: RunConfig, inputs) -> None:
     logger.info("classified %d molecules (%d below threshold)", len(results), n_below)
 
 
-def _forward_by_length(store, mcfg: ModelConfig, seqs, batch_size: int):
-    """``(index, ForwardOutput)`` with attention for every sequence, from one
-    forward pass per chunk of up to ``batch_size`` sequences of one length.
-    With no padding, each item gets the bits it gets alone (see
-    ``model.forward``).  Lazy: a chunk is encoded when the previous one has
-    been consumed, so one chunk's attention is alive at a time."""
-    by_length: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        by_length.setdefault(len(seq), []).append(i)
-    for group in by_length.values():
-        for start in range(0, len(group), batch_size):
-            chunk = group[start:start + batch_size]
-            yield from zip(chunk, forward(store, mcfg, [seqs[i] for i in chunk],
-                                          capture_attention=True))
-
-
 def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
     if (args.smiles is None) == (inputs.input is None):
         raise ConfigError("explain needs exactly one of --smiles or --input")
@@ -313,7 +298,14 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         if not attribution.content_positions(seq):
             raise attribution.AttributionError(f"{smiles!r}: sequence has no real tokens")
     os.makedirs(args.out, exist_ok=True)
-    for i, output in _forward_by_length(store, mcfg, seqs, cfg.batch_size):
+    # in input order, one chunk's attention alive at a time; a molecule's
+    # outputs have the bits it gets alone (see model.forward), so the pages
+    # do not depend on the chunking
+    outputs = chain.from_iterable(
+        forward(store, mcfg, seqs[start:start + cfg.batch_size], capture_attention=True)
+        for start in range(0, len(seqs), cfg.batch_size)
+    )
+    for i, output in enumerate(outputs):
         seq = seqs[i]
         attrib = attribution.token_importance(output.attention, seq, tokenizer, layer=args.layer)
         shares = attribution.head_token_share(output.attention, seq, tokenizer)
@@ -379,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub = p[name] = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", help="INI config file; flags override it")
         _add_setting(sub, "--seed", help="random seed (mandatory here or in config)")
-        _add_setting(sub, "--threshold", help="classification threshold")
         for key in required + optional:
             sub.add_argument("--" + key.replace("_", "-"), required=key in required,
                              help=INPUTS[key][1])
@@ -389,6 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         func = globals()["_cmd_" + name.replace("-", "_")]
         sub.set_defaults(func=func, inputs=required + optional)
 
+    for name in ("finetune", "evaluate", "classify", "explain", "extend"):
+        _add_setting(p[name], "--threshold", help="classification threshold")
     _add_setting(p["build-dataset"], "--n-labels", "n_label_classes")
     _add_setting(p["build-dataset"], "--min-members")
     _add_setting(p["train-tokenizer"], "--target-vocab")

@@ -262,18 +262,6 @@ def _write_split(path: str, molecules: list[LabeledMolecule], labels: LabelIndex
 _BINARY_CELLS = frozenset(("0", "1"))
 
 
-def _label_cells(path: str, lineno: int, cells: list[str]) -> str:
-    """A row's label cells in canonical form ("0"/"1", tab-joined), read
-    with ``int()`` so that spellings such as ``01`` or `` 1`` still load."""
-    try:
-        values = [int(v) for v in cells]
-    except ValueError:
-        raise DatasetError(f"{path}:{lineno}: non-integer label value") from None
-    if not set(values) <= {0, 1}:
-        raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
-    return "\t".join(map(str, values))
-
-
 def _read_split(path: str, labels: LabelIndex) -> list[LabeledMolecule]:
     """The molecules of a split TSV; their label vectors are the rows of one
     int8 matrix, read from one block of every row's cells."""
@@ -293,10 +281,9 @@ def _read_split(path: str, labels: LabelIndex) -> list[LabeledMolecule]:
                     f"{path}:{lineno}: expected {len(labels) + 1} columns, "
                     f"got {len(fields)}"
                 )
-            if _BINARY_CELLS.issuperset(fields[1:]):
-                rows.append(line[len(fields[0]) + 1:])
-            else:
-                rows.append(_label_cells(path, lineno, fields[1:]))
+            if not _BINARY_CELLS.issuperset(fields[1:]):
+                raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
+            rows.append(line[len(fields[0]) + 1:])
             smiles.append(fields[0])
     # every row is one-character cells and tabs: the digits are every other byte
     block = np.frombuffer("\t".join(rows).encode("ascii"), dtype=np.uint8)[::2]

@@ -14,10 +14,12 @@ layer's activations at a time.
 
 Position-wise work (embeddings, layer norms, the Q/K/V and output
 projections, the FFN, both heads, and all of their gradients) runs on the
-batch's real tokens, packed into one [n_tokens, d] matrix.  Only the
-attention scores, softmax, dropout and context use the padded
-[batch, heads, T_max, T_max] block, so masked keys get exactly 0 attention
-and the dropout draws keep the padded block's shape.
+batch's real tokens, packed into one [n_tokens, d] matrix.  Attention runs
+once per sequence, on its own [heads, L, L] block sliced from the packed
+Q/K/V rows, so no key is padding and none is masked.  An item's outputs
+therefore do not depend on the other items of its batch, as long as a row
+of a matrix product does not depend on the product's other rows (which
+holds for products of two rows or more).
 
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
@@ -266,14 +268,13 @@ def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
 class _Packing(NamedTuple):
     """Where a batch's real tokens sit.  Packed row ``r`` holds token
     ``ids[r]`` at position ``positions[r]``; item ``b`` has ``lengths[b]``
-    rows from ``offsets[b]``.  ``mask`` [batch, T_max] marks the real cells
-    of the padded block, in packed row order."""
+    rows from ``offsets[b]``, the slice ``rows[b]``."""
 
     ids: np.ndarray
     positions: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
-    mask: np.ndarray
+    rows: list[slice]
 
 
 def _pack(seqs: list[TokenSequence], config: ModelConfig) -> _Packing:
@@ -290,24 +291,61 @@ def _pack(seqs: list[TokenSequence], config: ModelConfig) -> _Packing:
         raise ModelError("token id out of range")
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(ids.size) - np.repeat(offsets, lengths)
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    return _Packing(ids, positions, offsets, lengths, mask)
+    rows = [slice(start, start + n) for start, n in zip(offsets.tolist(), lengths.tolist())]
+    return _Packing(ids, positions, offsets, lengths, rows)
 
 
-def _to_heads(rows: np.ndarray, mask: np.ndarray, n_heads: int) -> np.ndarray:
-    """Packed rows [n, d] -> the padded block [b, heads, T, d / heads],
-    zero at padded cells."""
-    block = np.zeros(mask.shape + rows.shape[1:], rows.dtype)
-    block[mask] = rows
-    b, t, d = block.shape
-    return block.reshape(b, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+def _heads(rows: np.ndarray, n_heads: int) -> np.ndarray:
+    """One sequence's packed rows [L, d] as a view [heads, L, d / heads]."""
+    return rows.reshape(len(rows), n_heads, -1).swapaxes(0, 1)
 
 
-def _from_heads(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The padded block [b, heads, T, d / heads] -> its real cells as packed
-    rows [n, d]."""
-    rows = x.transpose(0, 2, 1, 3)[mask]
-    return rows.reshape(len(rows), -1)
+def _attention(q, k, v, pk: _Packing, config: ModelConfig, rng):
+    """Scaled dot-product attention of each sequence over its own keys, on
+    one [heads, L, L] block per item; dropout iff ``rng`` is given.  Returns
+    the packed context rows and, per item, (probabilities, dropout keep mask
+    or None, the probabilities used for the context)."""
+    dropout = config.attention_dropout if rng is not None else 0.0
+    scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
+    if dropout > 0.0:
+        # one draw of [batch, heads, T_max, T_max] values, each item keeping
+        # the corner of its own length: the stream training has always drawn
+        t = int(pk.lengths.max())
+        draws = rng.random((len(pk.rows), config.n_heads, t, t))
+    ctx = np.empty_like(q)
+    items = []
+    for b, rows in enumerate(pk.rows):
+        qb, kb, vb = (_heads(a[rows], config.n_heads) for a in (q, k, v))
+        # softmax in place: scores, exponentials and probabilities share one array
+        p = qb @ kb.swapaxes(-1, -2)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        n = rows.stop - rows.start
+        keep = draws[b, :, :n, :n] >= dropout if dropout > 0.0 else None
+        p_used = p if keep is None else p * keep / (1.0 - dropout)
+        _heads(ctx[rows], config.n_heads)[...] = p_used @ vb
+        items.append((p, keep, p_used))
+    return ctx, items
+
+
+def _attention_backward(dctx, lc: dict, pk: _Packing, config: ModelConfig):
+    """d(loss)/d(packed Q, K, V rows) from d(loss)/d(packed context rows),
+    one item at a time as in ``_attention``."""
+    scale = float(1.0 / np.sqrt(config.head_dim))
+    dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
+    for rows, (probs, keep, p_used) in zip(pk.rows, lc["attention"]):
+        qb, kb, vb, dcb = (_heads(a[rows], config.n_heads)
+                           for a in (lc["q"], lc["k"], lc["v"], dctx))
+        dp = dcb @ vb.swapaxes(-1, -2)
+        _heads(dv[rows], config.n_heads)[...] = p_used.swapaxes(-1, -2) @ dcb
+        if keep is not None:  # dropout ran in the forward pass
+            dp = dp * keep / (1.0 - config.attention_dropout)
+        ds = probs * (dp - (probs * dp).sum(axis=-1, keepdims=True))
+        _heads(dq[rows], config.n_heads)[...] = (ds @ kb) * scale
+        _heads(dk[rows], config.n_heads)[...] = (ds.swapaxes(-1, -2) @ qb) * scale
+    return dq, dk, dv
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +355,10 @@ def _from_heads(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
 @dataclass
 class AttentionSummary:
     """Post-softmax attention probabilities for one item: [layer, head,
-    query, key].  Rows over unmasked keys sum to 1; padded keys are 0."""
+    query, key], padded to the batch's longest sequence.  The first
+    ``seq_len`` keys are the item's and every padded key is 0; every row
+    sums to 1 over the item's keys.  The rows past ``seq_len`` are those of
+    a zero query, uniform over the item's keys, as a padded encoder gave."""
 
     weights: np.ndarray
     seq_len: int
@@ -342,63 +383,45 @@ def _forward_core(
     """Pack ``batch`` and run the encoder stack; the one way into the encoder.
 
     Position-wise operations run on the packed real tokens [n_tokens, d];
-    only Q, K and V enter the padded block [batch, heads, T_max, T_max] for
-    the scores, softmax, dropout and context.  Attention dropout applies iff
-    ``rng`` is given.  ``on_layer``, if given, is called with each layer's
-    backward cache and keeps what it needs of it; otherwise only one layer's
-    activations are alive at a time.  Returns the packed final hidden states
-    and what the backward pass needs beyond the layer caches: the packing and
-    the final layer norm's cache.
+    attention runs per sequence (``_attention``).  Attention dropout applies
+    iff ``rng`` is given.  ``on_layer``, if given, is called with each
+    layer's backward cache and keeps what it needs of it; otherwise only one
+    layer's activations are alive at a time.  Returns the packed final
+    hidden states and what the backward pass needs beyond the layer caches:
+    the packing and the final layer norm's cache.
     """
     pk = _pack(batch, config)
     p = store.params
-    dropout = config.attention_dropout if rng is not None else 0.0
 
     x = p["tok_emb"][pk.ids] + p["pos_emb"][pk.positions]
-    padded_keys = ~pk.mask[:, None, None, :]  # broadcast over heads and queries
-    scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
-
     for i in range(config.n_layers):
         lp = f"layers.{i}."
         h1, ln1_cache = _layer_norm(x, p[lp + "ln1.g"], p[lp + "ln1.b"])
-        q, k, v = (
-            _to_heads(h1 @ p[lp + f"attn.w{proj}"] + p[lp + f"attn.b{proj}"],
-                      pk.mask, config.n_heads)
-            for proj in "qkv"
-        )
-        # softmax in place: scores, exponentials and probabilities share one array
-        probs = q @ k.swapaxes(-1, -2)
-        probs *= scale
-        np.copyto(probs, -np.inf, where=padded_keys)
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        if dropout > 0.0:
-            keep = rng.random(probs.shape) >= dropout
-            probs_used = probs * keep / (1.0 - dropout)
-        else:
-            keep = None
-            probs_used = probs
-        ctx = _from_heads(probs_used @ v, pk.mask)
+        q, k, v = (h1 @ p[lp + f"attn.w{proj}"] + p[lp + f"attn.b{proj}"] for proj in "qkv")
+        ctx, attention = _attention(q, k, v, pk, config, rng)
         x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
         e1 = _gelu_term(a1)
         x = x + (_gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
         if on_layer is not None:
-            on_layer(dict(
-                h1=h1, ln1=ln1_cache, q=q, k=k, v=v, probs=probs, keep=keep,
-                probs_used=probs_used, ctx=ctx, h2=h2, ln2=ln2_cache, a1=a1, e1=e1,
-            ))
+            on_layer(dict(h1=h1, ln1=ln1_cache, q=q, k=k, v=v, attention=attention, ctx=ctx,
+                          h2=h2, ln2=ln2_cache, a1=a1, e1=e1))
 
     hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     return hidden, (pk, final_ln_cache)
 
 
 def _classification_logits(store: ParameterStore, hidden: np.ndarray, offsets: np.ndarray):
-    """The classification head on the packed BOS rows: (pooled, logits)."""
+    """The classification head on the packed BOS rows: (pooled, logits).
+
+    The head runs as a stack of one-row products, one per item: numpy
+    computes a one-row product as a matrix-vector product, which rounds
+    differently from a product of several rows, so each item's logits have
+    the bits the item gets alone."""
     pooled = hidden[offsets]
-    return pooled, pooled @ store.params["cls.w"] + store.params["cls.b"]
+    logits = (pooled[:, None] @ store.params["cls.w"])[:, 0] + store.params["cls.b"]
+    return pooled, logits
 
 
 def forward(
@@ -409,13 +432,15 @@ def forward(
 ) -> list[ForwardOutput]:
     """Encode a batch and apply the classification head, without dropout.
 
-    Padded positions are masked out of attention; the pooled vector is the
+    Each sequence attends over its own tokens only; the pooled vector is the
     hidden state at BOS; label probabilities are elementwise sigmoids.  Each
     item's ``hidden`` and ``pooled`` are views into the batch's packed rows.
 
-    In a batch of equal-length sequences of two tokens or more there is no
-    padding, and every output of an item (hidden states, attention, logits,
-    probabilities) has the bits it has when the item is encoded alone.
+    Every output of an item of two tokens or more (hidden states, attention,
+    logits, probabilities) has the bits it has when the item is encoded
+    alone, whatever the other items of the batch.  (A one-token item alone
+    makes every position-wise product a one-row product, which rounds
+    differently.)
     """
     attention = capture = None
     if capture_attention:
@@ -423,29 +448,30 @@ def forward(
         # capturing adds the returned weights and nothing else to the peak
         # (no wider than max_len: _forward_core rejects a longer batch first)
         t = min(max(map(len, batch), default=0), config.max_len)
-        attention = np.empty(
+        attention = np.zeros(
             (len(batch), config.n_layers, config.n_heads, t, t), config.np_dtype()
         )
         layer_views = iter(attention.swapaxes(0, 1))
-        capture = lambda lc: np.copyto(next(layer_views), lc["probs"])
+
+        def capture(lc):
+            layer = next(layer_views)
+            for b, (probs, _, _) in enumerate(lc["attention"]):
+                n = probs.shape[-1]
+                layer[b, :, :n, :n] = probs
+                layer[b, :, n:, :n] = 1.0 / n
+
     hidden, (pk, _) = _forward_core(store, config, batch, on_layer=capture)
-    # the head one item at a time: numpy computes a one-row product as a
-    # matrix-vector product, which rounds differently from a product of
-    # several rows, so a batched head would move each item's logits off the
-    # bits it gets alone
-    logits = np.concatenate([
-        _classification_logits(store, hidden, pk.offsets[b:b + 1])[1] for b in range(len(batch))
-    ])
+    _, logits = _classification_logits(store, hidden, pk.offsets)
     probs = expit(logits)
     return [
         ForwardOutput(
-            hidden=hidden[start:start + length],
-            pooled=hidden[start],
+            hidden=hidden[rows],
+            pooled=hidden[rows.start],
             logits=logits[b].copy(),
             probabilities=probs[b].copy(),
-            attention=None if attention is None else AttentionSummary(attention[b], length),
+            attention=None if attention is None else AttentionSummary(attention[b], len(batch[b])),
         )
-        for b, (start, length) in enumerate(zip(pk.offsets.tolist(), pk.lengths.tolist()))
+        for b, rows in enumerate(pk.rows)
     ]
 
 
@@ -485,7 +511,6 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
     Weight gradients sum over the real tokens only."""
     p, g = store.params, store.grads
     pk, final_ln_cache = cache
-    scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
 
     dx, dg_f, db_f = _layer_norm_backward(d_hidden, final_ln_cache, p["final_ln.g"])
     g["final_ln.g"] += dg_f
@@ -511,22 +536,11 @@ def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_
         g[lp + "ln2.b"] += db2
         dx_mid = dx_mid + dx  # residual
 
-        # attention block: the padded block only between Q/K/V and the context
+        # attention block
         da_out = dx_mid
         g[lp + "attn.wo"] += lc["ctx"].T @ da_out
         g[lp + "attn.bo"] += da_out.sum(axis=0)
-        dctx = _to_heads(da_out @ p[lp + "attn.wo"].T, pk.mask, config.n_heads)
-        dp_used = dctx @ lc["v"].swapaxes(-1, -2)
-        dv = lc["probs_used"].swapaxes(-1, -2) @ dctx
-        if lc["keep"] is not None:  # dropout ran in the forward pass
-            dp = dp_used * lc["keep"] / (1.0 - config.attention_dropout)
-        else:
-            dp = dp_used
-        probs = lc["probs"]
-        ds = probs * (dp - (probs * dp).sum(axis=-1, keepdims=True))
-        dq = (ds @ lc["k"]) * scale
-        dk = (ds.swapaxes(-1, -2) @ lc["q"]) * scale
-        dq, dk, dv = (_from_heads(a, pk.mask) for a in (dq, dk, dv))
+        dq, dk, dv = _attention_backward(da_out @ p[lp + "attn.wo"].T, lc, pk, config)
         for proj, darr in (("q", dq), ("k", dk), ("v", dv)):
             g[lp + f"attn.w{proj}"] += lc["h1"].T @ darr
             g[lp + f"attn.b{proj}"] += darr.sum(axis=0)
@@ -652,7 +666,8 @@ def predict_logits(
     seqs: list[TokenSequence],
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Classification logits for a list of sequences, batched, without dropout."""
+    """Classification logits for a list of sequences, batched, without
+    dropout: row ``i`` has the bits of ``forward``'s logits for ``seqs[i]``."""
     out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]

@@ -59,24 +59,25 @@ class TrainingAborted(TrainingError):
 class MaskingPolicy:
     """Which tokens get hidden for MLM and what happens to them.
 
-    A selected token becomes MASK, a random non-special token, or stays
-    unchanged, per the action fractions.  Specials are never selected; with
-    a nonzero probability, each sequence with a maskable token gets at least
-    one target.
+    A selected token becomes MASK with probability ``mask_fraction``, a
+    random non-special token with probability ``random_fraction``, and
+    otherwise stays unchanged.  Specials are never selected; with a nonzero
+    probability, each sequence with a maskable token gets at least one
+    target.
     """
 
     mask_probability: float = 0.15
     mask_fraction: float = 0.8
     random_fraction: float = 0.1
-    keep_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.mask_probability <= 1.0:
-            raise TrainingError("mask_probability must be in [0, 1]")
-        total = self.mask_fraction + self.random_fraction + self.keep_fraction
-        if abs(total - 1.0) > 1e-9:
-            raise TrainingError(f"action fractions must sum to 1, got {total}")
+        for key in ("mask_probability", "mask_fraction", "random_fraction"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise TrainingError(f"{key} must be in [0, 1]")
+        total = self.mask_fraction + self.random_fraction
+        if total > 1.0:
+            raise TrainingError(f"mask_fraction + random_fraction must be at most 1, got {total}")
 
 
 def apply_dynamic_masking(

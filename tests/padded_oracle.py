@@ -1,8 +1,9 @@
-"""The encoder as it ran before token packing: every position-wise operation
-on the padded block [batch, T_max, d].  Tests compare the packed encoder in
-``ontograft.model`` against it: inference bit for bit, gradients to a
-relative 1e-12 (the weight-gradient products sum over fewer rows, so BLAS
-may group their additions differently).
+"""The encoder as it ran before token packing: every operation on the padded
+block [batch, T_max, d], attention on [batch, heads, T_max, T_max] with
+padded keys masked.  Tests compare the packed encoder in ``ontograft.model``
+against it to a relative 1e-12: a softmax there sums over the sequence's own
+keys, not T_max of them, and the weight-gradient products sum over fewer
+rows, so the additions may group differently.
 
 Padded rows carry the PAD embedding plus a position embedding through every
 layer; their keys are masked out of attention and their gradients are

@@ -190,14 +190,21 @@ class TestErrors:
     def test_threshold_outside_unit_interval(self, tmp_path, capsys, flags, run_lines):
         config = tmp_path / "run.ini"
         config.write_text("[run]\nseed = 1\n" + run_lines)
-        obo = tmp_path / "x.obo"
-        obo.write_text("[Term]\nid: A\n")
-        code = main(["build-dataset", "--config", str(config), *flags,
-                     "--ontology", str(obo), "--out", str(tmp_path / "d")])
+        # the config is resolved before any input is read: any file will do
+        x = tmp_path / "x"
+        x.touch()
+        code = main(["classify", "--config", str(config), *flags, "--tokenizer", str(x),
+                     "--model", str(x), "--labels", str(x), "--input", str(x),
+                     "--out", str(tmp_path / "c.json")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()[-1]
         assert err.startswith("ERROR\tconfig\t") and "threshold" in err
-        assert not (tmp_path / "d").exists()
+        assert not (tmp_path / "c.json").exists()
+
+    def test_threshold_flag_only_where_a_threshold_is_read(self):
+        takes = {name for name, sub in _subparsers().choices.items()
+                 if any(action.dest == "threshold" for action in sub._actions)}
+        assert takes == {"finetune", "evaluate", "classify", "explain", "extend"}
 
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),
@@ -222,14 +229,14 @@ class TestErrors:
 
     def test_malformed_masking_value_fails_any_subcommand(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
-        config.write_text("[run]\nseed = 1\n\n[masking]\nkeep_fraction = some\n")
+        config.write_text("[run]\nseed = 1\n\n[masking]\nmask_fraction = some\n")
         obo = tmp_path / "x.obo"
         obo.write_text("[Term]\nid: A\n")
         code = main(["build-dataset", "--config", str(config),
                      "--ontology", str(obo), "--out", str(tmp_path / "d")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()[-1]
-        assert err == "ERROR\tconfig\t[masking] keep_fraction: invalid float value 'some'"
+        assert err == "ERROR\tconfig\t[masking] mask_fraction: invalid float value 'some'"
 
     def test_mask_probability_flag_overrides_config(self, workspace, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -334,6 +341,19 @@ class TestErrors:
         key = line.split(" = ")[0]
         err = capsys.readouterr().err.splitlines()[-1]
         assert err == f"ERROR\tcli\t{config}: unknown key {key!r} in [model]"
+
+    def test_retired_keep_fraction_is_an_unknown_key(self, tmp_path, capsys):
+        """A selected token that is neither masked nor randomized is kept, so
+        the keep fraction is implied and has no key."""
+        config = tmp_path / "old.ini"
+        config.write_text("[run]\nseed = 1\n\n[masking]\nkeep_fraction = 0.1\n")
+        obo = tmp_path / "x.obo"
+        obo.write_text("[Term]\nid: A\n")
+        code = main(["build-dataset", "--config", str(config),
+                     "--ontology", str(obo), "--out", str(tmp_path / "d")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tcli\t{config}: unknown key 'keep_fraction' in [masking]"
 
     def test_evaluate_labels_must_match_header(self, workspace, tmp_path, capsys):
         """A labels.txt in another order than the TSV header would score
@@ -466,6 +486,27 @@ class TestExplainBatches:
         assert err.splitlines()[-1] == (
             f"ERROR\texplainability\tlayer {layer} out of range for 1 layers")
         assert not out.exists()
+
+
+class TestClassifyBatches:
+    """A query's scores do not depend on which queries share its batch."""
+
+    def test_classify_results_do_not_depend_on_batch_size(self, workspace, tmp_path):
+        molecules = tmp_path / "molecules.smi"
+        molecules.write_text("\n".join(EXPLAIN_MOLECULES) + "\n")
+        results = []
+        for batch_size in (1, 3, 32):
+            config = tmp_path / f"run{batch_size}.ini"
+            config.write_text(workspace["config"].read_text().replace(
+                "batch_size = 8", f"batch_size = {batch_size}"))
+            out = tmp_path / f"results{batch_size}.json"
+            assert main(["classify", "--config", str(config),
+                         "--model", str(workspace["finetuned"]),
+                         "--tokenizer", str(workspace["tokenizer"]),
+                         "--labels", str(workspace["dataset"] / "labels.txt"),
+                         "--input", str(molecules), "--out", str(out)]) == 0
+            results.append(out.read_bytes())
+        assert results[0] == results[1] == results[2]
 
 
 @pytest.fixture(scope="module")
@@ -609,8 +650,7 @@ NON_DEFAULT = {
               "attention_dropout": 0.05, "dtype": "float32"},
     "training": {"pretrain_epochs": 2, "finetune_epochs": 3, "batch_size": 5,
                  "learning_rate": 0.003, "weight_decay": 0.02, "checkpoint_every": 2},
-    "masking": {"mask_probability": 0.2, "mask_fraction": 0.6, "random_fraction": 0.25,
-                "keep_fraction": 0.15},
+    "masking": {"mask_probability": 0.2, "mask_fraction": 0.6, "random_fraction": 0.25},
     "extension": {"id_prefix": "NEW:", "id_width": 4, "top_k": 2},
     "run": {"seed": 11, "threshold": 0.4},
 }

@@ -91,8 +91,8 @@ def loop_split_text(molecules, labels):
 
 
 def loop_read_split(path, labels):
-    """The per-cell reader that the block reader replaced: (smiles, int8
-    vector) per row, or the DatasetError it raised."""
+    """A per-cell reader: (smiles, int8 vector) per row, or the DatasetError
+    for the first bad row.  A label cell is "0" or "1", spelled exactly so."""
     molecules = []
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
@@ -106,13 +106,9 @@ def loop_read_split(path, labels):
                     f"{path}:{lineno}: expected {len(labels) + 1} columns, "
                     f"got {len(fields)}"
                 )
-            try:
-                vec = np.array([int(v) for v in fields[1:]], dtype=np.int8)
-            except ValueError:
-                raise DatasetError(f"{path}:{lineno}: non-integer label value") from None
-            if not np.isin(vec, (0, 1)).all():
+            if any(v not in ("0", "1") for v in fields[1:]):
                 raise DatasetError(f"{path}:{lineno}: labels must be 0 or 1")
-            molecules.append((fields[0], vec))
+            molecules.append((fields[0], np.array([int(v) for v in fields[1:]], dtype=np.int8)))
     return molecules
 
 
@@ -348,13 +344,13 @@ class TestTsv:
         assert str(err.value) == f"{path}:3: labels must be 0 or 1"
 
     def test_read_matches_the_per_cell_loop(self, tmp_path):
-        """Random files mixing 0/1 rows with cells that int() reads as 0 or
-        1 (kept), cells it rejects or reads as another number, short rows
-        and blank lines: the same molecules, or the same error message."""
+        """Random files mixing 0/1 rows with other cells (spellings that
+        int() reads as 0 or 1, other numbers, non-numbers), short rows and
+        blank lines: the same molecules, or the same error message."""
         rng = np.random.default_rng(0)
         odd = ["01", "+1", " 1", "1 ", "00", "-0", "2", "-1", "x", "", "1.0"]
         path = tmp_path / "split.tsv"
-        outcomes = {"loaded": 0, "loaded_odd": 0, "error": 0}
+        outcomes = {"loaded": 0, "error": 0, "error_odd": 0}
         for _ in range(300):
             k = int(rng.integers(1, 6))
             lines = ["smiles\t" + "\t".join(f"L{j}" for j in range(k))]
@@ -378,7 +374,7 @@ class TestTsv:
                 with pytest.raises(DatasetError) as err:
                     load_split_tsv(str(path))
                 assert str(err.value) == str(exc)
-                outcomes["error"] += 1
+                outcomes["error_odd" if has_odd else "error"] += 1
                 continue
             got, got_labels = load_split_tsv(str(path))
             assert got_labels == labels
@@ -386,7 +382,8 @@ class TestTsv:
             for mol, (_, vec) in zip(got, want):
                 assert mol.labels.dtype == np.int8
                 assert mol.labels.tolist() == vec.tolist()
-            outcomes["loaded_odd" if has_odd else "loaded"] += 1
+            assert not has_odd
+            outcomes["loaded"] += 1
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_500_label_header(self, tmp_path):

@@ -172,13 +172,12 @@ class TestForward:
         plain = forward(tiny_store, tiny_config, batch)
         captured = forward(tiny_store, tiny_config, batch, capture_attention=True)
         p = tiny_store.params
-        # both paths pool the same rows; predict_logits applies the head to
-        # all of them at once, forward to one row at a time (see TestGemmRows)
-        npt.assert_array_equal(rows, np.stack([out.pooled for out in plain]) @ p["cls.w"] + p["cls.b"])
-        for out, cap in zip(plain, captured):
+        # both paths apply the head to each item's pooled row alone (see TestGemmRows)
+        for row, out, cap in zip(rows, plain, captured):
             npt.assert_array_equal(cap.pooled, out.pooled)
             npt.assert_array_equal(out.logits, (out.pooled[None] @ p["cls.w"] + p["cls.b"])[0])
             npt.assert_array_equal(cap.logits, out.logits)
+            npt.assert_array_equal(row, out.logits)
         for item in batch:
             npt.assert_array_equal(predict_logits(tiny_store, tiny_config, [item])[0],
                                    forward(tiny_store, tiny_config, [item])[0].logits)
@@ -405,14 +404,14 @@ class TestLayerNorm:
 
 
 class TestGemmRows:
-    """Packed inference has the padded block's bits because each row of a
+    """An item's outputs do not depend on its batch because each row of a
     matrix product depends on that row alone: not on how many rows the
-    product has, nor on where the row sits.  A one-row product is left out:
-    numpy computes it as a matrix-vector product, which rounds differently.
-    The encoder's position-wise products have one row only for a batch of
-    one one-token item, but the classification head of every one-item batch
-    is a one-row product; so ``forward`` applies the head one item at a
-    time, and an item's logits do not depend on its batch."""
+    product has, nor on where the row sits, as for an item's rows inside a
+    packed batch.  A one-row product is left out: numpy computes it as a
+    matrix-vector product, which rounds differently.  The encoder's
+    position-wise products have one row only for a batch of one one-token
+    item; the classification head runs as one-row products, one per item,
+    in every batch."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("n, d, f", [(150, 32, 64), (150, 64, 32), (40, 768, 3072)])
@@ -424,6 +423,10 @@ class TestGemmRows:
         for k in sorted({2, 3, 4, 5, 7, 8, 9, 16, 17, n // 2, n - 2, n - 1}):
             npt.assert_array_equal(full[:k], a[:k] @ w)
             npt.assert_array_equal(full[n - k:], a[n - k:] @ w)
+            for start in sorted({1, 3, (n - k) // 2, n - k - 1}):
+                if 0 < start < n - k:
+                    rows = slice(start, start + k)
+                    npt.assert_array_equal(full[rows], a[rows] @ w)
 
 
 @functools.cache
@@ -434,58 +437,51 @@ def oracle_model():
     return config, TestDtype.perturbed(config)
 
 
+def assert_close(a, b):
+    npt.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
 BATCHES = st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=40),
                    min_size=1, max_size=8)
 
 
 class TestPackedAgainstPaddedOracle:
     """The packed encoder against the padded one it replaced
-    (``padded_oracle``): inference bit for bit, gradients to a relative
-    1e-12.  Padded query rows of the attention are not compared: the
-    oracle fills them from the PAD embedding, the packed encoder from zero
-    queries; neither reaches an output."""
-
-    @staticmethod
-    def check(exact):
-        # a batch of several one-token items: the oracle multiplies each
-        # item's single row by itself (a matrix-vector product), the packed
-        # encoder all rows at once (see TestGemmRows)
-        if exact:
-            return npt.assert_array_equal
-        return lambda a, b: npt.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    (``padded_oracle``), inference and gradients to a relative 1e-12: a
+    softmax sums over the sequence's own keys, not the padded block's, and
+    the weight-gradient products sum over fewer rows, so the additions may
+    group differently.  Padded query rows of the oracle's attention are not
+    compared: they reach no output."""
 
     @settings(max_examples=80, deadline=None)
     @given(batch=BATCHES, dropout=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @example(batch=[[5], [5, 5, 5, 5], [7], [5, 9]], dropout=True, seed=0)
-    def test_inference_is_bitwise_the_padded_oracle(self, batch, dropout, seed):
+    def test_inference_matches_the_padded_oracle(self, batch, dropout, seed):
         config, store = oracle_model()
         seqs = [TokenSequence(tuple(ids)) for ids in batch]
         lengths = [len(s) for s in seqs]
-        check = self.check(max(lengths) > 1 or len(seqs) == 1)
         rng = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
         packed_layers, padded_layers = [], []
         hidden, (pk, _) = _forward_core(store, config, seqs, rng(), packed_layers.append)
         ref, _ = padded_oracle.forward_core(store, config, seqs, rng(), padded_layers.append)
         for b, n in enumerate(lengths):
-            check(hidden[pk.offsets[b]:pk.offsets[b] + n], ref[b, :n])
+            assert_close(hidden[pk.rows[b]], ref[b, :n])
             for mine, theirs in zip(packed_layers, padded_layers):
-                # real queries; padded keys must be exactly 0 in both
-                check(mine["probs_used"][b, :, :n], theirs["probs_used"][b, :, :n])
-                npt.assert_array_equal(mine["probs"][b, :, :, n:], 0.0)
+                assert_close(mine["attention"][b][2], theirs["probs_used"][b, :, :n, :n])
+                npt.assert_array_equal(theirs["probs"][b, :, :, n:], 0.0)
         if dropout:
             return
         ref_logits = padded_oracle.classification_logits(store, ref)[1]
-        check(predict_logits(store, config, seqs), ref_logits)
+        assert_close(predict_logits(store, config, seqs), ref_logits)
         outs = forward(store, config, seqs, capture_attention=True)
         for b, (out, n) in enumerate(zip(outs, lengths)):
-            check(out.hidden, ref[b, :n])
-            check(out.pooled, ref[b, 0])
-            # forward applies the head to each item's row alone
-            item_logits = padded_oracle.classification_logits(store, ref[b:b + 1])[1][0]
-            check(out.logits, item_logits)
-            check(out.probabilities, expit(item_logits))
+            assert_close(out.hidden, ref[b, :n])
+            assert_close(out.pooled, ref[b, 0])
+            assert_close(out.logits, ref_logits[b])
+            assert_close(out.probabilities, expit(ref_logits[b]))
             att = np.stack([layer["probs"][b] for layer in padded_layers])
-            check(out.attention.weights[:, :, :n], att[:, :, :n])
+            assert_close(out.attention.weights[:, :, :n], att[:, :, :n])
+            npt.assert_array_equal(out.attention.weights[:, :, :, n:], 0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -514,11 +510,15 @@ class TestPackedAgainstPaddedOracle:
         loss = loss_and_grad(packed, config, seqs, objective, rng=draws(), **targets)
         ref = padded_oracle.loss_and_grad(padded, config, seqs, objective, rng=draws(),
                                           **targets)
-        self.check(max(map(len, seqs)) > 1 or len(seqs) == 1)(loss, ref)
+        assert_close(loss, ref)
         for name in packed.names():
             want = padded.grads[name]
+            # d(loss)/d(key bias) is 0 in exact arithmetic (a shift shared by
+            # every key leaves the softmax as it is): both sides hold rounding
+            # noise, bounded by the size of the key weights' gradient instead
+            scale = padded.grads[name.replace(".bk", ".wk")] if name.endswith(".bk") else want
             npt.assert_allclose(packed.grads[name], want, rtol=1e-12,
-                                atol=1e-12 * np.abs(want).max(), err_msg=name)
+                                atol=1e-12 * np.abs(scale).max(), err_msg=name)
 
 
 @functools.cache
@@ -528,21 +528,22 @@ def perturbed_model(dtype):
     return config, TestDtype.perturbed(config)
 
 
-EQUAL_LENGTH_BATCHES = st.integers(2, 40).flatmap(
-    lambda n: st.lists(st.lists(st.integers(0, 19), min_size=n, max_size=n), min_size=1, max_size=8)
-)
-
-
-class TestEqualLengthBatches:
-    """A batch of equal-length sequences has no padding, so every output of
-    an item has the bits the item gets alone; ``explain`` batches on this.
-    One-token items are left out: alone, their position-wise products have
-    a single row (see TestGemmRows)."""
+class TestBatchInvariance:
+    """An item's outputs do not depend on the other items of its batch:
+    every output of an item has the bits the item gets alone, and every
+    ``predict_logits`` chunking gives them too.  One-token items are left
+    out: alone, their position-wise products have a single row (see
+    TestGemmRows)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(batch=EQUAL_LENGTH_BATCHES, dtype=st.sampled_from(["float64", "float32"]))
+    @given(
+        batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=40),
+                       min_size=1, max_size=8),
+        dtype=st.sampled_from(["float64", "float32"]),
+    )
     @example(batch=[[2, 5, 5, 3], [2, 5, 5, 3], [2, 7, 9, 3]], dtype="float32")
     @example(batch=[[5, 6]] * 8, dtype="float64")
+    @example(batch=[[5, 6], [3] * 40, [7, 8, 9], [4] * 17], dtype="float64")
     def test_items_get_the_bits_they_get_alone(self, batch, dtype):
         config, store = perturbed_model(dtype)
         seqs = [TokenSequence(tuple(ids)) for ids in batch]
@@ -552,7 +553,11 @@ class TestEqualLengthBatches:
             for field in ("hidden", "pooled", "logits", "probabilities"):
                 assert getattr(out, field).dtype == np.dtype(dtype)
                 npt.assert_array_equal(getattr(out, field), getattr(alone, field), err_msg=field)
-            npt.assert_array_equal(out.attention.weights, alone.attention.weights)
+            n = len(item)
+            npt.assert_array_equal(out.attention.weights[:, :, :n, :n], alone.attention.weights)
+        want = np.stack([out.logits for out in outs])
+        for batch_size in range(1, len(seqs) + 1):
+            npt.assert_array_equal(predict_logits(store, config, seqs, batch_size), want)
 
 
 def float_arrays(tree):

@@ -66,8 +66,7 @@ class TestMasking:
         rng = np.random.default_rng(1)
         batch = make_sequences(rng, 5, 20)
         policy = MaskingPolicy(
-            mask_probability=1.0, mask_fraction=1.0, random_fraction=0.0,
-            keep_fraction=0.0, seed=1,
+            mask_probability=1.0, mask_fraction=1.0, random_fraction=0.0, seed=1,
         )
         masked, targets = apply_dynamic_masking(batch, policy, epoch=1, vocab_size=20)
         for orig, m, t in zip(batch, masked, targets):
@@ -124,8 +123,12 @@ class TestMasking:
         assert a[1] != b[1]
 
     def test_fraction_validation(self):
-        with pytest.raises(TrainingError):
-            MaskingPolicy(mask_fraction=0.5, random_fraction=0.1, keep_fraction=0.1)
+        # each fraction in [0, 1], together at most 1; the rest is kept
+        for mask, rand in ((1.2, -0.1), (-0.1, 0.5), (0.5, 1.5), (0.95, 0.1)):
+            with pytest.raises(TrainingError):
+                MaskingPolicy(mask_fraction=mask, random_fraction=rand)
+        for mask, rand in ((0.5, 0.1), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)):
+            MaskingPolicy(mask_fraction=mask, random_fraction=rand)
 
 
 class TestAdam:
