@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import atomic_write_text
-from .model import AttentionSummary
 from .tokenizer import N_SPECIALS, TokenSequence, Tokenizer
 
 
@@ -47,23 +46,34 @@ def check_layer(layer: int, n_layers: int) -> None:
         raise AttributionError(f"layer {layer} out of range for {n_layers} layers")
 
 
+def _check_attention(att: np.ndarray | None, seq: TokenSequence) -> list[int]:
+    """The content positions of ``seq``, once ``att`` is known to be a
+    captured [layer, head, query, key] array at ``seq``'s own length."""
+    if att is None:
+        raise AttributionError("attention was not captured for this forward pass")
+    if att.shape[-2:] != (len(seq), len(seq)):
+        raise AttributionError(
+            f"attention of shape {att.shape} does not fit a sequence of {len(seq)} tokens"
+        )
+    content = content_positions(seq)
+    if not content:
+        raise AttributionError("sequence has no real tokens")
+    return content
+
+
 def token_importance(
-    att: AttentionSummary | None,
+    att: np.ndarray | None,
     seq: TokenSequence,
     tokenizer: Tokenizer,
     layer: int = -1,
 ) -> TokenAttribution:
     """Mean attention received by each real token, averaged over all heads
-    and all real query positions of one layer (default: last)."""
-    if att is None:
-        raise AttributionError("attention was not captured for this forward pass")
-    check_layer(layer, att.weights.shape[0])
-    content = content_positions(seq)
-    if not content:
-        raise AttributionError("sequence has no real tokens")
-    # [head, query, key] restricted to real queries and content keys
-    w = att.weights[layer][:, : att.seq_len, :]
-    raw = w[:, :, content].mean(axis=(0, 1))
+    and all query positions of one layer (default: last).  ``att`` is the
+    [layer, head, query, key] array ``forward`` captured for ``seq``."""
+    content = _check_attention(att, seq)
+    check_layer(layer, att.shape[0])
+    # [head, query, key] restricted to content keys
+    raw = att[layer][:, :, content].mean(axis=(0, 1))
     total = raw.sum()
     if total <= 0:
         raise AttributionError("attention mass on real tokens is zero")
@@ -73,24 +83,22 @@ def token_importance(
 
 
 def head_token_share(
-    att: AttentionSummary | None, seq: TokenSequence, tokenizer: Tokenizer
+    att: np.ndarray | None, seq: TokenSequence, tokenizer: Tokenizer
 ) -> HeadTokenShare:
     """Percentage of each head's attention mass landing on each real token.
 
     share(head, t) = 100 * sum_q w[head][q][t] / sum_q sum_t' w[head][q][t'],
-    with queries over real positions and t' over real tokens, so every row
+    with queries over all positions and t' over real tokens, so every row
     sums to 100; a head with no mass on real tokens gets a row of zeros.
+    ``att`` is the [layer, head, query, key] array ``forward`` captured for
+    ``seq``.
     """
-    if att is None:
-        raise AttributionError("attention was not captured for this forward pass")
-    content = content_positions(seq)
-    if not content:
-        raise AttributionError("sequence has no real tokens")
-    n_layers, n_heads = att.weights.shape[:2]
+    content = _check_attention(att, seq)
+    n_layers, n_heads = att.shape[:2]
     # [layer, head, token, query], contiguous: the memory order of one head's
     # [query, token] block as fancy indexing lays it out (column-major), so
     # each sum adds the same elements in the same order as that block's sums
-    w = np.take(att.weights[:, :, : att.seq_len].swapaxes(2, 3), content, axis=2)
+    w = np.take(att.swapaxes(2, 3), content, axis=2)
     mass = w.sum(axis=3)
     mass *= 100.0
     total = w.sum(axis=(2, 3))[..., None]

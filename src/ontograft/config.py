@@ -148,6 +148,11 @@ def build_run_config(
     threshold = sections["run"]["threshold"]
     if not 0.0 < threshold < 1.0:
         raise ConfigValueError(f"threshold must be in (0, 1), got {threshold}")
+    for section, key, least in (("training", "batch_size", 1), ("extension", "top_k", 0),
+                                ("extension", "id_width", 0)):
+        if sections[section][key] < least:
+            raise ConfigValueError(
+                f"[{section}] {key} must be >= {least}, got {sections[section][key]}")
     return RunConfig(sections)
 
 

@@ -8,8 +8,9 @@ and trained with softmax cross-entropy.
 
 Every pass goes through ``_forward_core``.  Attention dropout applies iff an
 rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` keeps
-every layer's intermediates; ``forward(capture_attention=True)`` keeps each
-layer's attention probabilities, and inference and validation hold one
+every layer's intermediates; ``forward(capture_attention=True)`` copies each
+layer's attention probabilities into one [layers, heads, L, L] array per
+item, at the item's own length L, and inference and validation hold one
 layer's activations at a time.
 
 Position-wise work (embeddings, layer norms, the Q/K/V and output
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -353,24 +354,13 @@ def _attention_backward(dctx, lc: dict, pk: _Packing, config: ModelConfig):
 
 
 @dataclass
-class AttentionSummary:
-    """Post-softmax attention probabilities for one item: [layer, head,
-    query, key], padded to the batch's longest sequence.  The first
-    ``seq_len`` keys are the item's and every padded key is 0; every row
-    sums to 1 over the item's keys.  The rows past ``seq_len`` are those of
-    a zero query, uniform over the item's keys, as a padded encoder gave."""
-
-    weights: np.ndarray
-    seq_len: int
-
-
-@dataclass
 class ForwardOutput:
-    hidden: np.ndarray  # [seq_len, hidden_dim]
-    pooled: np.ndarray  # hidden state at the BOS position
+    hidden: np.ndarray  # [length, hidden_dim]; row 0 is the BOS state the head reads
     logits: np.ndarray  # [n_labels]
     probabilities: np.ndarray  # sigmoid(logits)
-    attention: AttentionSummary | None = None
+    # [n_layers, n_heads, length, length] post-softmax probabilities, each row
+    # summing to 1 over the item's own keys; None unless captured
+    attention: np.ndarray | None = None
 
 
 def _forward_core(
@@ -413,15 +403,15 @@ def _forward_core(
 
 
 def _classification_logits(store: ParameterStore, hidden: np.ndarray, offsets: np.ndarray):
-    """The classification head on the packed BOS rows: (pooled, logits).
+    """The classification head on the packed BOS rows: (BOS rows, logits).
 
     The head runs as a stack of one-row products, one per item: numpy
     computes a one-row product as a matrix-vector product, which rounds
     differently from a product of several rows, so each item's logits have
     the bits the item gets alone."""
-    pooled = hidden[offsets]
-    logits = (pooled[:, None] @ store.params["cls.w"])[:, 0] + store.params["cls.b"]
-    return pooled, logits
+    bos = hidden[offsets]
+    logits = (bos[:, None] @ store.params["cls.w"])[:, 0] + store.params["cls.b"]
+    return bos, logits
 
 
 def forward(
@@ -432,9 +422,9 @@ def forward(
 ) -> list[ForwardOutput]:
     """Encode a batch and apply the classification head, without dropout.
 
-    Each sequence attends over its own tokens only; the pooled vector is the
+    Each sequence attends over its own tokens only; the head reads the
     hidden state at BOS; label probabilities are elementwise sigmoids.  Each
-    item's ``hidden`` and ``pooled`` are views into the batch's packed rows.
+    item's ``hidden`` is a view into the batch's packed rows.
 
     Every output of an item of two tokens or more (hidden states, attention,
     logits, probabilities) has the bits it has when the item is encoded
@@ -442,34 +432,30 @@ def forward(
     makes every position-wise product a one-row product, which rounds
     differently.)
     """
-    attention = capture = None
-    if capture_attention:
-        # [item, layer, head, query, key], each layer copied in as it ends, so
-        # capturing adds the returned weights and nothing else to the peak
-        # (no wider than max_len: _forward_core rejects a longer batch first)
-        t = min(max(map(len, batch), default=0), config.max_len)
-        attention = np.zeros(
-            (len(batch), config.n_layers, config.n_heads, t, t), config.np_dtype()
-        )
-        layer_views = iter(attention.swapaxes(0, 1))
+    attention: list[np.ndarray] = []
+    layers = count()
 
-        def capture(lc):
-            layer = next(layer_views)
-            for b, (probs, _, _) in enumerate(lc["attention"]):
-                n = probs.shape[-1]
-                layer[b, :, :n, :n] = probs
-                layer[b, :, n:, :n] = 1.0 / n
+    def capture(lc):
+        # each item's array is allocated at the first layer, after _pack has
+        # checked the lengths, and filled as each layer ends, so capturing
+        # adds the returned arrays and nothing else to the peak
+        i = next(layers)
+        if i == 0:
+            attention.extend(np.empty((config.n_layers, *probs.shape), probs.dtype)
+                             for probs, _, _ in lc["attention"])
+        for out, (probs, _, _) in zip(attention, lc["attention"]):
+            out[i] = probs
 
-    hidden, (pk, _) = _forward_core(store, config, batch, on_layer=capture)
+    hidden, (pk, _) = _forward_core(store, config, batch,
+                                    on_layer=capture if capture_attention else None)
     _, logits = _classification_logits(store, hidden, pk.offsets)
     probs = expit(logits)
     return [
         ForwardOutput(
             hidden=hidden[rows],
-            pooled=hidden[rows.start],
             logits=logits[b].copy(),
             probabilities=probs[b].copy(),
-            attention=None if attention is None else AttentionSummary(attention[b], len(batch[b])),
+            attention=attention[b] if attention else None,
         )
         for b, rows in enumerate(pk.rows)
     ]
@@ -639,10 +625,10 @@ def loss_and_grad(
             raise ModelError(
                 f"labels shape {y.shape} != {(len(batch), config.n_labels)}"
             )
-        pooled, logits = _classification_logits(store, hidden, pk.offsets)
+        bos, logits = _classification_logits(store, hidden, pk.offsets)
         loss = multilabel_loss_value(logits, y)
         dlogits = (expit(logits) - y) / y.size
-        store.grads["cls.w"] += pooled.T @ dlogits
+        store.grads["cls.w"] += bos.T @ dlogits
         store.grads["cls.b"] += dlogits.sum(axis=0)
         d_hidden[pk.offsets] = dlogits @ store.params["cls.w"].T
     else:

@@ -25,7 +25,6 @@ from ontograft.dataset import (
 from ontograft.extension import propose_extensions, extend, ClassificationResult
 from ontograft.metrics import AVERAGINGS, binarize, prf, roc_auc_detail
 from ontograft.model import (
-    AttentionSummary,
     ModelConfig,
     forward,
     init_model,
@@ -157,8 +156,9 @@ def test_criterion_01_gradient_check(tiny_config, tiny_store):
 
 
 def test_criterion_02_attention_invariants():
-    """1,000 random forward passes: rows sum to 1, padded keys exactly 0,
-    padding never shifts real-position outputs by more than 1e-5."""
+    """1,000 random forward passes: rows sum to 1, attention exactly at each
+    sequence's own length, padding never shifts real-position outputs by
+    more than 1e-5."""
     config = ModelConfig(vocab_size=30, n_labels=4, n_layers=2, n_heads=2,
                          hidden_dim=16, ffn_dim=32, max_len=24, seed=SEED)
     store = init_model(config)
@@ -174,9 +174,8 @@ def test_criterion_02_attention_invariants():
         outs = forward(store, config, batch, capture_attention=True)
         for seq, out in zip(batch, outs):
             att = out.attention
-            real = att.weights[:, :, :, : att.seq_len]
-            npt.assert_allclose(real.sum(axis=-1), 1.0, atol=1e-6)
-            npt.assert_array_equal(att.weights[:, :, :, att.seq_len:], 0.0)
+            assert att.shape == (config.n_layers, config.n_heads, len(seq), len(seq))
+            npt.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-6)
             alone = forward(store, config, [seq])[0]
             npt.assert_allclose(alone.hidden, out.hidden, atol=1e-5)
             npt.assert_allclose(alone.logits, out.logits, atol=1e-5)
@@ -403,16 +402,15 @@ def test_criterion_10_explainability_invariants():
         t = len(seq)
         w = rng.random((2, 3, t, t))
         w /= w.sum(axis=-1, keepdims=True)
-        att = AttentionSummary(weights=w, seq_len=t)
-        imp = token_importance(att, seq, tok)
+        imp = token_importance(w, seq, tok)
         assert abs(imp.scores.sum() - 1.0) < 1e-6
         assert (imp.scores >= 0).all()
-        shares = head_token_share(att, seq, tok)
+        shares = head_token_share(w, seq, tok)
         npt.assert_allclose(shares.matrix.sum(axis=1), 100.0, atol=0.01)
     # uniform symmetry: equal attention -> equal scores, exactly
     seq = tok.encode("CNOS")
     t = len(seq)
-    uniform = AttentionSummary(weights=np.full((2, 3, t, t), 1.0 / t), seq_len=t)
+    uniform = np.full((2, 3, t, t), 1.0 / t)
     imp = token_importance(uniform, seq, tok)
     npt.assert_array_equal(imp.scores, 0.25)
     shares = head_token_share(uniform, seq, tok)

@@ -13,7 +13,6 @@ from ontograft.attribution import (
     token_importance,
     write_attribution_csv,
 )
-from ontograft.model import AttentionSummary
 from ontograft.tokenizer import BOS_ID, EOS_ID, N_SPECIALS, TokenSequence, train_bpe
 
 
@@ -22,33 +21,25 @@ def tok():
     return train_bpe(["CNOS"], target_vocab=16)
 
 
-def summary_from(weights):
-    w = np.asarray(weights, dtype=float)
-    return AttentionSummary(weights=w, seq_len=w.shape[-1])
-
-
 def seq_for(tok, text):
     return tok.encode(text)
 
 
-def uniform_summary(n_layers, n_heads, seq_len, padded_to=None):
-    total = padded_to or seq_len
-    w = np.zeros((n_layers, n_heads, total, total))
-    w[:, :, :seq_len, :seq_len] = 1.0 / seq_len
-    return AttentionSummary(weights=w, seq_len=seq_len)
+def uniform_attention(n_layers, n_heads, seq_len):
+    return np.full((n_layers, n_heads, seq_len, seq_len), 1.0 / seq_len)
 
 
 class TestTokenImportance:
     def test_single_real_token(self, tok):
         seq = seq_for(tok, "C")  # BOS C EOS
-        att = uniform_summary(1, 2, 3)
+        att = uniform_attention(1, 2, 3)
         out = token_importance(att, seq, tok)
         assert out.tokens == ["C"]
         npt.assert_allclose(out.scores, [1.0])
 
     def test_uniform_attention_gives_uniform_scores(self, tok):
         seq = seq_for(tok, "CNOS")
-        att = uniform_summary(2, 2, 6)
+        att = uniform_attention(2, 2, 6)
         out = token_importance(att, seq, tok)
         assert out.tokens == ["C", "N", "O", "S"]
         npt.assert_allclose(out.scores, 0.25)
@@ -58,7 +49,7 @@ class TestTokenImportance:
         w = np.zeros((1, 2, 4, 4))
         w[0, 0, :, 1] = 1.0  # head 1 attends only to C
         w[0, 1, :, 2] = 1.0  # head 2 attends only to N
-        out = token_importance(summary_from(w), seq, tok)
+        out = token_importance(w, seq, tok)
         npt.assert_allclose(out.scores, [0.5, 0.5])
 
     def test_scores_sum_to_one(self, tok):
@@ -66,24 +57,22 @@ class TestTokenImportance:
         seq = seq_for(tok, "CNOS")
         w = rng.random((2, 3, 6, 6))
         w /= w.sum(axis=-1, keepdims=True)
-        out = token_importance(summary_from(w), seq, tok)
+        out = token_importance(w, seq, tok)
         assert abs(out.scores.sum() - 1.0) < 1e-6
         assert (out.scores >= 0).all()
 
-    def test_padding_does_not_change_result(self, tok):
-        seq = seq_for(tok, "CNO")
-        att = uniform_summary(1, 2, 5)
-        att_padded = uniform_summary(1, 2, 5, padded_to=9)
-        a = token_importance(att, seq, tok)
-        b = token_importance(att_padded, seq, tok)
-        npt.assert_allclose(a.scores, b.scores)
+    def test_attention_of_another_length(self, tok):
+        seq = seq_for(tok, "CNO")  # 5 tokens
+        for length in (4, 9):
+            with pytest.raises(AttributionError, match="does not fit a sequence of 5 tokens"):
+                token_importance(uniform_attention(1, 2, length), seq, tok)
 
     def test_requires_capture(self, tok):
         with pytest.raises(AttributionError):
             token_importance(None, seq_for(tok, "C"), tok)
 
     def test_layer_out_of_range(self, tok):
-        att = uniform_summary(2, 2, 3)
+        att = uniform_attention(2, 2, 3)
         with pytest.raises(AttributionError):
             token_importance(att, seq_for(tok, "C"), tok, layer=5)
 
@@ -93,14 +82,14 @@ class TestHeadTokenShare:
         seq = seq_for(tok, "CNO")  # BOS C N O EOS; position 3 is "O"
         w = np.zeros((1, 2, 5, 5))
         w[:, :, :, 3] = 1.0
-        shares = head_token_share(summary_from(w), seq, tok)
+        shares = head_token_share(w, seq, tok)
         assert shares.tokens == ["C", "N", "O"]
         npt.assert_allclose(shares.matrix[:, 2], 100.0)
         npt.assert_allclose(shares.matrix[:, :2], 0.0)
 
     def test_uniform_head_shares_equally(self, tok):
         seq = seq_for(tok, "CNOS")
-        shares = head_token_share(uniform_summary(2, 3, 6), seq, tok)
+        shares = head_token_share(uniform_attention(2, 3, 6), seq, tok)
         npt.assert_allclose(shares.matrix, 100.0 / 4)
 
     def test_rows_sum_to_100(self, tok):
@@ -108,16 +97,16 @@ class TestHeadTokenShare:
         seq = seq_for(tok, "CNOS")
         w = rng.random((3, 4, 6, 6))
         w /= w.sum(axis=-1, keepdims=True)
-        shares = head_token_share(summary_from(w), seq, tok)
+        shares = head_token_share(w, seq, tok)
         npt.assert_allclose(shares.matrix.sum(axis=1), 100.0, atol=0.01)
         assert shares.row_labels[0] == "L1H1"
         assert shares.row_labels[-1] == "L3H4"
 
-    def test_padding_invariance(self, tok):
-        seq = seq_for(tok, "CN")
-        a = head_token_share(uniform_summary(1, 2, 4), seq, tok)
-        b = head_token_share(uniform_summary(1, 2, 4, padded_to=8), seq, tok)
-        npt.assert_allclose(a.matrix, b.matrix)
+    def test_attention_of_another_length(self, tok):
+        seq = seq_for(tok, "CN")  # 4 tokens
+        for length in (3, 8):
+            with pytest.raises(AttributionError, match="does not fit a sequence of 4 tokens"):
+                head_token_share(uniform_attention(1, 2, length), seq, tok)
 
 
 def head_token_share_loop(att, seq, tokenizer):
@@ -125,9 +114,9 @@ def head_token_share_loop(att, seq, tokenizer):
     bits."""
     content = [p for p in range(len(seq)) if seq.ids[p] >= N_SPECIALS]
     rows = []
-    for layer in range(att.weights.shape[0]):
-        for head in range(att.weights.shape[1]):
-            w = att.weights[layer, head, : att.seq_len, :][:, content]
+    for layer in range(att.shape[0]):
+        for head in range(att.shape[1]):
+            w = att[layer, head][:, content]
             total = w.sum()
             rows.append(100.0 * w.sum(axis=0) / total if total > 0 else np.zeros(len(content)))
     return np.stack(rows)
@@ -142,19 +131,16 @@ class TestHeadTokenShareAgainstLoop:
         n_heads=st.integers(1, 12),
         ids=st.lists(st.integers(0, 8), min_size=1, max_size=130).filter(
             lambda ids: max(ids) >= N_SPECIALS),
-        padding=st.integers(0, 4),
         dtype=st.sampled_from([np.float64, np.float32]),
         zero_head=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bits_of_the_per_head_loop(self, n_layers, n_heads, ids, padding, dtype, zero_head,
-                                       seed):
+    def test_bits_of_the_per_head_loop(self, n_layers, n_heads, ids, dtype, zero_head, seed):
         tok = self.tok
-        n = len(ids) + padding
-        weights = np.random.default_rng(seed).random((n_layers, n_heads, n, n)).astype(dtype)
+        n = len(ids)
+        att = np.random.default_rng(seed).random((n_layers, n_heads, n, n)).astype(dtype)
         if zero_head:  # a head whose attention mass on real tokens is zero
-            weights[-1, 0] = 0.0
-        att = AttentionSummary(weights=weights, seq_len=len(ids))
+            att[-1, 0] = 0.0
         seq = TokenSequence(tuple(ids))
         got = head_token_share(att, seq, tok)
         assert got.matrix.dtype == dtype

@@ -52,9 +52,12 @@ def workspace(tmp_path_factory):
     assert main(["finetune", "--config", str(config), "--model", str(model),
                  "--tokenizer", str(tokenizer), "--dataset", str(dataset),
                  "--out", str(finetuned)]) == 0
+    queries = root / "queries.smi"
+    queries.write_text("CCC(NN)CC\nCC(BrBr)Cc1ccccc1\n")
     return {
         "root": root, "config": config, "obo": obo, "dataset": dataset,
         "tokenizer": tokenizer, "pretrained": model, "finetuned": finetuned,
+        "queries": queries,
     }
 
 
@@ -205,6 +208,46 @@ class TestErrors:
         takes = {name for name, sub in _subparsers().choices.items()
                  if any(action.dest == "threshold" for action in sub._actions)}
         assert takes == {"finetune", "evaluate", "classify", "explain", "extend"}
+
+    @staticmethod
+    def _curation_run(workspace, tmp_path, stage, config):
+        """``stage`` on the workspace's model: its argv and the outputs it names."""
+        ws = workspace
+        inputs = {
+            "evaluate": ["--test", ws["dataset"] / "test.tsv"],
+            "extend": ["--ontology", ws["obo"], "--input", ws["queries"]],
+        }.get(stage, ["--input", ws["queries"]])
+        outputs = {
+            "extend": {"--out-ontology": tmp_path / "extended.obo",
+                       "--out-report": tmp_path / "changes.json"},
+        }.get(stage, {"--out": tmp_path / stage})
+        argv = [stage, "--config", config, "--model", ws["finetuned"],
+                "--tokenizer", ws["tokenizer"], "--labels", ws["dataset"] / "labels.txt",
+                *inputs, *(part for flag, path in outputs.items() for part in (flag, path))]
+        return [str(part) for part in argv], list(outputs.values())
+
+    @pytest.mark.parametrize("stage", ["classify", "evaluate", "explain", "extend"])
+    def test_batch_size_below_one(self, workspace, tmp_path, capsys, stage):
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text().replace(
+            "batch_size = 8", "batch_size = 0"))
+        argv, outputs = self._curation_run(workspace, tmp_path, stage, config)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "ERROR\tconfig\t[training] batch_size must be >= 1, got 0"
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("key, stage", [("top_k", "classify"), ("id_width", "extend")])
+    def test_negative_extension_setting(self, workspace, tmp_path, capsys, key, stage):
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text() + f"\n[extension]\n{key} = -1\n")
+        argv, outputs = self._curation_run(workspace, tmp_path, stage, config)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"ERROR\tconfig\t[extension] {key} must be >= 0, got -1"
+        assert not any(path.exists() for path in outputs)
 
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),

@@ -128,18 +128,15 @@ class TestForward:
                              hidden_dim=8, ffn_dim=16, max_len=8, seed=1)
         store = init_model(config)
         out = forward(store, config, [seq(5)], capture_attention=True)[0]
-        w = out.attention.weights
-        npt.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
+        npt.assert_allclose(out.attention.sum(axis=-1), 1.0, atol=1e-6)
 
-    def test_padded_keys_get_zero_attention(self, tiny_config, tiny_store):
+    def test_attention_has_each_item_own_length(self, tiny_config, tiny_store):
         batch = [seq(5, 6, 7, 8), seq(9)]
         outs = forward(tiny_store, tiny_config, batch, capture_attention=True)
-        short = outs[1].attention
-        assert short.seq_len == 3
-        npt.assert_array_equal(short.weights[:, :, :, short.seq_len:], 0.0)
-        npt.assert_allclose(
-            short.weights[:, :, :, : short.seq_len].sum(axis=-1), 1.0, atol=1e-6
-        )
+        for item, out in zip(batch, outs):
+            n = len(item)
+            assert out.attention.shape == (tiny_config.n_layers, tiny_config.n_heads, n, n)
+            npt.assert_allclose(out.attention.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_padding_invariance(self, tiny_config, tiny_store):
         item = seq(5, 6, 7)
@@ -154,7 +151,6 @@ class TestForward:
         hidden, logits = straight_line_forward(tiny_store, tiny_config, item.ids)
         npt.assert_allclose(out.hidden, hidden, atol=1e-6)
         npt.assert_allclose(out.logits, logits, atol=1e-6)
-        npt.assert_allclose(out.pooled, hidden[0], atol=1e-6)
 
     def test_probabilities_are_sigmoid(self, tiny_config, tiny_store):
         out = forward(tiny_store, tiny_config, [seq(5, 6)])[0]
@@ -172,23 +168,20 @@ class TestForward:
         plain = forward(tiny_store, tiny_config, batch)
         captured = forward(tiny_store, tiny_config, batch, capture_attention=True)
         p = tiny_store.params
-        # both paths apply the head to each item's pooled row alone (see TestGemmRows)
+        # both paths apply the head to each item's BOS row alone (see TestGemmRows)
         for row, out, cap in zip(rows, plain, captured):
-            npt.assert_array_equal(cap.pooled, out.pooled)
-            npt.assert_array_equal(out.logits, (out.pooled[None] @ p["cls.w"] + p["cls.b"])[0])
+            npt.assert_array_equal(cap.hidden[0], out.hidden[0])
+            npt.assert_array_equal(out.logits, (out.hidden[0][None] @ p["cls.w"] + p["cls.b"])[0])
             npt.assert_array_equal(cap.logits, out.logits)
             npt.assert_array_equal(row, out.logits)
         for item in batch:
             npt.assert_array_equal(predict_logits(tiny_store, tiny_config, [item])[0],
                                    forward(tiny_store, tiny_config, [item])[0].logits)
 
-    def test_hidden_and_pooled_are_views_of_the_packed_rows(self, tiny_config, tiny_store):
+    def test_hidden_is_a_view_of_the_packed_rows(self, tiny_config, tiny_store):
         outs = forward(tiny_store, tiny_config, [seq(5, 6, 7), seq(8)])
         packed = outs[0].hidden.base
         assert packed is not None and outs[1].hidden.base is packed
-        for out in outs:
-            assert np.shares_memory(out.pooled, out.hidden)
-            npt.assert_array_equal(out.pooled, out.hidden[0])
 
     def test_empty_sequence(self, tiny_config, tiny_store):
         with pytest.raises(ModelError, match="empty sequence"):
@@ -476,12 +469,11 @@ class TestPackedAgainstPaddedOracle:
         outs = forward(store, config, seqs, capture_attention=True)
         for b, (out, n) in enumerate(zip(outs, lengths)):
             assert_close(out.hidden, ref[b, :n])
-            assert_close(out.pooled, ref[b, 0])
             assert_close(out.logits, ref_logits[b])
             assert_close(out.probabilities, expit(ref_logits[b]))
             att = np.stack([layer["probs"][b] for layer in padded_layers])
-            assert_close(out.attention.weights[:, :, :n], att[:, :, :n])
-            npt.assert_array_equal(out.attention.weights[:, :, :, n:], 0.0)
+            assert out.attention.shape == (config.n_layers, config.n_heads, n, n)
+            assert_close(out.attention, att[:, :, :n, :n])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -550,11 +542,11 @@ class TestBatchInvariance:
         outs = forward(store, config, seqs, capture_attention=True)
         for item, out in zip(seqs, outs):
             alone = forward(store, config, [item], capture_attention=True)[0]
-            for field in ("hidden", "pooled", "logits", "probabilities"):
+            for field in ("hidden", "logits", "probabilities", "attention"):
                 assert getattr(out, field).dtype == np.dtype(dtype)
                 npt.assert_array_equal(getattr(out, field), getattr(alone, field), err_msg=field)
             n = len(item)
-            npt.assert_array_equal(out.attention.weights[:, :, :n, :n], alone.attention.weights)
+            assert out.attention.shape == (config.n_layers, config.n_heads, n, n)
         want = np.stack([out.logits for out in outs])
         for batch_size in range(1, len(seqs) + 1):
             npt.assert_array_equal(predict_logits(store, config, seqs, batch_size), want)
@@ -619,9 +611,37 @@ class TestInferenceMemory:
         outputs, capturing = traced_peak(
             lambda: forward(store, config, batch, capture_attention=True)
         )
-        attention = outputs[0].attention.weights.nbytes
+        attention = outputs[0].attention.nbytes
         # a few hundred bytes of Python objects besides the weights
         assert capturing <= plain + attention + 4096
+
+    def test_capture_follows_each_item_own_length(self):
+        # a buffer padded to the longest item holds 4 * 62^2 values per layer
+        # and head here, 3.9 times the items' own 62^2 + 3 * 7^2
+        config, store = self.model(6)
+        batch = [seq(*([5, 6, 7] * 20))] + [seq(5, 6, 7, 8, 9)] * 3
+        _, plain = traced_peak(lambda: forward(store, config, batch))
+        outputs, capturing = traced_peak(
+            lambda: forward(store, config, batch, capture_attention=True)
+        )
+        itemsize = np.dtype(config.np_dtype()).itemsize
+        own = sum(config.n_layers * config.n_heads * len(item) ** 2 * itemsize for item in batch)
+        assert sum(out.attention.nbytes for out in outputs) == own
+        assert capturing <= plain + own + 4096
+
+    def test_over_length_batch_fails_before_capture_allocates(self):
+        config, store = self.model(6)
+        batch = [seq(5, 6), seq(*([5] * (config.max_len + 1)))]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError, match="exceeds max_len"):
+                forward(store, config, batch, capture_attention=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # under one head-layer of one item at max_len; a buffer allocated
+        # before the length check would hold 1.6 MB here
+        assert peak < config.n_heads * config.max_len ** 2 * 8
 
 
 class TestLoadMemory:
@@ -700,7 +720,7 @@ class TestDtype:
 
         outs = forward(store, config, batch)
         for out in outs:
-            for array in (out.hidden, out.pooled, out.logits, out.probabilities):
+            for array in (out.hidden, out.logits, out.probabilities):
                 assert array.dtype == want
         assert _mlm_head_forward(store, outs[0].hidden[[1, 2]])[0].dtype == want
         assert predict_logits(store, config, batch).dtype == want
@@ -733,7 +753,7 @@ class TestDtype:
         store = self.perturbed(config)
         item = tokenizer.encode("CCOCNC(=O)c1ccccc1ClBrC=CC#NCCOCNC(=O)c1ccccc1")
         out = forward(store, config, [item], capture_attention=True)[0]
-        assert out.attention.weights.dtype == np.float32
+        assert out.attention.dtype == np.float32
         scores = token_importance(out.attention, item, tokenizer).scores
         assert abs(float(scores.sum()) - 1.0) < 1e-6
 
