@@ -189,19 +189,25 @@ def _save_model_and_log(args, store, mcfg: ModelConfig, logs) -> None:
 
 def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
     tokenizer = inputs.tokenizer
+    policy = cfg.build(MaskingPolicy, "masking")
+    tcfg = _train_config(args, cfg, cfg.pretrain_epochs)
+    # Encode (without truncation) before the model exists, so a molecule that
+    # does not fit fails without allocating it.
+    train, validation = (
+        [tokenizer.encode(smiles) for smiles in corpus]
+        for corpus in (inputs.train, inputs.validation or [])
+    )
     mcfg = cfg.build(
         ModelConfig, "model",
         vocab_size=len(tokenizer.vocab), n_labels=len(inputs.labels), max_len=tokenizer.max_len,
     )
     store = init_model(mcfg)
-    policy = cfg.build(MaskingPolicy, "masking")
-    tcfg = _train_config(args, cfg, cfg.pretrain_epochs)
     logger.info(
         "pretraining %d epochs on %d molecules (%d parameters)",
-        tcfg.epochs, len(inputs.train), store.n_parameters(),
+        tcfg.epochs, len(train), store.n_parameters(),
     )
     logs = run_pretrain(
-        store, mcfg, tokenizer, inputs.train, inputs.validation or [], tcfg, policy,
+        store, mcfg, tokenizer, train, validation, tcfg, policy,
         checkpoint_dir=args.checkpoint_dir,
     )
     _save_model_and_log(args, store, mcfg, logs)

@@ -148,8 +148,14 @@ def build_run_config(
     threshold = sections["run"]["threshold"]
     if not 0.0 < threshold < 1.0:
         raise ConfigValueError(f"threshold must be in (0, 1), got {threshold}")
-    for section, key, least in (("training", "batch_size", 1), ("extension", "top_k", 0),
-                                ("extension", "id_width", 0)):
+    for section, key, least in (
+        ("tokenizer", "max_len", 3),  # BOS and EOS take two positions
+        ("tokenizer", "min_frequency", 1),
+        ("training", "batch_size", 1),
+        ("training", "checkpoint_every", 0),
+        ("extension", "top_k", 0),
+        ("extension", "id_width", 0),
+    ):
         if sections[section][key] < least:
             raise ConfigValueError(
                 f"[{section}] {key} must be >= {least}, got {sections[section][key]}")

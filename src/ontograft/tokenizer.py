@@ -8,7 +8,9 @@ pre-splitting.
 
 from __future__ import annotations
 
-from collections import Counter
+import bisect
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, MASK_ID = 0, 1, 2, 3, 4
@@ -81,6 +83,22 @@ class Tokenizer:
     vocab: Vocabulary
     merges: tuple[tuple[str, str], ...]
     max_len: int = 512
+    # pair -> its first rank (index in merges).  A pair recurs in merges only
+    # if a later merge re-spells one of its tokens (ABC as A+BC after AB+C);
+    # _repeats maps such a pair to all its ranks, ascending.
+    _ranks: dict = field(init=False, repr=False, compare=False)
+    _repeats: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ranks: dict[tuple[str, str], int] = {}
+        repeats: dict[tuple[str, str], list[int]] = {}
+        for rank, pair in enumerate(self.merges):
+            if pair in ranks:
+                repeats.setdefault(pair, [ranks[pair]]).append(rank)
+            else:
+                ranks[pair] = rank
+        object.__setattr__(self, "_ranks", ranks)
+        object.__setattr__(self, "_repeats", repeats)
 
     def encode(self, smiles: str, truncate: bool = False) -> TokenSequence:
         """Character-split, apply merges in training order, add BOS/EOS.
@@ -88,20 +106,58 @@ class Tokenizer:
         Characters outside the training alphabet map to UNK.  Sequences longer
         than max_len raise by default; with ``truncate=True`` they are cut to
         fit and flagged.
+
+        A merge whose pair is not adjacent changes nothing, so instead of
+        trying every merge in turn, each step applies the lowest-ranked merge
+        at or after the last one applied whose pair is adjacent: the same
+        merges in the same order.  ``pending[i]`` holds that rank for the
+        pair at ``i``, and a merge recomputes it only beside its sites.
         """
         if not smiles:
             raise TokenizerError("cannot encode an empty string")
-        parts = [c if c in self.vocab else UNK for c in smiles]
-        for left, right in self.merges:
-            parts = _apply_merge(parts, left, right)
+        index = self.vocab._index
+        parts = [c if c in index else UNK for c in smiles]
+        merges, rank_of = self.merges, self._ranks.get
+        done = len(merges)  # the rank of a pair no merge left applies to
+        pending = [rank_of(pair, done) for pair in zip(parts, parts[1:])]
+        while pending:
+            best = min(pending)
+            if best == done:
+                break
+            # Non-overlapping sites, left to right; then merge right to left so
+            # that the indices of the sites still to merge hold.
+            sites = []
+            i = -1
+            for _ in range(pending.count(best)):
+                i = pending.index(best, i + 1)
+                if not sites or i > sites[-1] + 1:
+                    sites.append(i)
+            merged = merges[best][0] + merges[best][1]
+            start = best + 1
+            for i in reversed(sites):
+                parts[i:i + 2] = (merged,)
+                del pending[i]
+                if i > 0:
+                    pair = (parts[i - 1], merged)
+                    rank = rank_of(pair, done)
+                    pending[i - 1] = rank if rank >= start else self._rank_after(pair, start)
+                if i < len(pending):
+                    pair = (merged, parts[i + 1])
+                    rank = rank_of(pair, done)
+                    pending[i] = rank if rank >= start else self._rank_after(pair, start)
         truncated = False
         if len(parts) + 2 > self.max_len:
             if not truncate:
                 raise SequenceTooLongError(len(parts) + 2, self.max_len)
             parts = parts[: self.max_len - 2]
             truncated = True
-        ids = (BOS_ID,) + tuple(self.vocab.id_of(p) for p in parts) + (EOS_ID,)
-        return TokenSequence(ids, truncated=truncated)
+        return TokenSequence((BOS_ID, *[index[p] for p in parts], EOS_ID), truncated=truncated)
+
+    def _rank_after(self, pair, start: int) -> int:
+        """The first rank at or after ``start`` of a merge of ``pair``."""
+        ranks = self._repeats.get(pair, ())
+        i = bisect.bisect_left(ranks, start)
+        return ranks[i] if i < len(ranks) else len(self.merges)
 
     def decode(self, seq: TokenSequence) -> tuple[str, bool]:
         """Concatenate token strings, stripping PAD/BOS/EOS.
@@ -170,24 +226,6 @@ class Tokenizer:
         return Tokenizer(Vocabulary(tokens), tuple(merges), max_len=max_len)
 
 
-def _apply_merge(parts: list[str], left: str, right: str) -> list[str]:
-    """Merge non-overlapping (left, right) occurrences, left to right."""
-    if left not in parts:
-        return parts
-    out: list[str] = []
-    i = 0
-    n = len(parts)
-    merged = left + right
-    while i < n:
-        if i + 1 < n and parts[i] == left and parts[i + 1] == right:
-            out.append(merged)
-            i += 2
-        else:
-            out.append(parts[i])
-            i += 1
-    return out
-
-
 def train_bpe(
     corpus: list[str],
     target_vocab: int,
@@ -200,9 +238,23 @@ def train_bpe(
     or no pair occurs at least min_frequency times.  Frequency ties break
     lexicographically on the (left, right) token strings, so training is
     deterministic.
+
+    The best pair comes off a heap keyed ``(-count, left, right)``, the
+    tie-break order itself.  Entries go stale lazily: one is live while its
+    count equals the pair's current count, and every count change pushes a
+    fresh entry, so the first live entry is the pair ``min`` over all pairs
+    would pick.  A merge rewrites the words that hold the pair,
+    non-overlapping left to right as ``encode`` does, and recounts only the
+    pairs touching a merge site (old indices ``i-1, i, i+1`` of a site at
+    ``i``; new indices ``j-1, j`` of its merged token at ``j``): every other
+    pair keeps its tokens and their adjacency.  So the merges and the
+    vocabulary equal those of recounting every pair after each merge, at a
+    cost that follows the merge sites, not the corpus.
     """
     if not corpus:
         raise TokenizerError("corpus is empty")
+    if max_len < 3:
+        raise TokenizerError(f"max_len must be >= 3 (BOS and EOS take two), got {max_len}")
     alphabet = sorted(set("".join(corpus)))
     if target_vocab < len(alphabet) + N_SPECIALS:
         raise TokenizerError(
@@ -210,49 +262,97 @@ def train_bpe(
             f"({len(alphabet)}) + reserved ({N_SPECIALS})"
         )
     tokens: list[str] = list(SPECIAL_TOKENS) + alphabet
+    # Words are lists of token ids, so a merge that spells an existing token
+    # (e.g. A+BC after AB+C) produces that token's id, and a pair (a, b) is
+    # the one int a * target_vocab + b: every id is below target_vocab.
+    token_ids = {token: i for i, token in enumerate(tokens)}
+    width = target_vocab
 
-    # Duplicate strings share one token list, weighted by their count.
+    # Duplicate strings share one word, weighted by their count.
     word_counts = Counter(corpus)
-    words: list[list[str]] = [list(w) for w in word_counts]
-    weights: list[int] = [word_counts[w] for w in word_counts]
+    words = [[token_ids[c] for c in w] for w in word_counts]
+    weights = list(word_counts.values())
 
-    pair_counts: Counter = Counter()
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    # pair_counts holds only pairs that occur.  pair_words may list a word
+    # that no longer holds the pair; such a word has no merge site.
+    pair_counts: dict[int, int] = defaultdict(int)
+    pair_words: dict[int, set[int]] = defaultdict(set)
     for wi, word in enumerate(words):
-        for pair in zip(word, word[1:]):
-            pair_counts[pair] += weights[wi]
-            pair_words.setdefault(pair, set()).add(wi)
+        w = weights[wi]
+        for a, b in zip(word, word[1:]):
+            pair = a * width + b
+            pair_counts[pair] += w
+            pair_words[pair].add(wi)
+    heap = [(-count, tokens[pair // width], tokens[pair % width], pair)
+            for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
-    token_set = set(tokens)
-    while len(tokens) < target_vocab and pair_counts:
-        best, best_count = min(
-            pair_counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1])
-        )
-        if best_count < min_frequency:
+    while len(tokens) < target_vocab:
+        while heap and pair_counts.get(heap[0][3]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < min_frequency:
             break
-        merges.append(best)
-        merged_token = best[0] + best[1]
-        # Distinct merges can spell the same string (e.g. A+BC vs AB+C); the
-        # rule still applies but the vocabulary entry already exists.
-        if merged_token not in token_set:
+        _, left_token, right_token, best = heapq.heappop(heap)
+        merges.append((left_token, right_token))
+        left, right = divmod(best, width)
+        # A merge can spell a token that exists (a reserved token, or another
+        # merge's spelling, as A+BC after AB+C): the rule still applies but
+        # the vocabulary entry already exists.
+        merged_token = left_token + right_token
+        merged = token_ids.get(merged_token)
+        if merged is None:
+            merged = token_ids[merged_token] = len(tokens)
             tokens.append(merged_token)
-            token_set.add(merged_token)
-        for wi in sorted(pair_words.get(best, ())):
+        deltas: dict[int, int] = defaultdict(int)
+        # merged is longer than left and right, so no new pair is the best
+        # pair: every occurrence of it is counted off below.
+        for wi in pair_words.pop(best):
             word = words[wi]
+            n = len(word)
+            sites = []
+            i = -1
+            for _ in range(word.count(left)):
+                i = word.index(left, i + 1)
+                if i + 1 < n and word[i + 1] == right and (not sites or i > sites[-1] + 1):
+                    sites.append(i)
+            if not sites:
+                continue
             w = weights[wi]
-            for pair in zip(word, word[1:]):
-                pair_counts[pair] -= w
-                if pair_counts[pair] <= 0:
-                    del pair_counts[pair]
-                group = pair_words.get(pair)
-                if group is not None:
-                    group.discard(wi)
-                    if not group:
-                        del pair_words[pair]
-            word = _apply_merge(word, best[0], best[1])
-            words[wi] = word
-            for pair in zip(word, word[1:]):
-                pair_counts[pair] += w
-                pair_words.setdefault(pair, set()).add(wi)
+            # The pairs touching each site change.  A pair between two sites
+            # (i, i + 2) is counted off once, as the right neighbour of the
+            # first; likewise a pair between two merged tokens is counted on
+            # once.  The k-th site's merged token sits at i - k.
+            last = -2
+            for i in sites:
+                if i > 0 and last != i - 2:
+                    deltas[word[i - 1] * width + left] -= w
+                if i + 2 < n:
+                    deltas[right * width + word[i + 2]] -= w
+                last = i
+            deltas[best] -= w * len(sites)
+            for i in reversed(sites):
+                word[i:i + 2] = (merged,)
+            m = n - len(sites)
+            last = -2
+            for k, i in enumerate(sites):
+                j = i - k
+                if j > 0 and last != j - 1:
+                    pair = word[j - 1] * width + merged
+                    deltas[pair] += w
+                    pair_words[pair].add(wi)
+                if j + 1 < m:
+                    pair = merged * width + word[j + 1]
+                    deltas[pair] += w
+                    pair_words[pair].add(wi)
+                last = j
+        for pair, delta in deltas.items():
+            if not delta:
+                continue
+            count = pair_counts[pair] + delta
+            if count > 0:
+                pair_counts[pair] = count
+                heapq.heappush(heap, (-count, tokens[pair // width], tokens[pair % width], pair))
+            else:
+                del pair_counts[pair]
     return Tokenizer(Vocabulary(tuple(tokens)), tuple(merges), max_len=max_len)

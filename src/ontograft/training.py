@@ -214,8 +214,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = none
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise TrainingError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 0 or self.batch_size < 1 or self.checkpoint_every < 0:
+            raise TrainingError(
+                "epochs must be >= 0, batch_size >= 1 and checkpoint_every >= 0"
+            )
 
 
 @dataclass
@@ -322,13 +324,17 @@ def pretrain(
     store: ParameterStore,
     config: ModelConfig,
     tokenizer: Tokenizer,
-    corpus: list[str],
-    val_corpus: list[str],
+    corpus: list[str] | list[TokenSequence],
+    val_corpus: list[str] | list[TokenSequence],
     tcfg: TrainConfig,
     policy: MaskingPolicy,
     checkpoint_dir: str | None = None,
 ) -> list[EpochLog]:
     """Masked-language-model pretraining with dynamic per-epoch masking.
+
+    ``corpus`` and ``val_corpus`` hold SMILES strings or the sequences
+    ``tokenizer`` encodes them to; the CLI encodes first, so a molecule that
+    does not fit fails before the model is allocated.
 
     Validation uses a fixed mask pattern (its own seed stream, independent of
     the epoch) so the validation loss stays comparable across epochs, and it
@@ -337,8 +343,10 @@ def pretrain(
     """
     # no truncation: an over-length molecule is an error, because a cut one
     # would corrupt what the model is supposed to learn
-    seqs = [tokenizer.encode(s) for s in corpus]
-    val_seqs = [tokenizer.encode(s) for s in val_corpus]
+    seqs, val_seqs = (
+        [s if isinstance(s, TokenSequence) else tokenizer.encode(s) for s in texts]
+        for texts in (corpus, val_corpus)
+    )
     val_policy = replace(policy, seed=policy.seed + _STREAM_VALIDATION * 1_000_003)
     val_masked, val_targets = apply_dynamic_masking(
         val_seqs, val_policy, epoch=0, vocab_size=config.vocab_size

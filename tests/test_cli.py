@@ -249,6 +249,51 @@ class TestErrors:
         assert err.splitlines()[-1] == f"ERROR\tconfig\t[extension] {key} must be >= 0, got -1"
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("key, value, least", [("max_len", 2, 3), ("min_frequency", 0, 1)])
+    def test_tokenizer_setting_below_least(self, workspace, tmp_path, capsys, key, value, least):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = 1\n\n[tokenizer]\ntarget_vocab = 40\n{key} = {value}\n")
+        out = tmp_path / "tok.txt"
+        code = main(["train-tokenizer", "--config", str(config),
+                     "--input", str(workspace["dataset"] / "train.tsv"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"ERROR\tconfig\t[tokenizer] {key} must be >= {least}, got {value}")
+        assert not out.exists()
+
+    def test_negative_checkpoint_every(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text().replace(
+            "batch_size = 8", "batch_size = 8\ncheckpoint_every = -1"))
+        out, checkpoints = tmp_path / "m.bin", tmp_path / "ck"
+        code = main(["finetune", "--config", str(config), "--model", str(workspace["pretrained"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--dataset", str(workspace["dataset"]), "--out", str(out),
+                     "--checkpoint-dir", str(checkpoints), "--epochs", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "ERROR\tconfig\t[training] checkpoint_every must be >= 0, got -1"
+        assert not out.exists() and not checkpoints.exists()
+
+    def test_pretrain_encodes_before_it_allocates(self, workspace, tmp_path, capsys, monkeypatch):
+        short = tmp_path / "short.txt"
+        trained = tokenizer.Tokenizer.load(workspace["tokenizer"])
+        tokenizer.Tokenizer(trained.vocab, trained.merges, max_len=4).save(short)
+        built = []
+        monkeypatch.setattr(cli, "init_model", lambda *args, **kwargs: built.append(args))
+        out = tmp_path / "m.bin"
+        code = main(["pretrain", "--config", str(workspace["config"]), "--tokenizer", str(short),
+                     "--train", str(workspace["dataset"] / "train.tsv"),
+                     "--validation", str(workspace["dataset"] / "validation.tsv"),
+                     "--labels", str(workspace["dataset"] / "labels.txt"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"ERROR\ttokenizer\tencoded length \d+ exceeds max_len 4", err)
+        assert built == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),
         ("run", "threshold", "half", "float"),

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontograft.tokenizer import (
     BOS_ID,
@@ -7,13 +12,17 @@ from ontograft.tokenizer import (
     MASK_ID,
     N_SPECIALS,
     PAD_ID,
+    SPECIAL_TOKENS,
     SequenceTooLongError,
     TokenSequence,
     Tokenizer,
     TokenizerError,
     UNK_ID,
+    Vocabulary,
     train_bpe,
 )
+
+import bpe_oracle
 
 
 def random_smiles_corpus(rng, n, alphabet="CNOSPFIBrcl1()=", max_len=40):
@@ -47,6 +56,13 @@ class TestTrain:
     def test_target_too_small(self):
         with pytest.raises(TokenizerError):
             train_bpe(["CNOPS"], target_vocab=7)
+
+    def test_max_len_leaves_room_for_a_token(self):
+        # BOS and EOS take two positions
+        with pytest.raises(TokenizerError, match="max_len must be >= 3"):
+            train_bpe(["CC"], target_vocab=20, max_len=2)
+        assert train_bpe(["CC"], target_vocab=20, max_len=3).encode("C").ids == (
+            BOS_ID, N_SPECIALS, EOS_ID)
 
     def test_empty_corpus(self):
         with pytest.raises(TokenizerError):
@@ -203,3 +219,156 @@ class TestSerialization:
         path.write_text("ontograft-tokenizer v999\nmax_len\t10\n[vocab]\n[merges]\n")
         with pytest.raises(TokenizerError):
             Tokenizer.load(path)
+
+
+def saved_bytes(tok) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tok.txt")
+        tok.save(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def trained_like_oracle(corpus, target_vocab, min_frequency):
+    """``train_bpe``'s tokenizer, after checking that the loop it replaced
+    learns the same merges and vocabulary and saves the same bytes."""
+    tok = train_bpe(corpus, target_vocab, max_len=64, min_frequency=min_frequency)
+    ref = bpe_oracle.train_bpe(corpus, target_vocab, max_len=64, min_frequency=min_frequency)
+    assert tok.merges == ref.merges
+    assert tok.vocab.tokens == ref.vocab.tokens
+    assert saved_bytes(tok) == saved_bytes(ref)
+    return tok
+
+
+@st.composite
+def training_runs(draw):
+    """(corpus, target_vocab, min_frequency): words of 1-4 letters, some
+    repeated, and a target from no merges to more than the pairs allow."""
+    letters = draw(st.sampled_from(["C", "AB", "ABC", "ABCD"]))
+    words = draw(st.lists(st.text(letters, min_size=1, max_size=12), min_size=1, max_size=10))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=6))
+    corpus = draw(st.permutations(words + repeats))
+    base = len(set("".join(corpus))) + N_SPECIALS
+    return corpus, base + draw(st.integers(0, 40)), draw(st.integers(1, 3))
+
+
+class TestTrainAgainstOracle:
+    """Heap-driven training against the full-scan loop it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=training_runs())
+    @example(run=(["<mask>", "<mask>"], 30, 2))
+    @example(run=(["CCCCC"], 30, 1))
+    @example(run=(["ABAB", "ABAB", "CABCAB", "ABC", "BCA"], 30, 1))
+    @example(run=(["CCCC", "CC", "CCC", "CCCC"], 30, 2))
+    def test_same_merges_vocabulary_and_file(self, run):
+        trained_like_oracle(*run)
+
+    def test_merge_that_spells_an_existing_token(self):
+        # the last of five merges spells "<mask>": the vocabulary keeps one
+        # entry for it, the reserved one
+        tok = trained_like_oracle(["<mask>", "<mask>"], 30, 2)
+        assert len(tok.merges) == 5
+        assert "".join(tok.merges[-1]) == "<mask>"
+        assert len(tok.vocab) == N_SPECIALS + len("<mask>") + 4
+        assert tok.encode("<mask>").ids == (BOS_ID, MASK_ID, EOS_ID)
+
+    def test_run_of_one_character(self):
+        # (C, C) merges CCCCC to CC CC C: four pairs counted off, one (CC, CC)
+        # and one (CC, C) counted on; the tie goes to (CC, C), "C" < "CC"
+        tok = trained_like_oracle(["CCCCC"], 30, 1)
+        assert tok.merges == (("C", "C"), ("CC", "C"), ("CC", "CCC"))
+
+    def test_duplicate_words_count_by_weight(self):
+        # (C, O) three times, (N, C) once
+        tok = trained_like_oracle(["CO", "NC", "CO", "CO"], 30, 2)
+        assert tok.merges == (("C", "O"),)
+
+    def test_min_frequency_cut_off(self):
+        corpus = ["AB", "AB", "CD"]
+        assert trained_like_oracle(corpus, 30, 2).merges == (("A", "B"),)
+        assert trained_like_oracle(corpus, 30, 1).merges == (("A", "B"), ("C", "D"))
+
+    def test_count_tie_breaks_on_left_then_right(self):
+        tok = trained_like_oracle(["BA", "AC", "AB"] * 2, 30, 2)
+        assert tok.merges == (("A", "B"), ("A", "C"), ("B", "A"))
+
+    def test_stops_when_the_vocabulary_is_full(self):
+        tok = trained_like_oracle(["BA", "AC", "AB"] * 2, N_SPECIALS + 3 + 1, 1)
+        assert tok.merges == (("A", "B"),)
+        assert len(tok.vocab) == N_SPECIALS + 3 + 1
+
+    def test_stops_when_no_pair_is_left(self):
+        tok = trained_like_oracle(["AB"], 100, 1)
+        assert tok.merges == (("A", "B"),)
+        assert len(tok.vocab) == N_SPECIALS + 3
+
+
+def assert_encodes_like_oracle(tok, smiles, truncate):
+    try:
+        ref = bpe_oracle.encode(tok, smiles, truncate=truncate)
+    except SequenceTooLongError as exc:
+        with pytest.raises(SequenceTooLongError) as caught:
+            tok.encode(smiles, truncate=truncate)
+        assert (caught.value.length, caught.value.max_len) == (exc.length, exc.max_len)
+        return
+    got = tok.encode(smiles, truncate=truncate)
+    assert (got.ids, got.truncated) == (ref.ids, ref.truncated)
+
+
+@st.composite
+def hand_built_tokenizers(draw):
+    """Merges drawn freely from the vocabulary built so far, so later merges
+    re-spell earlier tokens (A+BC after AB+C) and pairs repeat."""
+    tokens = ["A", "B", "C"]
+    merges = []
+    for _ in range(draw(st.integers(0, 12))):
+        pair = (draw(st.sampled_from(tokens)), draw(st.sampled_from(tokens)))
+        merges.append(pair)
+        if pair[0] + pair[1] not in tokens:
+            tokens.append(pair[0] + pair[1])
+    vocab = Vocabulary(SPECIAL_TOKENS + tuple(tokens))
+    return Tokenizer(vocab, tuple(merges), max_len=draw(st.integers(3, 24)))
+
+
+class TestEncodeAgainstOracle:
+    """Rank-driven ``encode`` against applying every merge in order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=training_runs(), strings=st.lists(st.text("ABCDX", min_size=1, max_size=30),
+                                                 min_size=1, max_size=5),
+           truncate=st.booleans())
+    def test_trained_tokenizers(self, run, strings, truncate):
+        corpus, target_vocab, min_frequency = run
+        tok = train_bpe(corpus, target_vocab, max_len=16, min_frequency=min_frequency)
+        for smiles in strings + corpus:
+            assert_encodes_like_oracle(tok, smiles, truncate)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tok=hand_built_tokenizers(),
+           strings=st.lists(st.text("ABC", min_size=1, max_size=20), min_size=1, max_size=5),
+           truncate=st.booleans())
+    def test_merges_that_respell_tokens(self, tok, strings, truncate):
+        for smiles in strings:
+            assert_encodes_like_oracle(tok, smiles, truncate)
+
+    def test_later_merge_does_not_reopen_an_earlier_one(self):
+        # (ABC, D) ranks before the merge that first makes ABC, so in training
+        # order it never applies to ABCD; a merge by rank alone would
+        tokens = ("A", "B", "C", "D", "BC", "ABCD", "ABC", "AB")
+        merges = (("B", "C"), ("ABC", "D"), ("A", "BC"), ("A", "B"), ("AB", "C"))
+        tok = Tokenizer(Vocabulary(SPECIAL_TOKENS + tokens), merges)
+        assert tok.token_strings(tok.encode("ABCD"))[1:-1] == ["ABC", "D"]
+        for smiles in ("ABCD", "ABCDABCD", "AB", "ABDC", "ABCABC"):
+            assert_encodes_like_oracle(tok, smiles, False)
+
+    def test_pair_merged_twice(self):
+        # (ABC, D) is merged again after A+BC re-spells ABC, at its second
+        # rank: after (D, E), which takes the D first when E follows
+        tokens = ("A", "B", "C", "D", "E", "BC", "ABCD", "ABC", "DE")
+        merges = (("B", "C"), ("ABC", "D"), ("A", "BC"), ("D", "E"), ("ABC", "D"))
+        tok = Tokenizer(Vocabulary(SPECIAL_TOKENS + tokens), merges)
+        assert tok.token_strings(tok.encode("ABCD"))[1:-1] == ["ABCD"]
+        assert tok.token_strings(tok.encode("ABCDE"))[1:-1] == ["ABC", "DE"]
+        for smiles in ("ABCDABCDBCD", "ABCDEABCD", "EABCDE"):
+            assert_encodes_like_oracle(tok, smiles, False)

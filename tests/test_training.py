@@ -496,6 +496,13 @@ class TestFinetune:
         with pytest.raises(TrainingError):
             finetune(init_model(bad), bad, tok, self.make_splits(molecules), TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("setting", [{"epochs": -1}, {"batch_size": 0},
+                                         {"checkpoint_every": -1}])
+    def test_setting_out_of_range(self, setting):
+        # a negative checkpoint_every would checkpoint every epoch
+        with pytest.raises(TrainingError):
+            TrainConfig(**{"epochs": 1, **setting})
+
     def test_non_finite_gradient_aborts_naming_the_parameter(self, monkeypatch):
         """loss_and_grad checks only the loss; a finite loss with a
         non-finite gradient is stopped by adam_step's check, which names the
