@@ -1,4 +1,5 @@
-"""Atomic file writing shared by every artifact writer."""
+"""Atomic file writing shared by every artifact writer, and the message for
+a file that cannot be read."""
 
 from __future__ import annotations
 
@@ -37,6 +38,13 @@ def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file in the same directory + rename."""
     with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def read_failure(path, exc: OSError | UnicodeDecodeError) -> str:
+    """Why ``path`` could not be read, for an error line."""
+    if isinstance(exc, UnicodeDecodeError):
+        return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+    return f"{path}: {exc.strerror or exc}"
 
 
 def atomic_copy(src, path) -> None:

@@ -10,13 +10,18 @@ a machine-readable ``ERROR<TAB>component<TAB>message`` line on failure.
 The files a stage reads are declared once: ``INPUTS`` says how each input
 flag is loaded, and ``STAGES`` names the inputs each subcommand requires or
 accepts.  Before a stage runs, ``main`` checks that ``--config`` and every
-given input exist, resolves the config and loads the inputs in the declared
-order, so a missing or corrupt input fails before the stage writes anything.
+given input exist and that no output file is a directory, resolves the
+config and loads the inputs in the declared order, so a missing or corrupt
+input fails before the stage writes anything.  An input its loader cannot
+read (a directory, bytes that are not UTF-8) fails as its component's
+error; ``finetune`` loads its model only after it has encoded the dataset.
+Any other failing file operation ends in a ``cli`` error line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -24,7 +29,7 @@ import sys
 from itertools import chain
 
 from . import attribution, dataset, extension, metrics, ontology, tokenizer as tok
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_failure
 from .config import (
     ConfigError,
     ConfigValueError,
@@ -89,24 +94,35 @@ def _read_smiles_file(path) -> list[str]:
     return column[1:] if column[0] == "smiles" else column
 
 
-# Input flag -> (loader, help).  Each loader looks its function up when it
-# runs, so a replaced module attribute (a profiler's wrapper, a test's stub)
-# is the one called.  A model loads as (store, config).
+# Input flag -> (loader, help, the error an unreadable file raises).  Each
+# loader looks its function up when it runs, so a replaced module attribute
+# (a profiler's wrapper, a test's stub) is the one called.  A model loads as
+# (store, config).
 INPUTS = {
-    "ontology": (lambda path: ontology.load_obo(path), "OBO ontology"),
-    "tokenizer": (lambda path: tok.Tokenizer.load(path), "tokenizer file from train-tokenizer"),
-    "model": (lambda path: load_model(path)[:2], "model file"),
-    "dataset": (lambda path: dataset.load_tsv(path), "dataset directory from build-dataset"),
-    "test": (lambda path: dataset.load_split_tsv(path), "labeled TSV to evaluate"),
-    "labels": (lambda path: dataset.load_labels(path), "labels.txt, one class id per column"),
-    "train": (lambda path: _read_smiles_file(path), "training TSV or SMILES file"),
-    "validation": (lambda path: _read_smiles_file(path), "validation TSV or SMILES file"),
-    "input": (lambda path: _read_smiles_file(path), "TSV or newline-delimited SMILES"),
+    "ontology": (lambda path: ontology.load_obo(path), "OBO ontology", ontology.OntologyError),
+    "tokenizer": (lambda path: tok.Tokenizer.load(path), "tokenizer file from train-tokenizer",
+                  tok.TokenizerError),
+    "model": (lambda path: load_model(path)[:2], "model file", ModelError),
+    "dataset": (lambda path: dataset.load_tsv(path), "dataset directory from build-dataset",
+                dataset.DatasetError),
+    "test": (lambda path: dataset.load_split_tsv(path), "labeled TSV to evaluate",
+             dataset.DatasetError),
+    "labels": (lambda path: dataset.load_labels(path), "labels.txt, one class id per column",
+               dataset.DatasetError),
+    "train": (lambda path: _read_smiles_file(path), "training TSV or SMILES file", ConfigError),
+    "validation": (lambda path: _read_smiles_file(path), "validation TSV or SMILES file",
+                   ConfigError),
+    "input": (lambda path: _read_smiles_file(path), "TSV or newline-delimited SMILES", ConfigError),
 }
+# The output flags that name a file; ``--out`` names a directory for the
+# stages in _DIRECTORY_OUT.
+_OUTPUT_FILES = ("out", "out_ontology", "out_report", "log")
+_DIRECTORY_OUT = ("build-dataset", "evaluate", "explain")
 
 # Subcommand -> (help, --out help or None, required inputs, optional inputs).
 # Inputs load in the order listed; ``_cmd_<name>(args, cfg, inputs)`` gets
-# each as an attribute of ``inputs``.
+# each as an attribute of ``inputs``, or a function that loads it for the
+# inputs in _DEFERRED, which the stage loads later.
 STAGES = {
     "build-dataset": ("ontology -> labeled TSV splits", "output dataset directory",
                       ("ontology",), ()),
@@ -124,14 +140,44 @@ STAGES = {
     "extend": ("classify and graft into the ontology", None,
                ("tokenizer", "model", "labels", "ontology", "input"), ()),
 }
+# finetune encodes the dataset before it loads the model (360 MB at paper
+# shape), so a molecule that does not fit fails first
+_DEFERRED = {"finetune": ("model",)}
+
+
+def _load_input(key: str, path: str):
+    """``INPUTS[key]``'s loader on ``path``; a file it cannot read raises the
+    input's own error."""
+    load, _, error = INPUTS[key]
+    try:
+        return load(path)
+    except (UnicodeDecodeError, OSError) as exc:
+        raise error(read_failure(path, exc)) from exc
 
 
 def _load_inputs(args) -> argparse.Namespace:
-    """The subcommand's inputs, loaded in the declared order (None if not given)."""
-    return argparse.Namespace(**{
-        key: None if getattr(args, key) is None else INPUTS[key][0](getattr(args, key))
-        for key in args.inputs
-    })
+    """The subcommand's inputs, loaded in the declared order (None if not
+    given); a deferred input is given as a function that loads it."""
+    inputs = {}
+    for key in args.inputs:
+        path = getattr(args, key)
+        if path is None:
+            inputs[key] = None
+        elif key in args.deferred:
+            inputs[key] = functools.partial(_load_input, key, path)
+        else:
+            inputs[key] = _load_input(key, path)
+    return argparse.Namespace(**inputs)
+
+
+def _check_output_files(args) -> None:
+    """An output file must not be an existing directory: the stage would
+    fail only when it writes, after all of its work."""
+    for key in _OUTPUT_FILES:
+        path = getattr(args, key, None)
+        if path is not None and os.path.isdir(path) and not (
+                key == "out" and args.command in _DIRECTORY_OUT):
+            raise ConfigError(f"output path is a directory: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +262,19 @@ def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
 
 
 def _cmd_finetune(args, cfg: RunConfig, inputs) -> None:
-    store, mcfg = inputs.model
     splits, labels = inputs.dataset
     tcfg = _train_config(args, cfg, cfg.finetune_epochs)
+    # no truncation, as in pretraining: an over-length molecule is an error
+    encoded = [[inputs.tokenizer.encode(m.smiles) for m in split]
+               for split in (splits.train, splits.validation)]
+    store, mcfg = inputs.model()
     logger.info(
         "fine-tuning %d epochs on %d molecules, %d labels",
         tcfg.epochs, len(splits.train), len(labels),
     )
     logs = run_finetune(
         store, mcfg, inputs.tokenizer, splits, tcfg,
-        checkpoint_dir=args.checkpoint_dir, threshold=cfg.threshold,
+        checkpoint_dir=args.checkpoint_dir, threshold=cfg.threshold, encoded=encoded,
     )
     _save_model_and_log(args, store, mcfg, logs)
     if logs:
@@ -384,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--out", required=True, help=out_help)
         # looked up now, so a replaced _cmd_* function is the one that runs
         func = globals()["_cmd_" + name.replace("-", "_")]
-        sub.set_defaults(func=func, inputs=required + optional)
+        sub.set_defaults(func=func, inputs=required + optional, deferred=_DEFERRED.get(name, ()))
 
     for name in ("finetune", "evaluate", "classify", "explain", "extend"):
         _add_setting(p[name], "--threshold", help="classification threshold")
@@ -425,10 +474,11 @@ def main(argv: list[str] | None = None) -> int:
         for path in (args.config, *(getattr(args, key) for key in args.inputs)):
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"input path does not exist: {path}")
+        _check_output_files(args)
         cfg = build_run_config(args.config, vars(args))
         args.func(args, cfg, _load_inputs(args))
         return 0
-    except (*_COMPONENTS, FileNotFoundError) as exc:
+    except (*_COMPONENTS, OSError) as exc:
         component = next(
             (name for etype, name in _COMPONENTS.items() if isinstance(exc, etype)),
             "cli",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import MISSING, fields
 
+from ._io import read_failure
 from .model import ModelConfig
 from .training import MaskingPolicy, TrainConfig
 
@@ -112,6 +113,8 @@ def read_config_file(path) -> dict[str, dict[str, str]]:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except (UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(read_failure(path, exc)) from exc
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in SETTINGS:

@@ -1,7 +1,7 @@
 """Encoder-only transformer over token sequences, written directly in numpy.
 
 Forward pass with optional attention capture, plus an analytic backward pass
-filling per-parameter gradient slots.  Pre-norm residual blocks with the
+writing per-parameter gradient slots.  Pre-norm residual blocks with the
 exact (erf) GELU, learned absolute position embeddings, BOS pooling for a
 sigmoid multi-label head, and an MLM head tied to the token embedding matrix
 and trained with softmax cross-entropy.
@@ -22,6 +22,15 @@ therefore do not depend on the other items of its batch, as long as a row
 of a matrix product does not depend on the product's other rows (which
 holds for products of two rows or more).
 
+The backward pass finishes the parameters group by group
+(``ParameterStore.groups``): the final layer norm and both heads, each layer
+from the top down, the embeddings.  ``loss_and_grad(..., optimizer=state)``
+updates a group as soon as its weights have served the input gradient, and
+its gradient slots then serve the next group.  Gradients are written, not
+added to zeroed slots, so a slot may hold ``-0.0`` where ``0.0 + x`` gave
+``0.0``; Adam's first ``+=`` into its moments gives both the same bits, so
+the parameters are those of a whole backward pass and then one AdamW step.
+
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
 here is float32.  Constants are Python floats, never NumPy scalars: under
@@ -34,7 +43,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
-from itertools import chain, count
+from itertools import chain, count, groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -150,30 +159,53 @@ def _decay_applies(name: str) -> bool:
     return name in ("tok_emb", "pos_emb") or last.startswith("w")
 
 
+def _group_key(name: str) -> tuple[int, int]:
+    """Orders the groups as the backward pass finishes them: the final layer
+    norm and the heads (and any other name), layers top-down, embeddings."""
+    if name.startswith("layers."):
+        return (1, -int(name.split(".")[1]))
+    return (2 if name in ("tok_emb", "pos_emb") else 0, 0)
+
+
+class ParameterGroup(NamedTuple):
+    span: slice  # of the arena
+    n_decayed: int  # the span's leading values that take weight decay
+    names: tuple[str, ...]  # in arena order
+
+
 class ParameterStore:
     """Named parameters in one contiguous array (the parameter arena) and
     their gradients in a second one of the same layout and dtype.
 
     ``params[name]`` and ``grads[name]`` are views into ``param_arena`` and
     ``grad_arena``; both dicts keep the declaration order of ``shapes``, the
-    order ``save_model`` writes.  The arena holds the decayed tensors
-    (``_decay_applies``) first, each group in declaration order, so weight
-    decay touches the prefix ``arena[:n_decayed]`` alone.  ``views`` lays
-    out any other arena of the same size, such as the Adam moments.
+    order ``save_model`` writes.  The arena holds one contiguous span per
+    group (``groups``, in the order the backward pass finishes them), each
+    with its decayed tensors (``_decay_applies``) first, so one group's AdamW
+    update is one pass over a span and weight decay touches its prefix
+    alone.  The heads' group comes last in the arena: its vocabulary and
+    label biases would otherwise move every later weight matrix off the
+    alignment the arena gives it.  ``views`` lays out any other arena of the
+    same size, such as the Adam moments.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
-        spans: dict[str, slice] = {}
-        start, self.n_decayed = 0, 0
-        for name in sorted(shapes, key=lambda name: not _decay_applies(name)):
-            stop = start + int(np.prod(shapes[name]))
-            spans[name] = slice(start, stop)
-            if _decay_applies(name):
-                self.n_decayed = stop
-            start = stop
+        spans, self.groups, start = {}, [], 0
+        heads = _group_key("cls.w")
+        order = sorted(shapes, key=lambda name: (
+            _group_key(name) == heads, _group_key(name), not _decay_applies(name)))
+        for _, grouped in groupby(order, _group_key):
+            names, first = tuple(grouped), start
+            for name in names:
+                stop = start + int(np.prod(shapes[name]))
+                spans[name] = slice(start, stop)
+                start = stop
+            n_decayed = sum(spans[n].stop - spans[n].start for n in names if _decay_applies(n))
+            self.groups.append(ParameterGroup(slice(first, start), n_decayed, names))
+        self.groups.sort(key=lambda group: _group_key(group.names[0]))
         self._layout = {name: (spans[name], tuple(shape)) for name, shape in shapes.items()}
         self.param_arena = np.zeros(start, dtype=dtype)
-        # np.zeros, not zeros_like: no page is touched until training writes it
+        # np.zeros, not zeros_like: no page is touched unless written (training never does)
         self.grad_arena = np.zeros(start, dtype=dtype)
         self.params = self.views(self.param_arena)
         self.grads = self.views(self.grad_arena)
@@ -183,11 +215,15 @@ class ParameterStore:
         like this store's."""
         return {name: arena[span].reshape(shape) for name, (span, shape) in self._layout.items()}
 
+    def group_views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-parameter views into ``buffer``, each at its offset inside its
+        group's span: the slots of any one group at a time."""
+        at = {name: group.span.start for group in self.groups for name in group.names}
+        return {name: buffer[span.start - at[name]:span.stop - at[name]].reshape(shape)
+                for name, (span, shape) in self._layout.items()}
+
     def names(self) -> list[str]:
         return list(self.params)
-
-    def zero_grads(self) -> None:
-        self.grad_arena.fill(0.0)
 
     def n_parameters(self) -> int:
         return self.param_arena.size
@@ -393,10 +429,11 @@ def _forward_core(
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
         e1 = _gelu_term(a1)
-        x = x + (_gelu(a1, e1) @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
+        g1 = _gelu(a1, e1)
+        x = x + (g1 @ p[lp + "ffn.w2"] + p[lp + "ffn.b2"])
         if on_layer is not None:
             on_layer(dict(h1=h1, ln1=ln1_cache, q=q, k=k, v=v, attention=attention, ctx=ctx,
-                          h2=h2, ln2=ln2_cache, a1=a1, e1=e1))
+                          h2=h2, ln2=ln2_cache, a1=a1, e1=e1, g1=g1))
 
     hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     return hidden, (pk, final_ln_cache)
@@ -472,76 +509,82 @@ def _mlm_head_forward(store: ParameterStore, rows: np.ndarray):
     return logits, (rows, a, e, t, ln_cache)
 
 
-def _mlm_head_backward(store: ParameterStore, dlogits, cache):
+def _mlm_head_backward(store: ParameterStore, g: dict, dlogits, cache):
+    """Writes the head's gradients into ``g``; returns d(loss)/d(rows) and
+    the factors of the tied decoder's ``tok_emb`` gradient."""
     rows, a, e, t, ln_cache = cache
-    p, grad = store.params, store.grads
-    grad["mlm_bias"] += dlogits.sum(axis=0)
-    grad["tok_emb"] += dlogits.T @ t
+    p = store.params
+    g["mlm_bias"][...] = dlogits.sum(axis=0)
     dt = dlogits @ p["tok_emb"]
-    dg, dlng, dlnb = _layer_norm_backward(dt, ln_cache, p["mlm_ln.g"])
-    grad["mlm_ln.g"] += dlng
-    grad["mlm_ln.b"] += dlnb
+    dg, g["mlm_ln.g"][...], g["mlm_ln.b"][...] = _layer_norm_backward(dt, ln_cache, p["mlm_ln.g"])
     da = dg * _gelu_grad(a, e)
-    grad["mlm.w"] += rows.T @ da
-    grad["mlm.b"] += da.sum(axis=0)
-    return da @ p["mlm.w"].T
+    np.matmul(rows.T, da, out=g["mlm.w"])
+    g["mlm.b"][...] = da.sum(axis=0)
+    return da @ p["mlm.w"].T, (dlogits.T, t)
 
 
 # ---------------------------------------------------------------------------
 # losses and backward
 
 
-def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_hidden):
-    """Propagate d(loss)/d(packed final hidden) back to every parameter
-    gradient, consuming ``layers`` (each layer's cache is dropped once used).
-    Weight gradients sum over the real tokens only."""
-    p, g = store.params, store.grads
+def _backward_core(store: ParameterStore, config: ModelConfig, cache, layers, d_hidden,
+                   g: dict, decoder):
+    """Propagate d(loss)/d(packed final hidden) back to the gradient slots
+    ``g``, consuming ``layers`` (each layer's cache is dropped once used).
+    Weight gradients sum over the real tokens only.  ``decoder``: the MLM
+    decoder's factors of the ``tok_emb`` gradient, or None.  Yields once
+    per group of ``store.groups`` (whose heads the caller has written), in
+    order, once the group's weights have served the input gradient."""
+    p = store.params
     pk, final_ln_cache = cache
 
-    dx, dg_f, db_f = _layer_norm_backward(d_hidden, final_ln_cache, p["final_ln.g"])
-    g["final_ln.g"] += dg_f
-    g["final_ln.b"] += db_f
+    dx, g["final_ln.g"][...], g["final_ln.b"][...] = _layer_norm_backward(
+        d_hidden, final_ln_cache, p["final_ln.g"])
+    yield
 
     for i in reversed(range(config.n_layers)):
         lp = f"layers.{i}."
         lc = layers.pop()
         # FFN block
         df = dx  # gradient at x_out flows to both f_out and x_mid
-        a1, e1 = lc["a1"], lc["e1"]
-        # the GELU output, rebuilt from the cached erf term by the forward's expression
-        g[lp + "ffn.w2"] += _gelu(a1, e1).T @ df
-        g[lp + "ffn.b2"] += df.sum(axis=0)
+        np.matmul(lc["g1"].T, df, out=g[lp + "ffn.w2"])
+        g[lp + "ffn.b2"][...] = df.sum(axis=0)
         # d(loss)/d(g1), turned into d(loss)/d(a1) in place: one array fewer at the peak
         da1 = df @ p[lp + "ffn.w2"].T
-        da1 *= _gelu_grad(a1, e1)
-        g[lp + "ffn.w1"] += lc["h2"].T @ da1
-        g[lp + "ffn.b1"] += da1.sum(axis=0)
+        da1 *= _gelu_grad(lc["a1"], lc["e1"])
+        np.matmul(lc["h2"].T, da1, out=g[lp + "ffn.w1"])
+        g[lp + "ffn.b1"][...] = da1.sum(axis=0)
         dh2 = da1 @ p[lp + "ffn.w1"].T
-        dx_mid, dg2, db2 = _layer_norm_backward(dh2, lc["ln2"], p[lp + "ln2.g"])
-        g[lp + "ln2.g"] += dg2
-        g[lp + "ln2.b"] += db2
-        dx_mid = dx_mid + dx  # residual
+        dx_mid, g[lp + "ln2.g"][...], g[lp + "ln2.b"][...] = _layer_norm_backward(
+            dh2, lc["ln2"], p[lp + "ln2.g"])
+        dx_mid += dx  # residual
 
         # attention block
         da_out = dx_mid
-        g[lp + "attn.wo"] += lc["ctx"].T @ da_out
-        g[lp + "attn.bo"] += da_out.sum(axis=0)
+        np.matmul(lc["ctx"].T, da_out, out=g[lp + "attn.wo"])
+        g[lp + "attn.bo"][...] = da_out.sum(axis=0)
         dq, dk, dv = _attention_backward(da_out @ p[lp + "attn.wo"].T, lc, pk, config)
         for proj, darr in (("q", dq), ("k", dk), ("v", dv)):
-            g[lp + f"attn.w{proj}"] += lc["h1"].T @ darr
-            g[lp + f"attn.b{proj}"] += darr.sum(axis=0)
+            np.matmul(lc["h1"].T, darr, out=g[lp + f"attn.w{proj}"])
+            g[lp + f"attn.b{proj}"][...] = darr.sum(axis=0)
         dh1 = (
             dq @ p[lp + "attn.wq"].T
             + dk @ p[lp + "attn.wk"].T
             + dv @ p[lp + "attn.wv"].T
         )
-        dx_in, dg1_, db1_ = _layer_norm_backward(dh1, lc["ln1"], p[lp + "ln1.g"])
-        g[lp + "ln1.g"] += dg1_
-        g[lp + "ln1.b"] += db1_
+        dx_in, g[lp + "ln1.g"][...], g[lp + "ln1.b"][...] = _layer_norm_backward(
+            dh1, lc["ln1"], p[lp + "ln1.g"])
         dx = dx_mid + dx_in
+        yield
 
+    if decoder is None:
+        g["tok_emb"].fill(0.0)
+    else:
+        np.matmul(*decoder, out=g["tok_emb"])
+    g["pos_emb"].fill(0.0)
     np.add.at(g["tok_emb"], pk.ids, dx)
     np.add.at(g["pos_emb"], pk.positions, dx)
+    yield
 
 
 def multilabel_loss_value(logits: np.ndarray, y: np.ndarray) -> float:
@@ -600,18 +643,25 @@ def loss_and_grad(
     labels: np.ndarray | None = None,
     mlm_targets: list[list[tuple[int, int]]] | None = None,
     rng: np.random.Generator | None = None,
+    optimizer=None,
 ) -> float:
-    """Compute the objective and fill every gradient slot; attention dropout
-    applies iff ``rng`` is given.
+    """Compute the objective and its gradient for every parameter;
+    attention dropout applies iff ``rng`` is given.
 
     objective "multilabel" needs ``labels`` [batch, n_labels]; "mlm" needs
     ``mlm_targets``: per item, (position, original token id) pairs for the
-    already-masked batch.  A non-finite loss raises NumericError here;
-    the gradients are checked by ``training.adam_step``, which reads them.
+    already-masked batch.  The head the objective does not use gets a zero
+    gradient.  A non-finite loss raises NumericError before any update.
+
+    The gradients fill ``store.grads``, or with an ``optimizer``
+    (``training.OptimizerState``) its ``grads`` slots, and
+    ``optimizer.update(store, k)`` runs as the backward pass finishes
+    ``store.groups[k]``: one AdamW step, with the bits of updating after
+    the whole backward pass (see the module docstring).
     """
     if objective not in ("multilabel", "mlm"):
         raise ModelError(f"unknown objective {objective!r}")
-    store.zero_grads()
+    g = store.grads if optimizer is None else optimizer.grads
     layers: list = []
     hidden, cache = _forward_core(store, config, batch, rng, layers.append)
     pk = cache[0]
@@ -628,21 +678,28 @@ def loss_and_grad(
         bos, logits = _classification_logits(store, hidden, pk.offsets)
         loss = multilabel_loss_value(logits, y)
         dlogits = (expit(logits) - y) / y.size
-        store.grads["cls.w"] += bos.T @ dlogits
-        store.grads["cls.b"] += dlogits.sum(axis=0)
+        np.matmul(bos.T, dlogits, out=g["cls.w"])
+        g["cls.b"][...] = dlogits.sum(axis=0)
         d_hidden[pk.offsets] = dlogits @ store.params["cls.w"].T
+        untrained, decoder = ("mlm.w", "mlm.b", "mlm_ln.g", "mlm_ln.b", "mlm_bias"), None
     else:
         if mlm_targets is None:
             raise ModelError("mlm objective requires mlm_targets")
         rows, index, tgt = _gather_mlm(hidden, pk, mlm_targets)
         logits, head_cache = _mlm_head_forward(store, rows)
         loss, dlogits = _mlm_objective(logits, tgt)
+        d_rows, decoder = _mlm_head_backward(store, g, dlogits, head_cache)
         # np.add.at, not +=: a position listed twice gets both rows, in target order
-        np.add.at(d_hidden, index, _mlm_head_backward(store, dlogits, head_cache))
+        np.add.at(d_hidden, index, d_rows)
+        untrained = ("cls.w", "cls.b")
+    for name in untrained:
+        g[name].fill(0.0)
 
     if not np.isfinite(loss):
         raise NumericError("loss")
-    _backward_core(store, config, cache, layers, d_hidden)
+    for group, _ in enumerate(_backward_core(store, config, cache, layers, d_hidden, g, decoder)):
+        if optimizer is not None:
+            optimizer.update(store, group)
     return loss
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit
@@ -130,8 +130,11 @@ class OptimizerState:
     """Adam moments, learning rate and decoupled weight decay.
 
     ``m_arena`` and ``v_arena`` are laid out like the store's parameter arena
-    (decayed tensors first, see ``ParameterStore``); ``store.views`` gives
-    per-parameter views into them.
+    (group by group, see ``ParameterStore``); ``store.views`` gives
+    per-parameter views into them.  ``grads`` gives each parameter a slot in
+    one buffer the size of the largest group (one layer at paper shape):
+    ``loss_and_grad(..., optimizer=state)`` writes a group's gradients
+    there, and ``update`` applies them before the next group reuses it.
     """
 
     m_arena: np.ndarray
@@ -139,13 +142,27 @@ class OptimizerState:
     lr: float = 1e-4
     weight_decay: float = 0.01
     step: int = 0
+    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    # per group, its views of the gradients, m, v and the parameters, and its
+    # number of decayed values; the update's two scratch rows and mask
+    spans: list[tuple] = field(default_factory=list, repr=False)
+    scratch: tuple = field(default=(), repr=False)
 
     @staticmethod
     def for_store(store: ParameterStore, lr: float, weight_decay: float) -> "OptimizerState":
-        return OptimizerState(
-            np.zeros_like(store.param_arena), np.zeros_like(store.param_arena),
-            lr=lr, weight_decay=weight_decay,
-        )
+        dtype = store.param_arena.dtype
+        buffer = np.empty(max(g.span.stop - g.span.start for g in store.groups), dtype)
+        state = OptimizerState(np.zeros_like(store.param_arena), np.zeros_like(store.param_arena),
+                               lr=lr, weight_decay=weight_decay, grads=store.group_views(buffer))
+        state.spans = [(buffer[:span.stop - span.start], state.m_arena[span], state.v_arena[span],
+                        store.param_arena[span], n_decayed) for span, n_decayed, _ in store.groups]
+        state.scratch = (*np.empty((2, _ADAM_BLOCK), dtype), np.empty(_ADAM_BLOCK, dtype=bool))
+        return state
+
+    def update(self, store: ParameterStore, group: int) -> None:
+        """``adam_step`` on ``store.groups[group]``: ``loss_and_grad`` calls
+        it as the backward pass finishes the group."""
+        adam_step(store, self, group)
 
 
 # Elements per block of the fused Adam pass: 256 KB of float64, so a block
@@ -153,17 +170,28 @@ class OptimizerState:
 _ADAM_BLOCK = 32 * 1024
 
 
-def adam_step(store: ParameterStore, state: OptimizerState) -> None:
-    """One bias-corrected Adam update with decoupled weight decay.
+def adam_step(store: ParameterStore, state: OptimizerState, group: int | None = None) -> None:
+    """One bias-corrected Adam update with decoupled weight decay of
+    ``store.groups[group]``, from its gradients in ``state.grads``.  Group
+    0 starts a step: a step updates each group once, in order.  Without
+    ``group``, one whole step from ``store.grads``, copied group by group.
 
-    One pass over the arenas in blocks of ``_ADAM_BLOCK`` elements.  Each
-    block runs, in place, the elementwise expressions of the per-tensor
-    update in the same order, so the results are the same bits:
+    One pass over the group's span in blocks of ``_ADAM_BLOCK`` values.
+    Each block runs, in place, the elementwise expressions of the
+    per-tensor update in the same order, so the results are the same bits:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + ((1-b2) g) g``, decay
-    ``p *= 1 - lr wd`` on the decayed prefix, then
-    ``p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps)``.
+    ``p *= 1 - lr wd`` on the decayed tensors, then
+    ``p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps)``.  A non-finite gradient
+    raises NumericError naming its parameter, before its block is used.
     """
-    state.step += 1
+    if group is None:
+        for k, each in enumerate(store.groups):
+            for name in each.names:
+                state.grads[name][...] = store.grads[name]
+            adam_step(store, state, k)
+        return
+    if group == 0:
+        state.step += 1
     t = state.step
     # Python floats: a NumPy scalar would upcast a float32 arena (NEP 50)
     beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -171,37 +199,29 @@ def adam_step(store: ParameterStore, state: OptimizerState) -> None:
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     decay = 1.0 - lr * float(state.weight_decay)
-    decay_end = store.n_decayed if state.weight_decay != 0.0 else 0
-    params, grads = store.param_arena, store.grad_arena
-    size = params.size
-    block = max(1, min(_ADAM_BLOCK, size))
-    scratch_a = np.empty(block, dtype=params.dtype)
-    scratch_b = np.empty(block, dtype=params.dtype)
-    finite = np.empty(block, dtype=bool)
-    for start in range(0, size, block):
-        stop = min(start + block, size)
-        n = stop - start
-        g = grads[start:stop]
-        if not np.isfinite(g, out=finite[:n]).all():
-            bad = next(k for k in store.names() if not np.isfinite(store.grads[k]).all())
+    # positional outputs: a ufunc call costs less than with out= or in place
+    mul, add = np.multiply, np.add
+    *spans, n_decayed = state.spans[group]
+    for start in range(0, spans[0].size, _ADAM_BLOCK):
+        g, m, v, p = (x[start:start + _ADAM_BLOCK] for x in spans)
+        a, b, finite = (x[:p.size] for x in state.scratch)
+        if not np.isfinite(g, finite).all():
+            names = store.groups[group].names
+            bad = next(n for n in names if not np.isfinite(state.grads[n]).all())
             raise NumericError(f"gradient of {bad}")
-        m = state.m_arena[start:stop]
-        v = state.v_arena[start:stop]
-        p = params[start:stop]
-        a, b = scratch_a[:n], scratch_b[:n]
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        if start < decay_end:
-            p[: decay_end - start] *= decay
-        np.divide(m, bc1, out=a)
-        a *= lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        p -= np.divide(a, b, out=a)
+        mul(m, beta1, m)
+        add(m, mul(g, 1.0 - beta1, a), m)
+        mul(v, beta2, v)
+        mul(g, 1.0 - beta2, a)
+        add(v, mul(a, g, a), v)
+        if start < n_decayed and state.weight_decay != 0.0:
+            p[:n_decayed - start] *= decay
+        np.divide(m, bc1, a)
+        mul(a, lr, a)
+        np.divide(v, bc2, b)
+        np.sqrt(b, b)
+        add(b, eps, b)
+        np.subtract(p, np.divide(a, b, a), p)
 
 
 @dataclass
@@ -271,8 +291,14 @@ def _fit(
 
     Each epoch shuffles the ``n_items`` training items and derives a dropout
     stream from (seed, epoch); ``epoch_step(epoch)`` returns the epoch's
-    ``step(indices, rng) -> (loss, weight)``, which fills the gradients of one
-    batch, and the train loss is the weighted mean of the batch losses.
+    ``step(indices, rng, optimizer) -> (loss, weight)``, which trains on one
+    batch by ``loss_and_grad(..., optimizer=optimizer)``, and the train loss
+    is the weighted mean of the batch losses.
+
+    The optimizer updates each parameter group as the backward pass
+    finishes it, so training holds one group's gradients (one layer at
+    paper shape), never ``store.grads``; a non-finite gradient aborts the
+    step at its group, after the earlier groups' updates.
     ``validate()`` returns (val_loss, val_f1_samples, score); a higher score
     is better and picks ``best.bin``.  A checkpoint is a model file.  No
     training items is an error, whatever the number of epochs.
@@ -294,8 +320,7 @@ def _fit(
         total_weight = 0
         try:
             for idx in _batches(order, tcfg.batch_size):
-                loss, weight = step(idx, dropout_rng)
-                adam_step(store, state)
+                loss, weight = step(idx, dropout_rng, state)
                 total_loss += loss * weight
                 total_weight += weight
         except NumericError as exc:
@@ -357,11 +382,11 @@ def pretrain(
             seqs, policy, epoch=epoch, vocab_size=config.vocab_size
         )
 
-        def step(idx, rng):
+        def step(idx, rng, optimizer):
             batch_targets = [targets[i] for i in idx]
             loss = loss_and_grad(
                 store, config, [masked[i] for i in idx], "mlm",
-                mlm_targets=batch_targets, rng=rng,
+                mlm_targets=batch_targets, rng=rng, optimizer=optimizer,
             )
             return loss, sum(len(t) for t in batch_targets)
 
@@ -406,15 +431,20 @@ def finetune(
     tcfg: TrainConfig,
     checkpoint_dir: str | None = None,
     threshold: float = 0.5,
+    encoded: list[list[TokenSequence]] | None = None,
 ) -> list[EpochLog]:
     """Multi-label fine-tuning; logs validation loss and samples-F1 per epoch.
     The best checkpoint has the highest validation samples-F1.  Like
     pretraining without validation data, an empty validation split logs a
-    loss and F1 of 0 and keeps the first epoch as ``best.bin``."""
+    loss and F1 of 0 and keeps the first epoch as ``best.bin``.
 
-    def prepare(molecules: list[LabeledMolecule]):
+    ``encoded``, if given, holds the train and validation molecules as
+    ``tokenizer`` encodes them; the CLI encodes first, so a molecule that
+    does not fit fails before the model is loaded."""
+
+    def prepare(molecules: list[LabeledMolecule], seqs):
         # no truncation, as in pretraining: an over-length molecule is an error
-        seqs = [tokenizer.encode(m.smiles) for m in molecules]
+        seqs = [tokenizer.encode(m.smiles) for m in molecules] if seqs is None else seqs
         if not molecules:
             return seqs, None
         return seqs, np.stack([m.labels for m in molecules]).astype(np.float64)
@@ -424,13 +454,14 @@ def finetune(
             f"dataset has {len(splits.train[0].labels)} labels, model expects "
             f"{config.n_labels}"
         )
-    train_seqs, train_labels = prepare(splits.train)
-    val_seqs, val_labels = prepare(splits.validation)
+    train_encoded, val_encoded = encoded or (None, None)
+    train_seqs, train_labels = prepare(splits.train, train_encoded)
+    val_seqs, val_labels = prepare(splits.validation, val_encoded)
 
-    def step(idx, rng):
+    def step(idx, rng, optimizer):
         loss = loss_and_grad(
             store, config, [train_seqs[i] for i in idx], "multilabel",
-            labels=train_labels[idx], rng=rng,
+            labels=train_labels[idx], rng=rng, optimizer=optimizer,
         )
         return loss, len(idx)
 

@@ -172,7 +172,7 @@ def gather_mlm(hidden, targets):
 
 def loss_and_grad(store, config, batch, objective, labels=None, mlm_targets=None, rng=None):
     """Fill ``store.grads`` as ``model.loss_and_grad`` does; returns the loss."""
-    store.zero_grads()
+    store.grad_arena.fill(0.0)
     layers = []
     hidden, cache = forward_core(store, config, batch, rng, layers.append)
     d_hidden = np.zeros_like(hidden)
@@ -188,6 +188,8 @@ def loss_and_grad(store, config, batch, objective, labels=None, mlm_targets=None
         rows, index, tgt = gather_mlm(hidden, mlm_targets)
         logits, head_cache = _mlm_head_forward(store, rows)
         loss, dlogits = _mlm_objective(logits, tgt)
-        np.add.at(d_hidden, index, _mlm_head_backward(store, dlogits, head_cache))
+        d_rows, (dlogits_t, t) = _mlm_head_backward(store, store.grads, dlogits, head_cache)
+        store.grads["tok_emb"] += dlogits_t @ t
+        np.add.at(d_hidden, index, d_rows)
     backward_core(store, config, cache, layers, d_hidden)
     return loss

@@ -294,6 +294,79 @@ class TestErrors:
         assert built == []
         assert not out.exists()
 
+    def test_finetune_encodes_before_it_loads_the_model(self, workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        short = tmp_path / "short.txt"
+        trained = tokenizer.Tokenizer.load(workspace["tokenizer"])
+        tokenizer.Tokenizer(trained.vocab, trained.merges, max_len=4).save(short)
+
+        def no_load(path):
+            raise AssertionError(f"model loaded before the dataset was encoded: {path}")
+
+        monkeypatch.setattr(cli, "load_model", no_load)
+        out = tmp_path / "m.bin"
+        code = main(["finetune", "--config", str(workspace["config"]), "--tokenizer", str(short),
+                     "--model", str(workspace["pretrained"]),
+                     "--dataset", str(workspace["dataset"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"ERROR\ttokenizer\tencoded length \d+ exceeds max_len 4", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which, component", [
+        ("input", "cli"), ("ontology", "ontology"), ("config", "cli"),
+    ])
+    def test_input_that_is_not_utf8(self, workspace, tmp_path, capsys, which, component):
+        """A byte that is not UTF-8 in an input file or in the config."""
+        files = {"input": workspace["queries"], "ontology": workspace["obo"],
+                 "config": workspace["config"]}
+        bad = tmp_path / f"bad.{which}"
+        bad.write_bytes(files[which].read_bytes() + b"# \xff\n")
+        files[which] = bad
+        out = tmp_path / "changes.json"
+        code = main(["extend", "--config", str(files["config"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--ontology", str(files["ontology"]), "--input", str(files["input"]),
+                     "--out-ontology", str(tmp_path / "x.obo"), "--out-report", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(rf"ERROR\t{component}\t{re.escape(str(bad))}: not UTF-8 text .*",
+                            err.splitlines()[-1])
+        assert not out.exists()
+
+    def test_directory_as_input_file(self, workspace, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--tokenizer", str(workspace["dataset"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(workspace["queries"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"ERROR\ttokenizer\t{workspace['dataset']}: Is a directory"
+        assert not out.exists()
+
+    def test_directory_as_output_file(self, workspace, tmp_path, capsys, monkeypatch):
+        """Checked before the stage runs, not when it writes its result."""
+        ran = []
+        monkeypatch.setattr(cli, "_classify", lambda *args: ran.append(args))
+        out = tmp_path / "existing"
+        out.mkdir()
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(workspace["queries"]), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is a directory: {out}"
+        assert ran == [] and list(out.iterdir()) == []
+
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),
         ("run", "threshold", "half", "float"),

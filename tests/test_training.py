@@ -1,5 +1,6 @@
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from ontograft.model import (
     ParameterStore,
     init_model,
     load_model,
+    loss_and_grad,
     mlm_loss_value,
     predict_probabilities,
     save_model,
@@ -150,7 +152,7 @@ class TestAdam:
     def test_zero_gradient_zero_decay_is_identity(self, tiny_config, tiny_store):
         state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.0)
         before = {n: p.copy() for n, p in tiny_store.params.items()}
-        tiny_store.zero_grads()
+        tiny_store.grad_arena.fill(0.0)
         adam_step(tiny_store, state)
         for name in tiny_store.names():
             npt.assert_array_equal(tiny_store.params[name], before[name])
@@ -158,7 +160,7 @@ class TestAdam:
     def test_decoupled_decay_scales_weights_only(self, tiny_config, tiny_store):
         state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.1)
         before = {n: p.copy() for n, p in tiny_store.params.items()}
-        tiny_store.zero_grads()
+        tiny_store.grad_arena.fill(0.0)
         adam_step(tiny_store, state)
         npt.assert_allclose(
             tiny_store.params["layers.0.attn.wq"], before["layers.0.attn.wq"] * 0.99
@@ -171,7 +173,7 @@ class TestAdam:
 
     def test_nan_gradient_names_parameter(self, tiny_store):
         state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.0)
-        tiny_store.zero_grads()
+        tiny_store.grad_arena.fill(0.0)
         tiny_store.grads["layers.1.ffn.w1"][0, 0] = np.nan
         with pytest.raises(NumericError) as err:
             adam_step(tiny_store, state)
@@ -228,7 +230,8 @@ class TestFusedAdam:
         cut = 0
         for _ in range(6):
             store = ParameterStore(random_shapes(rng), dtype)
-            cut += store.n_decayed % _ADAM_BLOCK != 0 and store.n_decayed > _ADAM_BLOCK
+            cut += any(g.n_decayed % _ADAM_BLOCK != 0 and g.n_decayed > _ADAM_BLOCK
+                       for g in store.groups)
             store.param_arena[...] = rng.normal(0.0, 0.5, store.param_arena.size)
             state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
             params = {n: p.copy() for n, p in store.params.items()}
@@ -257,6 +260,60 @@ class TestFusedAdam:
         assert "c.w" in str(err.value)
 
 
+class TestAdamInBackward:
+    """The update applied group by group inside the backward pass against a
+    whole backward pass followed by the per-tensor oracle."""
+
+    @pytest.mark.parametrize("objective", ["multilabel", "mlm"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_whole_backward_then_oracle(self, tiny_config, objective, dtype,
+                                                weight_decay):
+        config = replace(tiny_config, dtype=dtype)
+        assert config.attention_dropout > 0.0  # dropout runs: each step passes an rng
+        store = init_model(config)
+        rng = np.random.default_rng(23)
+        store.param_arena[...] += rng.normal(0.0, 0.1, store.param_arena.size)
+        reference = store.copy()
+        state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
+        oracle_state = OptimizerState.for_store(reference, lr=0.01, weight_decay=weight_decay)
+        m = {n: np.zeros_like(p) for n, p in reference.params.items()}
+        v = {n: np.zeros_like(p) for n, p in reference.params.items()}
+        for step in range(4):
+            batch = make_sequences(rng, 3, config.vocab_size, min_len=2, max_len=9)
+            if objective == "multilabel":
+                targets = dict(labels=(rng.random((3, config.n_labels)) < 0.5).astype(float))
+            else:
+                targets = dict(mlm_targets=[[(pos, s.ids[pos]) for pos in (1, len(s) - 2)]
+                                            for s in batch])
+            loss = loss_and_grad(store, config, batch, objective, optimizer=state,
+                                 rng=np.random.default_rng([5, step]), **targets)
+            want = loss_and_grad(reference, config, batch, objective,
+                                 rng=np.random.default_rng([5, step]), **targets)
+            oracle_adam_step(reference.params, reference.grads, m, v, oracle_state)
+            assert loss == want
+        state_m, state_v = store.views(state.m_arena), store.views(state.v_arena)
+        for name in store.names():
+            assert np.array_equal(store.params[name], reference.params[name]), name
+            assert np.array_equal(state_m[name], m[name]), name
+            assert np.array_equal(state_v[name], v[name]), name
+            assert store.params[name].dtype == np.dtype(dtype)
+        assert state.step == oracle_state.step == 4
+        assert not store.grad_arena.any()
+
+    def test_training_never_writes_the_gradient_arena(self):
+        tok, config, corpus, molecules = toy_setup()
+        store = init_model(config)
+        before = store.param_arena.copy()
+        pretrain(store, config, tok, corpus, corpus[:4],
+                 TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=1),
+                 MaskingPolicy(seed=1))
+        finetune(store, config, tok, DatasetSplits(molecules, molecules[:6], []),
+                 TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=1))
+        assert not np.array_equal(store.param_arena, before)
+        assert not store.grad_arena.any()
+
+
 class TestArena:
     """Every parameter, gradient and moment is a view into its arena."""
 
@@ -267,11 +324,25 @@ class TestArena:
             assert np.shares_memory(array, arena), name
 
     def assert_store(self, store):
+        """The groups tile the arena in the order the backward pass finishes
+        them, and each holds its decayed tensors first."""
         self.assert_views(store.params, store.param_arena)
         self.assert_views(store.grads, store.grad_arena)
-        decayed_prefix = store.param_arena[: store.n_decayed]
-        for name, array in store.params.items():
-            assert np.shares_memory(array, decayed_prefix) == decayed(name), name
+        spans = sorted(group.span.indices(store.param_arena.size) for group in store.groups)
+        assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
+        assert spans[-1][1] == store.param_arena.size
+        assert sorted(n for group in store.groups for n in group.names) == sorted(store.names())
+        for group in store.groups:
+            decayed_prefix = store.param_arena[group.span][: group.n_decayed]
+            for name in group.names:
+                assert np.shares_memory(store.params[name], store.param_arena[group.span]), name
+                assert np.shares_memory(store.params[name], decayed_prefix) == decayed(name), name
+        kinds = [{name.split(".")[1] if name.startswith("layers.") else
+                  "embeddings" if name.endswith("_emb") else "heads" for name in group.names}
+                 for group in store.groups]
+        n_layers = len(kinds) - 2
+        assert kinds == [{"heads"}, *({str(i)} for i in reversed(range(n_layers))),
+                         {"embeddings"}]
 
     def assert_state(self, store, state):
         m, v = store.views(state.m_arena), store.views(state.v_arena)
@@ -300,12 +371,19 @@ class TestArena:
         self.assert_state(tiny_store, state)
         assert state.step == 1 and state.m_arena.any() and state.v_arena.any()
 
-    def test_zero_grads_zeroes_every_gradient(self, tiny_store):
-        for g in tiny_store.grads.values():
-            g[...] = 1.5
-        tiny_store.zero_grads()
-        for name, g in tiny_store.grads.items():
-            assert not g.any(), name
+    def test_group_views_share_one_buffer(self, tiny_store):
+        """Each parameter's optimizer slot sits at its offset inside its
+        group, so the slots of one group tile the start of the buffer."""
+        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.01)
+        sizes = [group.span.stop - group.span.start for group in tiny_store.groups]
+        buffer = state.grads["cls.w"].base
+        assert buffer.size == max(sizes)
+        assert all(slot.base is buffer for slot in state.grads.values())
+        for group, size in zip(tiny_store.groups, sizes):
+            buffer.fill(0.0)
+            for name in group.names:
+                state.grads[name][...] += 1.0
+            assert np.array_equal(buffer[:size], np.ones(size)), group.names
 
 
 def toy_setup(seed=0, n=24, n_labels=3):
@@ -505,23 +583,27 @@ class TestFinetune:
 
     def test_non_finite_gradient_aborts_naming_the_parameter(self, monkeypatch):
         """loss_and_grad checks only the loss; a finite loss with a
-        non-finite gradient is stopped by adam_step's check, which names the
-        first bad parameter in declaration order, not in arena order."""
+        non-finite gradient is stopped by the check of the group update
+        inside the backward pass, which names the first bad parameter in the
+        order the backward pass finishes groups, not in declaration order."""
         tok, config, _, molecules = toy_setup()
-        real = training.loss_and_grad
+        real = OptimizerState.update
+        poison = {"layers.0.ln1.g": np.nan,  # declared first, in the last layer group
+                  "cls.w": np.inf}  # declared last, in the first group
 
-        def poisoned(store, *args, **kwargs):
-            loss = real(store, *args, **kwargs)
-            store.grads["cls.w"][0, 0] = np.inf  # decayed: early in the arena
-            store.grads["layers.0.ln1.g"][1] = np.nan  # declared before cls.w
-            return loss
+        def poisoned(self, store, group):
+            # the backward pass has written the group's slots; spoil them
+            for name in store.groups[group].names:
+                if name in poison:
+                    self.grads[name].flat[1] = poison[name]
+            real(self, store, group)
 
-        monkeypatch.setattr(training, "loss_and_grad", poisoned)
+        monkeypatch.setattr(OptimizerState, "update", poisoned)
         with pytest.raises(TrainingAborted) as err:
             finetune(init_model(config), config, tok, self.make_splits(molecules),
                      TrainConfig(epochs=1))
         assert str(err.value) == (
-            "training aborted at epoch 1: non-finite value in gradient of layers.0.ln1.g"
+            "training aborted at epoch 1: non-finite value in gradient of cls.w"
         )
 
 
