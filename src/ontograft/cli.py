@@ -10,12 +10,13 @@ a machine-readable ``ERROR<TAB>component<TAB>message`` line on failure.
 The files a stage reads are declared once: ``INPUTS`` says how each input
 flag is loaded, and ``STAGES`` names the inputs each subcommand requires or
 accepts.  Before a stage runs, ``main`` checks that ``--config`` and every
-given input exist and that no output file is a directory, resolves the
-config and loads the inputs in the declared order, so a missing or corrupt
-input fails before the stage writes anything.  An input its loader cannot
-read (a directory, bytes that are not UTF-8) fails as its component's
-error; ``finetune`` loads its model only after it has encoded the dataset.
-Any other failing file operation ends in a ``cli`` error line.
+given input exist and that no output file is a directory nor output
+directory a file, resolves the config and loads the inputs in the declared
+order, so a missing or corrupt input fails before the stage writes
+anything.  An input its loader cannot read (a directory, bytes that are
+not UTF-8) fails as its component's error; ``finetune`` loads its model
+only after it has encoded the dataset.  Any other failing file operation
+ends in a ``cli`` error line.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ INPUTS = {
                    ConfigError),
     "input": (lambda path: _read_smiles_file(path), "TSV or newline-delimited SMILES", ConfigError),
 }
-# The output flags that name a file; ``--out`` names a directory for the
-# stages in _DIRECTORY_OUT.
-_OUTPUT_FILES = ("out", "out_ontology", "out_report", "log")
+# The output flags.  ``--checkpoint-dir``, and ``--out`` for the stages in
+# _DIRECTORY_OUT, name a directory; the others name a file.
+_OUTPUTS = ("out", "out_ontology", "out_report", "log", "checkpoint_dir")
 _DIRECTORY_OUT = ("build-dataset", "evaluate", "explain")
 
 # Subcommand -> (help, --out help or None, required inputs, optional inputs).
@@ -171,13 +172,14 @@ def _load_inputs(args) -> argparse.Namespace:
 
 
 def _check_output_files(args) -> None:
-    """An output file must not be an existing directory: the stage would
-    fail only when it writes, after all of its work."""
-    for key in _OUTPUT_FILES:
+    """An output file must not be an existing directory, nor an output
+    directory an existing file: the stage would fail only when it writes,
+    after all of its work."""
+    for key in _OUTPUTS:
         path = getattr(args, key, None)
-        if path is not None and os.path.isdir(path) and not (
-                key == "out" and args.command in _DIRECTORY_OUT):
-            raise ConfigError(f"output path is a directory: {path}")
+        directory = key == "checkpoint_dir" or (key == "out" and args.command in _DIRECTORY_OUT)
+        if path is not None and os.path.exists(path) and os.path.isdir(path) != directory:
+            raise ConfigError(f"output path is {'not ' * directory}a directory: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             (name for etype, name in _COMPONENTS.items() if isinstance(exc, etype)),
             "cli",
         )
-        print(f"ERROR\t{component}\t{exc}", file=sys.stderr)
+        print(f"ERROR\t{component}\t{' '.join(str(exc).splitlines())}", file=sys.stderr)
         return 1
 
 

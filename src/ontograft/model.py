@@ -1,10 +1,10 @@
 """Encoder-only transformer over token sequences, written directly in numpy.
 
 Forward pass with optional attention capture, plus an analytic backward pass
-writing per-parameter gradient slots.  Pre-norm residual blocks with the
-exact (erf) GELU, learned absolute position embeddings, BOS pooling for a
-sigmoid multi-label head, and an MLM head tied to the token embedding matrix
-and trained with softmax cross-entropy.
+writing the optimizer's per-parameter gradient slots.  Pre-norm residual
+blocks with the exact (erf) GELU, learned absolute position embeddings, BOS
+pooling for a sigmoid multi-label head, and an MLM head tied to the token
+embedding matrix and trained with softmax cross-entropy.
 
 Every pass goes through ``_forward_core``.  Attention dropout applies iff an
 rng is passed (``loss_and_grad(..., rng=...)``).  Only ``loss_and_grad`` keeps
@@ -24,12 +24,13 @@ holds for products of two rows or more).
 
 The backward pass finishes the parameters group by group
 (``ParameterStore.groups``): the final layer norm and both heads, each layer
-from the top down, the embeddings.  ``loss_and_grad(..., optimizer=state)``
-updates a group as soon as its weights have served the input gradient, and
-its gradient slots then serve the next group.  Gradients are written, not
-added to zeroed slots, so a slot may hold ``-0.0`` where ``0.0 + x`` gave
-``0.0``; Adam's first ``+=`` into its moments gives both the same bits, so
-the parameters are those of a whole backward pass and then one AdamW step.
+from the top down, the embeddings.  ``loss_and_grad`` writes a group's
+gradients into the optimizer's slots and has the optimizer update the group
+as soon as its weights have served the input gradient; the slots then serve
+the next group.  Gradients are written, not added to zeroed slots, so a slot
+may hold ``-0.0`` where ``0.0 + x`` gave ``0.0``; Adam's first ``+=`` into
+its moments gives both the same bits, so the parameters are those of a whole
+backward pass and then one AdamW step.
 
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
@@ -174,19 +175,18 @@ class ParameterGroup(NamedTuple):
 
 
 class ParameterStore:
-    """Named parameters in one contiguous array (the parameter arena) and
-    their gradients in a second one of the same layout and dtype.
+    """Named parameters in one contiguous array, the parameter arena.
 
-    ``params[name]`` and ``grads[name]`` are views into ``param_arena`` and
-    ``grad_arena``; both dicts keep the declaration order of ``shapes``, the
-    order ``save_model`` writes.  The arena holds one contiguous span per
-    group (``groups``, in the order the backward pass finishes them), each
-    with its decayed tensors (``_decay_applies``) first, so one group's AdamW
-    update is one pass over a span and weight decay touches its prefix
-    alone.  The heads' group comes last in the arena: its vocabulary and
-    label biases would otherwise move every later weight matrix off the
-    alignment the arena gives it.  ``views`` lays out any other arena of the
-    same size, such as the Adam moments.
+    ``params[name]`` is a view into ``param_arena``; the dict keeps the
+    declaration order of ``shapes``, the order ``save_model`` writes.  The
+    arena holds one contiguous span per group (``groups``, in the order the
+    backward pass finishes them), each with its decayed tensors
+    (``_decay_applies``) first, so one group's AdamW update is one pass over
+    a span and weight decay touches its prefix alone.  The heads' group
+    comes last in the arena: its vocabulary and label biases would otherwise
+    move every later weight matrix off the alignment the arena gives it.
+    ``views`` lays out any other arena of the same size, such as the Adam
+    moments, and ``group_views`` the optimizer's one-group gradient buffer.
     """
 
     def __init__(self, shapes: dict[str, tuple[int, ...]], dtype=np.float64):
@@ -205,10 +205,7 @@ class ParameterStore:
         self.groups.sort(key=lambda group: _group_key(group.names[0]))
         self._layout = {name: (spans[name], tuple(shape)) for name, shape in shapes.items()}
         self.param_arena = np.zeros(start, dtype=dtype)
-        # np.zeros, not zeros_like: no page is touched unless written (training never does)
-        self.grad_arena = np.zeros(start, dtype=dtype)
         self.params = self.views(self.param_arena)
-        self.grads = self.views(self.grad_arena)
 
     def views(self, arena: np.ndarray) -> dict[str, np.ndarray]:
         """Per-parameter views, in declaration order, into an arena laid out
@@ -222,18 +219,8 @@ class ParameterStore:
         return {name: buffer[span.start - at[name]:span.stop - at[name]].reshape(shape)
                 for name, (span, shape) in self._layout.items()}
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
     def n_parameters(self) -> int:
         return self.param_arena.size
-
-    def copy(self) -> "ParameterStore":
-        shapes = {name: shape for name, (_, shape) in self._layout.items()}
-        out = ParameterStore(shapes, self.param_arena.dtype)
-        for name, p in self.params.items():
-            out.params[name][...] = p
-        return out
 
 
 def init_model(config: ModelConfig) -> ParameterStore:
@@ -643,25 +630,26 @@ def loss_and_grad(
     labels: np.ndarray | None = None,
     mlm_targets: list[list[tuple[int, int]]] | None = None,
     rng: np.random.Generator | None = None,
-    optimizer=None,
+    *,
+    optimizer,
 ) -> float:
-    """Compute the objective and its gradient for every parameter;
-    attention dropout applies iff ``rng`` is given.
+    """Compute the objective, its gradient for every parameter and the
+    optimizer's update; attention dropout applies iff ``rng`` is given.
 
     objective "multilabel" needs ``labels`` [batch, n_labels]; "mlm" needs
     ``mlm_targets``: per item, (position, original token id) pairs for the
     already-masked batch.  The head the objective does not use gets a zero
     gradient.  A non-finite loss raises NumericError before any update.
 
-    The gradients fill ``store.grads``, or with an ``optimizer``
-    (``training.OptimizerState``) its ``grads`` slots, and
+    The gradients fill the slots ``optimizer.grads`` (those of a
+    ``training.OptimizerState`` hold one group at a time), and
     ``optimizer.update(store, k)`` runs as the backward pass finishes
     ``store.groups[k]``: one AdamW step, with the bits of updating after
     the whole backward pass (see the module docstring).
     """
     if objective not in ("multilabel", "mlm"):
         raise ModelError(f"unknown objective {objective!r}")
-    g = store.grads if optimizer is None else optimizer.grads
+    g = optimizer.grads
     layers: list = []
     hidden, cache = _forward_core(store, config, batch, rng, layers.append)
     pk = cache[0]
@@ -698,8 +686,7 @@ def loss_and_grad(
     if not np.isfinite(loss):
         raise NumericError("loss")
     for group, _ in enumerate(_backward_core(store, config, cache, layers, d_hidden, g, decoder)):
-        if optimizer is not None:
-            optimizer.update(store, group)
+        optimizer.update(store, group)
     return loss
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -125,9 +125,9 @@ def apply_dynamic_masking(
     return masked_batch, targets
 
 
-@dataclass
 class OptimizerState:
-    """Adam moments, learning rate and decoupled weight decay.
+    """Adam moments, learning rate, decoupled weight decay and the one home
+    of the gradients.
 
     ``m_arena`` and ``v_arena`` are laid out like the store's parameter arena
     (group by group, see ``ParameterStore``); ``store.views`` gives
@@ -137,27 +137,18 @@ class OptimizerState:
     there, and ``update`` applies them before the next group reuses it.
     """
 
-    m_arena: np.ndarray
-    v_arena: np.ndarray
-    lr: float = 1e-4
-    weight_decay: float = 0.01
-    step: int = 0
-    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    # per group, its views of the gradients, m, v and the parameters, and its
-    # number of decayed values; the update's two scratch rows and mask
-    spans: list[tuple] = field(default_factory=list, repr=False)
-    scratch: tuple = field(default=(), repr=False)
-
-    @staticmethod
-    def for_store(store: ParameterStore, lr: float, weight_decay: float) -> "OptimizerState":
+    def __init__(self, store: ParameterStore, lr: float, weight_decay: float):
         dtype = store.param_arena.dtype
         buffer = np.empty(max(g.span.stop - g.span.start for g in store.groups), dtype)
-        state = OptimizerState(np.zeros_like(store.param_arena), np.zeros_like(store.param_arena),
-                               lr=lr, weight_decay=weight_decay, grads=store.group_views(buffer))
-        state.spans = [(buffer[:span.stop - span.start], state.m_arena[span], state.v_arena[span],
-                        store.param_arena[span], n_decayed) for span, n_decayed, _ in store.groups]
-        state.scratch = (*np.empty((2, _ADAM_BLOCK), dtype), np.empty(_ADAM_BLOCK, dtype=bool))
-        return state
+        self.m_arena = np.zeros_like(store.param_arena)
+        self.v_arena = np.zeros_like(store.param_arena)
+        self.lr, self.weight_decay, self.step = lr, weight_decay, 0
+        self.grads = store.group_views(buffer)
+        # per group, its views of the gradients, m, v and the parameters, and
+        # its number of decayed values; the update's two scratch rows and mask
+        self.spans = [(buffer[:span.stop - span.start], self.m_arena[span], self.v_arena[span],
+                       store.param_arena[span], n_decayed) for span, n_decayed, _ in store.groups]
+        self.scratch = (*np.empty((2, _ADAM_BLOCK), dtype), np.empty(_ADAM_BLOCK, dtype=bool))
 
     def update(self, store: ParameterStore, group: int) -> None:
         """``adam_step`` on ``store.groups[group]``: ``loss_and_grad`` calls
@@ -170,11 +161,10 @@ class OptimizerState:
 _ADAM_BLOCK = 32 * 1024
 
 
-def adam_step(store: ParameterStore, state: OptimizerState, group: int | None = None) -> None:
+def adam_step(store: ParameterStore, state: OptimizerState, group: int) -> None:
     """One bias-corrected Adam update with decoupled weight decay of
     ``store.groups[group]``, from its gradients in ``state.grads``.  Group
-    0 starts a step: a step updates each group once, in order.  Without
-    ``group``, one whole step from ``store.grads``, copied group by group.
+    0 starts a step: a step updates each group once, in order.
 
     One pass over the group's span in blocks of ``_ADAM_BLOCK`` values.
     Each block runs, in place, the elementwise expressions of the
@@ -184,12 +174,6 @@ def adam_step(store: ParameterStore, state: OptimizerState, group: int | None = 
     ``p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps)``.  A non-finite gradient
     raises NumericError naming its parameter, before its block is used.
     """
-    if group is None:
-        for k, each in enumerate(store.groups):
-            for name in each.names:
-                state.grads[name][...] = store.grads[name]
-            adam_step(store, state, k)
-        return
     if group == 0:
         state.step += 1
     t = state.step
@@ -297,15 +281,15 @@ def _fit(
 
     The optimizer updates each parameter group as the backward pass
     finishes it, so training holds one group's gradients (one layer at
-    paper shape), never ``store.grads``; a non-finite gradient aborts the
-    step at its group, after the earlier groups' updates.
+    paper shape); a non-finite gradient aborts the step at its group, after
+    the earlier groups' updates.
     ``validate()`` returns (val_loss, val_f1_samples, score); a higher score
     is better and picks ``best.bin``.  A checkpoint is a model file.  No
     training items is an error, whatever the number of epochs.
     """
     if n_items == 0:
         raise TrainingError(f"{phase}: no training molecules")
-    state = OptimizerState.for_store(store, tcfg.learning_rate, tcfg.weight_decay)
+    state = OptimizerState(store, tcfg.learning_rate, tcfg.weight_decay)
     logs: list[EpochLog] = []
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)

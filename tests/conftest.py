@@ -22,6 +22,19 @@ def tiny_store(tiny_config):
     return init_model(tiny_config)
 
 
+class WholeGradient:
+    """An optimizer for ``loss_and_grad`` that keeps the whole gradient and
+    changes no parameter: ``grads`` are views of one arena laid out like the
+    store's, and ``update`` does nothing."""
+
+    def __init__(self, store):
+        self.arena = np.zeros_like(store.param_arena)
+        self.grads = store.views(self.arena)
+
+    def update(self, store, group):
+        pass
+
+
 def with_config_keys(blob: bytes, **keys) -> bytes:
     """A model file's bytes with ``keys`` added to its config JSON (sorted
     keys, as ``save_model`` writes it): how a file saved when ``ModelConfig``

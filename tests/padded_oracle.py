@@ -99,8 +99,8 @@ def classification_logits(store, hidden):
     return pooled, pooled @ store.params["cls.w"] + store.params["cls.b"]
 
 
-def backward_core(store, config, cache, layers, d_hidden):
-    p, g = store.params, store.grads
+def backward_core(store, config, cache, layers, d_hidden, g):
+    p = store.params
     ids, final_ln_cache = cache
     d = config.hidden_dim
     scale = float(1.0 / np.sqrt(config.head_dim))
@@ -171,8 +171,9 @@ def gather_mlm(hidden, targets):
 
 
 def loss_and_grad(store, config, batch, objective, labels=None, mlm_targets=None, rng=None):
-    """Fill ``store.grads`` as ``model.loss_and_grad`` does; returns the loss."""
-    store.grad_arena.fill(0.0)
+    """(loss, gradients): the gradients ``model.loss_and_grad`` writes, as
+    per-parameter views of one arena laid out like the store's."""
+    g = store.views(np.zeros_like(store.param_arena))
     layers = []
     hidden, cache = forward_core(store, config, batch, rng, layers.append)
     d_hidden = np.zeros_like(hidden)
@@ -181,15 +182,15 @@ def loss_and_grad(store, config, batch, objective, labels=None, mlm_targets=None
         pooled, logits = classification_logits(store, hidden)
         loss = multilabel_loss_value(logits, y)
         dlogits = (expit(logits) - y) / y.size
-        store.grads["cls.w"] += pooled.T @ dlogits
-        store.grads["cls.b"] += dlogits.sum(axis=0)
+        g["cls.w"] += pooled.T @ dlogits
+        g["cls.b"] += dlogits.sum(axis=0)
         d_hidden[:, 0, :] = dlogits @ store.params["cls.w"].T
     else:
         rows, index, tgt = gather_mlm(hidden, mlm_targets)
         logits, head_cache = _mlm_head_forward(store, rows)
         loss, dlogits = _mlm_objective(logits, tgt)
-        d_rows, (dlogits_t, t) = _mlm_head_backward(store, store.grads, dlogits, head_cache)
-        store.grads["tok_emb"] += dlogits_t @ t
+        d_rows, (dlogits_t, t) = _mlm_head_backward(store, g, dlogits, head_cache)
+        g["tok_emb"] += dlogits_t @ t
         np.add.at(d_hidden, index, d_rows)
-    backward_core(store, config, cache, layers, d_hidden)
-    return loss
+    backward_core(store, config, cache, layers, d_hidden, g)
+    return loss, g

@@ -37,7 +37,7 @@ from ontograft.synthetic import generate_toy_ontology
 from ontograft.tokenizer import Tokenizer, TokenSequence, train_bpe
 from ontograft.training import TrainConfig, finetune
 
-from conftest import random_dag
+from conftest import WholeGradient, random_dag
 from test_metrics import brute_auc, brute_prf
 
 SEED = 3
@@ -133,16 +133,19 @@ def test_criterion_01_gradient_check(tiny_config, tiny_store):
     eps = 1e-4
     worst = 0.0
     for objective, kwargs in cases.items():
-        loss_and_grad(tiny_store, tiny_config, batch, objective, **kwargs)
-        analytic = {n: g.copy() for n, g in tiny_store.grads.items()}
+        whole, probe = WholeGradient(tiny_store), WholeGradient(tiny_store)
+        loss_and_grad(tiny_store, tiny_config, batch, objective, optimizer=whole, **kwargs)
+        analytic = whole.grads
         for name, param in tiny_store.params.items():
             flat = param.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up = loss_and_grad(tiny_store, tiny_config, batch, objective, **kwargs)
+                up = loss_and_grad(tiny_store, tiny_config, batch, objective, optimizer=probe,
+                                   **kwargs)
                 flat[i] = orig - eps
-                down = loss_and_grad(tiny_store, tiny_config, batch, objective, **kwargs)
+                down = loss_and_grad(tiny_store, tiny_config, batch, objective, optimizer=probe,
+                                     **kwargs)
                 flat[i] = orig
                 numeric = (up - down) / (2 * eps)
                 ana = analytic[name].reshape(-1)[i]
@@ -289,7 +292,7 @@ def test_criterion_06_pretraining_effectiveness(pipeline, tmp_path):
         first = next((e + 1 for e, v in enumerate(curve) if v >= 0.90), None)
         return first, curve
 
-    e_pre, _ = epochs_to_target(pre_store.copy(), 30, tmp_path / "pre")
+    e_pre, _ = epochs_to_target(pre_store, 30, tmp_path / "pre")
     assert e_pre is not None, "pretrained fine-tune never reached the F1 target"
     budget = 2 * e_pre
     e_rand, curve = epochs_to_target(init_model(config), budget, tmp_path / "rand")

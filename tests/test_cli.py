@@ -7,9 +7,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ontograft import cli, model, ontology, tokenizer
+from ontograft import cli, metrics, model, ontology, tokenizer
 from ontograft.cli import build_parser, main
 from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
@@ -366,6 +367,41 @@ class TestErrors:
         assert "Traceback" not in err
         assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is a directory: {out}"
         assert ran == [] and list(out.iterdir()) == []
+
+    def test_file_as_output_directory(self, workspace, tmp_path, capsys, monkeypatch):
+        """``evaluate --out`` names a directory: a file there fails before
+        the test split is scored."""
+        scored = []
+        monkeypatch.setattr(metrics, "evaluate_model", lambda *args, **kwargs: scored.append(args))
+        out = tmp_path / "report"
+        out.write_text("kept\n")
+        code = main(["evaluate", "--config", str(workspace["config"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--model", str(workspace["finetuned"]),
+                     "--test", str(workspace["dataset"] / "test.tsv"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is not a directory: {out}"
+        assert scored == [] and out.read_text() == "kept\n"
+
+    def test_file_as_checkpoint_directory(self, workspace, tmp_path, capsys, monkeypatch):
+        """A file at ``--checkpoint-dir`` fails before the model loads."""
+        loaded = []
+        monkeypatch.setattr(cli, "load_model", lambda path: loaded.append(path))
+        checkpoints = tmp_path / "ck"
+        checkpoints.write_text("kept\n")
+        out = tmp_path / "m.bin"
+        code = main(["finetune", "--config", str(workspace["config"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--model", str(workspace["pretrained"]),
+                     "--dataset", str(workspace["dataset"]),
+                     "--checkpoint-dir", str(checkpoints), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is not a directory: {checkpoints}"
+        assert loaded == [] and not out.exists()
 
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),
@@ -822,6 +858,53 @@ FLAG_SETTINGS = {
 }
 
 
+def _fuzzed(data: bytes, rng, n: int = 60):
+    """(case, bytes): ``data`` cut at, and with one byte changed at, each of
+    up to ``n`` sampled offsets."""
+    for at in np.sort(rng.choice(len(data), min(n, len(data)), replace=False)).tolist():
+        yield f"cut at {at}", data[:at]
+        changed = bytearray(data)
+        changed[at] ^= int(rng.integers(1, 256))
+        yield f"byte {at} changed", bytes(changed)
+
+
+class TestFuzzedInputs:
+    def test_cut_or_changed_inputs_fail_cleanly(self, workspace, tmp_path, capsys):
+        """Each input kind (INI, OBO, dataset TSV, labels.txt, SMILES), cut
+        short or with one byte changed, ends a run in success or in one
+        ERROR line naming a component: never in a traceback."""
+        ws = {key: str(path) for key, path in workspace.items()}
+        labels, test = (str(workspace["dataset"] / name) for name in ("labels.txt", "test.tsv"))
+        model_inputs = ["--config", ws["config"], "--tokenizer", ws["tokenizer"],
+                        "--model", ws["finetuned"]]
+        classify = ["classify", *model_inputs, "--labels", labels, "--input", ws["queries"],
+                    "--out", str(tmp_path / "r.json")]
+        runs = {  # each file, and a run that reads it
+            ws["config"]: classify,
+            labels: classify,
+            ws["queries"]: classify,
+            ws["obo"]: ["extend", *model_inputs, "--labels", labels, "--input", ws["queries"],
+                        "--ontology", ws["obo"], "--out-ontology", str(tmp_path / "x.obo"),
+                        "--out-report", str(tmp_path / "x.json")],
+            test: ["evaluate", *model_inputs, "--test", test, "--out", str(tmp_path / "eval")],
+        }
+        error = re.compile("ERROR\t({})\t".format("|".join(set(cli._COMPONENTS.values()))))
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for original, run in runs.items():
+            fuzzed = tmp_path / "fuzzed"
+            argv = [str(fuzzed) if arg == original else arg for arg in run]
+            for case, data in _fuzzed(Path(original).read_bytes(), rng):
+                fuzzed.write_bytes(data)
+                code = main(argv)
+                err = capsys.readouterr().err
+                last = (err.splitlines() or [""])[-1]
+                assert "Traceback" not in err, (original, case)
+                assert code == 0 or (code == 1 and error.match(last)), (original, case, err)
+                outcomes.add(code)
+        assert outcomes == {0, 1}
+
+
 def _typed(cfg):
     return {s: {k: (type(v), v) for k, v in values.items()} for s, values in cfg.sections.items()}
 
@@ -888,14 +971,16 @@ class TestSettings:
         for command in subparsers.choices:
             monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
                                 lambda args, cfg, inputs: resolved.append(cfg))
-        # every required path below is "x": make it exist, and load nothing
+        # every required input below is "x": make it exist, and load nothing;
+        # every required output is "new", which does not exist
         monkeypatch.chdir(tmp_path)
         (tmp_path / "x").touch()
         monkeypatch.setattr(cli, "_load_inputs", lambda args: None)
         keys = {key for values in SETTINGS.values() for key in values}
         seen = set()
         for command, sub in subparsers.choices.items():
-            required = [s for a in sub._actions if a.required for s in (a.option_strings[0], "x")]
+            required = [s for a in sub._actions if a.required
+                        for s in (a.option_strings[0], "x" if a.dest in cli.INPUTS else "new")]
             for action in sub._actions:
                 key = action.dest
                 if key not in keys:

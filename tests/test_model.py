@@ -34,9 +34,10 @@ from ontograft.model import (
     save_model,
 )
 from ontograft.tokenizer import BOS_ID, EOS_ID, PAD_ID, TokenSequence, train_bpe
+from ontograft.training import OptimizerState
 
 import padded_oracle
-from conftest import with_config_keys
+from conftest import WholeGradient, with_config_keys
 
 
 def seq(*content_ids):
@@ -92,7 +93,7 @@ class TestInit:
     def test_deterministic(self, tiny_config):
         a = init_model(tiny_config)
         b = init_model(tiny_config)
-        for name in a.names():
+        for name in a.params:
             npt.assert_array_equal(a.params[name], b.params[name])
 
     def test_parameter_count_matches_shape_formula(self, tiny_config, tiny_store):
@@ -110,8 +111,10 @@ class TestInit:
         npt.assert_array_equal(tiny_store.params["tok_emb"][PAD_ID], 0.0)
 
     def test_every_parameter_has_gradient_slot(self, tiny_store):
-        for name in tiny_store.names():
-            assert tiny_store.grads[name].shape == tiny_store.params[name].shape
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.0)
+        assert list(state.grads) == list(tiny_store.params)
+        for name, param in tiny_store.params.items():
+            assert state.grads[name].shape == param.shape
 
     def test_config_validation(self):
         with pytest.raises(ModelError):
@@ -240,26 +243,31 @@ class TestLoss:
 
     def test_gradients_filled_for_every_parameter(self, tiny_config, tiny_store):
         labels = np.array([[1, 0, 1]], dtype=float)
-        loss_and_grad(tiny_store, tiny_config, [seq(5, 6)], "multilabel", labels=labels)
-        nonzero = [n for n in tiny_store.names() if np.any(tiny_store.grads[n] != 0)]
+        whole = WholeGradient(tiny_store)
+        loss_and_grad(tiny_store, tiny_config, [seq(5, 6)], "multilabel", labels=labels,
+                      optimizer=whole)
+        nonzero = [n for n, g in whole.grads.items() if np.any(g != 0)]
         # everything except untouched rows should receive gradient
         assert "cls.w" in nonzero and "tok_emb" in nonzero and "layers.0.attn.wq" in nonzero
 
     def test_mlm_head_params_used_only_by_mlm(self, tiny_config, tiny_store):
         labels = np.array([[1, 0, 1]], dtype=float)
-        loss_and_grad(tiny_store, tiny_config, [seq(5, 6)], "multilabel", labels=labels)
-        npt.assert_array_equal(tiny_store.grads["mlm.w"], 0.0)
+        whole = WholeGradient(tiny_store)
+        whole.arena.fill(1.0)  # the head's zero gradient is written, not left over
+        loss_and_grad(tiny_store, tiny_config, [seq(5, 6)], "multilabel", labels=labels,
+                      optimizer=whole)
+        npt.assert_array_equal(whole.grads["mlm.w"], 0.0)
         loss_and_grad(
-            tiny_store, tiny_config, [seq(5, 6)], "mlm", mlm_targets=[[(1, 5)]]
+            tiny_store, tiny_config, [seq(5, 6)], "mlm", mlm_targets=[[(1, 5)]], optimizer=whole
         )
-        assert np.any(tiny_store.grads["mlm.w"] != 0)
+        assert np.any(whole.grads["mlm.w"] != 0)
 
     def test_numeric_failure_detected(self, tiny_config, tiny_store):
         tiny_store.params["cls.w"][0, 0] = np.inf
         with pytest.raises(NumericError):
             loss_and_grad(
                 tiny_store, tiny_config, [seq(5)], "multilabel",
-                labels=np.array([[1, 0, 0]], dtype=float),
+                labels=np.array([[1, 0, 0]], dtype=float), optimizer=WholeGradient(tiny_store),
             )
 
     @pytest.mark.parametrize("position", [-1, 4, 5])
@@ -267,13 +275,13 @@ class TestLoss:
         # packed, position 4 of the first item would be the second item's BOS
         with pytest.raises(ModelError, match="outside its sequence"):
             loss_and_grad(tiny_store, tiny_config, [seq(5, 6), seq(7, 8, 9)], "mlm",
-                          mlm_targets=[[(position, 5)], []])
+                          mlm_targets=[[(position, 5)], []], optimizer=WholeGradient(tiny_store))
 
     def test_label_shape_mismatch(self, tiny_config, tiny_store):
         with pytest.raises(ModelError):
             loss_and_grad(
                 tiny_store, tiny_config, [seq(5)], "multilabel",
-                labels=np.array([[1.0, 0.0]]),
+                labels=np.array([[1.0, 0.0]]), optimizer=WholeGradient(tiny_store),
             )
 
     def test_gradient_check_small(self, tiny_config, tiny_store):
@@ -281,8 +289,9 @@ class TestLoss:
         acceptance suite."""
         batch = [seq(5, 6, 7, 8), seq(9, 10)]
         labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=float)
-        loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
-        analytic = {n: g.copy() for n, g in tiny_store.grads.items()}
+        whole, probe = WholeGradient(tiny_store), WholeGradient(tiny_store)
+        loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels, optimizer=whole)
+        analytic = whole.grads
         rng = np.random.default_rng(0)
         eps = 1e-4
         for name in ("tok_emb", "layers.0.attn.wq", "layers.1.ffn.w2", "final_ln.g", "cls.b"):
@@ -290,9 +299,11 @@ class TestLoss:
             for idx in rng.choice(flat.size, size=min(5, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + eps
-                up = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+                up = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
+                                   optimizer=probe)
                 flat[idx] = orig - eps
-                down = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+                down = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
+                                     optimizer=probe)
                 flat[idx] = orig
                 numeric = (up - down) / (2 * eps)
                 ana = analytic[name].reshape(-1)[idx]
@@ -310,14 +321,16 @@ class TestDropout:
         assert not np.allclose(dropped, plain)
         labels = np.array([[1, 0, 1]], dtype=float)
         a = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
-                          rng=np.random.default_rng(0))
-        b = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+                          rng=np.random.default_rng(0), optimizer=WholeGradient(tiny_store))
+        b = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
+                          optimizer=WholeGradient(tiny_store))
         assert a != b
 
     def test_no_rng_is_the_inference_pass(self, tiny_config, tiny_store):
         batch = [seq(5, 6, 7), seq(8, 9)]
         labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=float)
-        loss = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels)
+        loss = loss_and_grad(tiny_store, tiny_config, batch, "multilabel", labels=labels,
+                             optimizer=WholeGradient(tiny_store))
         logits = np.stack([out.logits for out in forward(tiny_store, tiny_config, batch)])
         assert loss == multilabel_loss_value(logits, labels)
 
@@ -498,17 +511,17 @@ class TestPackedAgainstPaddedOracle:
             mlm[0].append((0, 6))
             targets = dict(mlm_targets=mlm)
         draws = (lambda: np.random.default_rng(seed)) if dropout else (lambda: None)
-        packed, padded = store.copy(), store.copy()
-        loss = loss_and_grad(packed, config, seqs, objective, rng=draws(), **targets)
-        ref = padded_oracle.loss_and_grad(padded, config, seqs, objective, rng=draws(),
-                                          **targets)
+        packed = WholeGradient(store)
+        loss = loss_and_grad(store, config, seqs, objective, rng=draws(), optimizer=packed,
+                             **targets)
+        ref, padded = padded_oracle.loss_and_grad(store, config, seqs, objective, rng=draws(),
+                                                  **targets)
         assert_close(loss, ref)
-        for name in packed.names():
-            want = padded.grads[name]
+        for name, want in padded.items():
             # d(loss)/d(key bias) is 0 in exact arithmetic (a shift shared by
             # every key leaves the softmax as it is): both sides hold rounding
             # noise, bounded by the size of the key weights' gradient instead
-            scale = padded.grads[name.replace(".bk", ".wk")] if name.endswith(".bk") else want
+            scale = padded[name.replace(".bk", ".wk")] if name.endswith(".bk") else want
             npt.assert_allclose(packed.grads[name], want, rtol=1e-12,
                                 atol=1e-12 * np.abs(scale).max(), err_msg=name)
 
@@ -678,8 +691,27 @@ class TestLoadMemory:
                              capture_output=True, text=True, env=env, check=True)
         growth = 1024 * int(run.stdout)
         # a 27 MB arena grew the process by 28 MB; holding the file and
-        # writing the gradient arena as well read 104 MB
+        # writing a second, gradient arena as well read 104 MB
         assert growth < 1.25 * arena + largest
+
+
+class TestStoreMemory:
+    def test_init_and_load_trace_one_arena(self, tmp_path):
+        """A store holds its parameter arena and nothing the size of the
+        model besides: gradients live in the optimizer, one group at a
+        time.  Creating or loading one traces the arena, one array's
+        float64 bytes (a draw or a read) and the views' Python objects."""
+        config = ModelConfig(vocab_size=20, n_labels=3, n_layers=4, n_heads=4, hidden_dim=32,
+                             ffn_dim=128, max_len=64, seed=1)
+        store = init_model(config)
+        save_model(store, config, tmp_path / "m.bin")
+        arena = store.param_arena.nbytes
+        largest = 8 * max(p.size for p in store.params.values())
+        # 27 KB of views and layout measured (75 tensors); with a second,
+        # gradient arena beside the parameters both calls traced 2.2 x the arena
+        bound = arena + largest + 64 * 1024
+        for call in (lambda: init_model(config), lambda: load_model(tmp_path / "m.bin")):
+            assert traced_peak(call)[1] <= bound
 
 
 class TestDtype:
@@ -690,8 +722,8 @@ class TestDtype:
         # weights far enough from init that every path carries signal
         store = init_model(config)
         rng = np.random.default_rng(3)
-        for name in store.names():
-            store.params[name][...] += rng.normal(0.0, 0.1, store.params[name].shape)
+        for param in store.params.values():
+            param[...] += rng.normal(0.0, 0.1, param.shape)
         return store
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -712,11 +744,12 @@ class TestDtype:
             targets = dict(labels=np.array([[1, 0, 1], [0, 1, 0]], dtype=float))
         else:
             targets = dict(mlm_targets=[[(1, 5), (3, 8)], [(2, 10)]])
+        whole = WholeGradient(store)
         loss = loss_and_grad(store, config, batch, objective,
-                             rng=np.random.default_rng(0), **targets)
+                             rng=np.random.default_rng(0), optimizer=whole, **targets)
         assert np.isfinite(loss)
-        assert {g.dtype for g in store.grads.values()} == {want}
-        assert all(np.any(store.grads[n] != 0) for n in ("tok_emb", "layers.0.ffn.w1"))
+        assert {g.dtype for g in whole.grads.values()} == {want}
+        assert all(np.any(whole.grads[n] != 0) for n in ("tok_emb", "layers.0.ffn.w1"))
 
         outs = forward(store, config, batch)
         for out in outs:
@@ -728,9 +761,8 @@ class TestDtype:
     def test_float32_agrees_with_float64(self, tiny_config):
         config64, config32 = tiny_config, replace(tiny_config, dtype="float32")
         store64 = self.perturbed(config64)
-        store32 = store64.copy()
-        for name in store32.names():
-            store32.params[name] = store32.params[name].astype(np.float32)
+        store32 = init_model(config32)
+        store32.param_arena[...] = store64.param_arena
         batch = [seq(5, 6, 7, 8, 11, 12), seq(9, 10)]
         # float32 rounds at about 6e-8 relative; two layers measured 3e-7 here
         for a, b in zip(forward(store32, config32, batch), forward(store64, config64, batch)):
@@ -765,8 +797,8 @@ class TestPersistence:
         loaded, config, extra = load_model(path)
         assert config == tiny_config
         assert extra == b""
-        assert loaded.names() == tiny_store.names()
-        for name in tiny_store.names():
+        assert list(loaded.params) == list(tiny_store.params)
+        for name in tiny_store.params:
             npt.assert_array_equal(loaded.params[name], tiny_store.params[name])
 
     def test_retired_config_keys_at_their_kept_values_load(self, tiny_config, tiny_store,
@@ -796,7 +828,7 @@ class TestPersistence:
         save_model(store, config, tmp_path / "m.bin")
         loaded, loaded_config, _ = load_model(tmp_path / "m.bin")
         assert loaded_config.dtype == "float32"
-        for name in store.names():
+        for name in store.params:
             npt.assert_array_equal(loaded.params[name], store.params[name])
 
     def test_bad_magic(self, tmp_path):

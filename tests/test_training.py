@@ -41,7 +41,7 @@ from ontograft.training import (
 from ontograft.metrics import binarize, compute_report, prf, write_report
 from ontograft.ontology import save_obo
 
-from conftest import make_graph
+from conftest import WholeGradient, make_graph
 
 
 def make_sequences(rng, n, vocab_size, min_len=4, max_len=20):
@@ -133,6 +133,16 @@ class TestMasking:
             MaskingPolicy(mask_fraction=mask, random_fraction=rand)
 
 
+def whole_step(store, state, grads):
+    """One AdamW step from whole-model gradients: ``adam_step`` on each
+    group in turn, from its gradients copied into the optimizer's slots, as
+    the backward pass writes them."""
+    for k, group in enumerate(store.groups):
+        for name in group.names:
+            state.grads[name][...] = grads[name]
+        adam_step(store, state, k)
+
+
 class TestAdam:
     def single_param_store(self, value):
         store = ParameterStore({"cls.w": (1, 1)})
@@ -142,26 +152,24 @@ class TestAdam:
     def test_first_step_hand_evaluation(self):
         # m_hat = 1, v_hat = 1 after bias correction; update = lr/(1 + eps)
         store = self.single_param_store(1.0)
-        store.grads["cls.w"][...] = 1.0
-        state = OptimizerState.for_store(store, lr=0.1, weight_decay=0.0)
-        adam_step(store, state)
+        state = OptimizerState(store, lr=0.1, weight_decay=0.0)
+        state.grads["cls.w"][...] = 1.0
+        adam_step(store, state, 0)
         expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
         npt.assert_allclose(store.params["cls.w"][0, 0], expected, rtol=0, atol=1e-15)
         assert abs(store.params["cls.w"][0, 0] - 0.9) < 1e-7
 
     def test_zero_gradient_zero_decay_is_identity(self, tiny_config, tiny_store):
-        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.0)
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.0)
         before = {n: p.copy() for n, p in tiny_store.params.items()}
-        tiny_store.grad_arena.fill(0.0)
-        adam_step(tiny_store, state)
-        for name in tiny_store.names():
+        whole_step(tiny_store, state, WholeGradient(tiny_store).grads)
+        for name in tiny_store.params:
             npt.assert_array_equal(tiny_store.params[name], before[name])
 
     def test_decoupled_decay_scales_weights_only(self, tiny_config, tiny_store):
-        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.1)
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.1)
         before = {n: p.copy() for n, p in tiny_store.params.items()}
-        tiny_store.grad_arena.fill(0.0)
-        adam_step(tiny_store, state)
+        whole_step(tiny_store, state, WholeGradient(tiny_store).grads)
         npt.assert_allclose(
             tiny_store.params["layers.0.attn.wq"], before["layers.0.attn.wq"] * 0.99
         )
@@ -172,11 +180,11 @@ class TestAdam:
         npt.assert_array_equal(tiny_store.params["mlm_bias"], before["mlm_bias"])
 
     def test_nan_gradient_names_parameter(self, tiny_store):
-        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.0)
-        tiny_store.grad_arena.fill(0.0)
-        tiny_store.grads["layers.1.ffn.w1"][0, 0] = np.nan
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.0)
+        grads = WholeGradient(tiny_store).grads
+        grads["layers.1.ffn.w1"][0, 0] = np.nan
         with pytest.raises(NumericError) as err:
-            adam_step(tiny_store, state)
+            whole_step(tiny_store, state, grads)
         assert "layers.1.ffn.w1" in str(err.value)
 
 
@@ -233,18 +241,17 @@ class TestFusedAdam:
             cut += any(g.n_decayed % _ADAM_BLOCK != 0 and g.n_decayed > _ADAM_BLOCK
                        for g in store.groups)
             store.param_arena[...] = rng.normal(0.0, 0.5, store.param_arena.size)
-            state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
+            state = OptimizerState(store, lr=0.01, weight_decay=weight_decay)
             params = {n: p.copy() for n, p in store.params.items()}
             m = {n: a.copy() for n, a in store.views(state.m_arena).items()}
             v = {n: a.copy() for n, a in store.views(state.v_arena).items()}
-            oracle_state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
+            oracle_state = OptimizerState(store, lr=0.01, weight_decay=weight_decay)
             for _ in range(int(rng.integers(1, 6))):
-                store.grad_arena[...] = rng.normal(0.0, 1.0, store.grad_arena.size)
-                grads = {n: g.copy() for n, g in store.grads.items()}
-                adam_step(store, state)
+                grads = store.views(rng.normal(0.0, 1.0, store.param_arena.size).astype(dtype))
+                whole_step(store, state, grads)
                 oracle_adam_step(params, grads, m, v, oracle_state)
             state_m, state_v = store.views(state.m_arena), store.views(state.v_arena)
-            for name in store.names():
+            for name in store.params:
                 assert np.array_equal(store.params[name], params[name]), name
                 assert np.array_equal(state_m[name], m[name]), name
                 assert np.array_equal(state_v[name], v[name]), name
@@ -253,10 +260,11 @@ class TestFusedAdam:
 
     def test_non_finite_in_a_later_block_names_parameter(self):
         store = ParameterStore({"a.w": (_ADAM_BLOCK + 5,), "b.b": (7,), "c.w": (3, 3)})
-        state = OptimizerState.for_store(store, lr=0.1, weight_decay=0.01)
-        store.grads["c.w"][2, 1] = np.inf
+        state = OptimizerState(store, lr=0.1, weight_decay=0.01)
+        grads = WholeGradient(store).grads
+        grads["c.w"][2, 1] = np.inf
         with pytest.raises(NumericError) as err:
-            adam_step(store, state)
+            whole_step(store, state, grads)
         assert "c.w" in str(err.value)
 
 
@@ -274,9 +282,11 @@ class TestAdamInBackward:
         store = init_model(config)
         rng = np.random.default_rng(23)
         store.param_arena[...] += rng.normal(0.0, 0.1, store.param_arena.size)
-        reference = store.copy()
-        state = OptimizerState.for_store(store, lr=0.01, weight_decay=weight_decay)
-        oracle_state = OptimizerState.for_store(reference, lr=0.01, weight_decay=weight_decay)
+        reference = init_model(config)
+        reference.param_arena[...] = store.param_arena
+        state = OptimizerState(store, lr=0.01, weight_decay=weight_decay)
+        oracle_state = OptimizerState(reference, lr=0.01, weight_decay=weight_decay)
+        whole = WholeGradient(reference)
         m = {n: np.zeros_like(p) for n, p in reference.params.items()}
         v = {n: np.zeros_like(p) for n, p in reference.params.items()}
         for step in range(4):
@@ -288,34 +298,21 @@ class TestAdamInBackward:
                                             for s in batch])
             loss = loss_and_grad(store, config, batch, objective, optimizer=state,
                                  rng=np.random.default_rng([5, step]), **targets)
-            want = loss_and_grad(reference, config, batch, objective,
+            want = loss_and_grad(reference, config, batch, objective, optimizer=whole,
                                  rng=np.random.default_rng([5, step]), **targets)
-            oracle_adam_step(reference.params, reference.grads, m, v, oracle_state)
+            oracle_adam_step(reference.params, whole.grads, m, v, oracle_state)
             assert loss == want
         state_m, state_v = store.views(state.m_arena), store.views(state.v_arena)
-        for name in store.names():
+        for name in store.params:
             assert np.array_equal(store.params[name], reference.params[name]), name
             assert np.array_equal(state_m[name], m[name]), name
             assert np.array_equal(state_v[name], v[name]), name
             assert store.params[name].dtype == np.dtype(dtype)
         assert state.step == oracle_state.step == 4
-        assert not store.grad_arena.any()
-
-    def test_training_never_writes_the_gradient_arena(self):
-        tok, config, corpus, molecules = toy_setup()
-        store = init_model(config)
-        before = store.param_arena.copy()
-        pretrain(store, config, tok, corpus, corpus[:4],
-                 TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=1),
-                 MaskingPolicy(seed=1))
-        finetune(store, config, tok, DatasetSplits(molecules, molecules[:6], []),
-                 TrainConfig(epochs=2, batch_size=4, learning_rate=1e-3, seed=1))
-        assert not np.array_equal(store.param_arena, before)
-        assert not store.grad_arena.any()
 
 
 class TestArena:
-    """Every parameter, gradient and moment is a view into its arena."""
+    """Every parameter and moment is a view into its arena."""
 
     @staticmethod
     def assert_views(views, arena):
@@ -327,11 +324,10 @@ class TestArena:
         """The groups tile the arena in the order the backward pass finishes
         them, and each holds its decayed tensors first."""
         self.assert_views(store.params, store.param_arena)
-        self.assert_views(store.grads, store.grad_arena)
         spans = sorted(group.span.indices(store.param_arena.size) for group in store.groups)
         assert [start for start, _, _ in spans] == [0] + [stop for _, stop, _ in spans[:-1]]
         assert spans[-1][1] == store.param_arena.size
-        assert sorted(n for group in store.groups for n in group.names) == sorted(store.names())
+        assert sorted(n for group in store.groups for n in group.names) == sorted(store.params)
         for group in store.groups:
             decayed_prefix = store.param_arena[group.span][: group.n_decayed]
             for name in group.names:
@@ -348,33 +344,29 @@ class TestArena:
         m, v = store.views(state.m_arena), store.views(state.v_arena)
         self.assert_views(m, state.m_arena)
         self.assert_views(v, state.v_arena)
-        assert list(m) == list(v) == store.names()
+        assert list(m) == list(v) == list(store.params)
 
-    def test_init_copy_and_load(self, tiny_config, tiny_store, tmp_path):
+    def test_init_and_load(self, tiny_config, tiny_store, tmp_path):
         self.assert_store(tiny_store)
-        copy = tiny_store.copy()
-        self.assert_store(copy)
-        assert not np.shares_memory(copy.param_arena, tiny_store.param_arena)
         save_model(tiny_store, tiny_config, tmp_path / "m.bin")
         loaded, _, _ = load_model(tmp_path / "m.bin")
         self.assert_store(loaded)
-        assert loaded.names() == tiny_store.names()
+        assert list(loaded.params) == list(tiny_store.params)
         assert np.array_equal(loaded.param_arena, tiny_store.param_arena)
 
     def test_optimizer_state_and_checkpoint(self, tiny_store):
         """The moments stay views of their arenas across a step.  Checkpoints
         hold no optimizer state: TestPretrain checks what they hold."""
-        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.01)
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.01)
         self.assert_state(tiny_store, state)
-        tiny_store.grad_arena[...] = 0.5
-        adam_step(tiny_store, state)
+        whole_step(tiny_store, state, tiny_store.views(np.full_like(tiny_store.param_arena, 0.5)))
         self.assert_state(tiny_store, state)
         assert state.step == 1 and state.m_arena.any() and state.v_arena.any()
 
     def test_group_views_share_one_buffer(self, tiny_store):
         """Each parameter's optimizer slot sits at its offset inside its
         group, so the slots of one group tile the start of the buffer."""
-        state = OptimizerState.for_store(tiny_store, lr=0.1, weight_decay=0.01)
+        state = OptimizerState(tiny_store, lr=0.1, weight_decay=0.01)
         sizes = [group.span.stop - group.span.start for group in tiny_store.groups]
         buffer = state.grads["cls.w"].base
         assert buffer.size == max(sizes)
@@ -418,7 +410,7 @@ class TestPretrain:
         logs = pretrain(store, config, tok, corpus, [], TrainConfig(epochs=0),
                         MaskingPolicy(seed=1))
         assert logs == []
-        for name in store.names():
+        for name in store.params:
             npt.assert_array_equal(store.params[name], before[name])
 
     def test_loss_decreases(self):
@@ -457,7 +449,7 @@ class TestPretrain:
         before = {n: p.copy() for n, p in store.params.items()}
         for _ in range(3):
             mlm_loss_value(store, config, masked, targets)
-        for name in store.names():
+        for name in store.params:
             npt.assert_array_equal(store.params[name], before[name])
 
     def test_checkpoints_written_and_loadable(self, tmp_path):
@@ -536,7 +528,7 @@ class TestFinetune:
         before = {n: p.copy() for n, p in store.params.items()}
         logs = finetune(store, config, tok, self.make_splits(molecules), TrainConfig(epochs=0))
         assert logs == []
-        for name in store.names():
+        for name in store.params:
             npt.assert_array_equal(store.params[name], before[name])
 
     def test_overfit_sanity(self):
