@@ -1,7 +1,8 @@
 """Dynamic masking, Adam with decoupled weight decay, and the two training
 phases (MLM pretraining and multi-label fine-tuning), which share one epoch
-loop with per-epoch validation and checkpoints.  A checkpoint is a plain
-model file: it holds no optimizer state.
+loop with per-epoch validation and checkpoints.  ``OptimizerState`` holds
+the only gradients, one parameter group's at a time.  A checkpoint is a
+plain model file: it holds no optimizer state.
 
 Every random draw derives from explicit seeds, so identical (data, config,
 seed) reproduce identical logs and final parameters in 64-bit mode.
