@@ -63,6 +63,8 @@ def _check_shapes(y_true: np.ndarray, y_other: np.ndarray):
         raise MetricsError(
             f"shape mismatch: {y_true.shape} vs {y_other.shape} (need equal 2-D)"
         )
+    if y_true.size == 0:
+        raise MetricsError(f"empty {y_true.shape} matrix: need at least one row and one label")
     return y_true, y_other
 
 
@@ -116,8 +118,8 @@ _AUC_AXIS = {"micro": None, "samples": 1, "macro": 0, "weighted": 0}
 
 
 def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
-    """1-based ranks of values already stable-sorted along the last axis,
-    ties given the mean of their rank range.
+    """1-based ranks of values already sorted along the last axis, ties
+    given the mean of their rank range.
 
     A tie run is a stretch of equal neighbours; NaN sorts last and equals
     nothing, so each NaN is a run of its own."""
@@ -134,6 +136,52 @@ def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
     return (start + end) / 2.0 + 1.0
 
 
+def _sorted_rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per slice, the midrank sum of the finite positives: every cell ranked
+    from one argsort per slice."""
+    order = np.argsort(s, axis=-1)
+    ranks = _sorted_midranks(np.take_along_axis(s, order, axis=-1))
+    positive = np.take_along_axis(finite_pos, order, axis=-1)
+    return np.where(positive, ranks, 0.0).sum(axis=-1)
+
+
+def _count_leading(ordered, base, n, value, below) -> np.ndarray:
+    """For each probe, how many leading entries of its slice (the n entries
+    of the flat sorted ``ordered`` from ``base``) satisfy below(entry,
+    value): a bisection over all probes at once, one gather per round.
+    NaN sorts last and fails both ``<`` and ``<=``."""
+    count = np.zeros(value.shape, dtype=np.intp)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = count + step
+        hit = (probe <= n) & below(ordered[base + np.minimum(probe, n) - 1], value)
+        count = np.where(hit, probe, count)
+        step >>= 1
+    return count
+
+
+def _searched_rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per slice, the midrank sum of the finite positives: each one's tie
+    run [left, right) found by bisection in its slice's sorted scores, so
+    that only the positives are ranked."""
+    m, n = s.shape
+    ordered = np.sort(s, axis=-1).reshape(-1)
+    rows, cols = np.nonzero(finite_pos)
+    value = s[rows, cols]
+    base = rows * n
+    twice_midrank = (
+        _count_leading(ordered, base, n, value, np.less)
+        + _count_leading(ordered, base, n, value, np.less_equal)
+        + 1
+    )
+    return np.bincount(rows, weights=twice_midrank, minlength=m) / 2.0
+
+
+# The search ranks P positives in about 2 log2(n) gathers each; the sort
+# ranks every cell.  Measured crossover: P log2(n) at about 0.6 of the cells.
+_SEARCH_BELOW = 0.6
+
+
 def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
     """Mann-Whitney AUC, ties counted half, of every slice along axis (None:
     the flattened matrix, as a 1-element array), and which of them are
@@ -141,13 +189,19 @@ def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
     if axis is None:
         t, s = t.reshape(1, -1), s.reshape(1, -1)
     elif axis == 0:
-        t, s = t.T, s.T
-    order = np.argsort(s, axis=-1, kind="stable")
-    ranks = _sorted_midranks(np.take_along_axis(s, order, axis=-1))
-    positive = np.take_along_axis(t, order, axis=-1)
-    rank_sum = np.where(positive, ranks, 0.0).sum(axis=-1)
+        t, s = t.T, np.ascontiguousarray(s.T)
     n_pos = t.sum(axis=-1)
     n_neg = t.shape[-1] - n_pos
+    nan = np.isnan(s)
+    if n_pos.sum() * np.log2(t.shape[-1]) < _SEARCH_BELOW * t.size:
+        rank_sum = _searched_rank_sums(t & ~nan, s)
+    else:
+        rank_sum = _sorted_rank_sums(t & ~nan, s)
+    nan_pos = t & nan
+    if nan_pos.any():
+        # NaN ranks after the slice's finite scores, in input order
+        place = np.cumsum(nan, axis=-1)
+        rank_sum += np.where(nan_pos, t.shape[-1] - place[:, -1:] + place, 0).sum(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return auc, (n_pos > 0) & (n_neg > 0)
@@ -222,6 +276,9 @@ def compute_report(
 def per_class_f1_rows(
     y_true: np.ndarray, y_pred: np.ndarray, labels: LabelIndex
 ) -> list[tuple[str, int, float]]:
+    y_true, y_pred = _check_shapes(y_true, y_pred)
+    if len(labels) != y_true.shape[1]:
+        raise MetricsError(f"{len(labels)} labels for {y_true.shape[1]} columns")
     t = y_true.astype(bool)
     p = y_pred.astype(bool)
     _, _, f1 = _prf_from_counts(

@@ -1,3 +1,4 @@
+import contextlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ontograft import metrics
 from ontograft.metrics import (
     AVERAGINGS,
     MetricsError,
@@ -123,7 +125,8 @@ def loop_roc_auc_detail(y_true, y_score, averaging):
 @st.composite
 def label_score_matrices(draw):
     """(y_true, y_score): scores rounded to force ties, some rows and columns
-    single-class, and up to three NaN scores."""
+    single-class, up to three NaN scores and up to three of +inf, -inf and
+    -0.0 (which ties with the 0.0 that rounding makes)."""
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -136,7 +139,29 @@ def label_score_matrices(draw):
     s = np.round(rng.random((n, k)), draw(st.integers(0, 3)))
     for _ in range(draw(st.integers(0, 3))):
         s[rng.integers(n), rng.integers(k)] = np.nan
+    for _ in range(draw(st.integers(0, 3))):
+        s[rng.integers(n), rng.integers(k)] = rng.choice([np.inf, -np.inf, -0.0])
     return y, s
+
+
+def special_score_matrix(rng, shape, prevalence):
+    """Rounded scores with ties, a sprinkle of NaN, +inf, -inf and -0.0
+    next to 0.0, and truth at the given prevalence."""
+    y = (rng.random(shape) < prevalence).astype(np.int8)
+    s = np.round(rng.random(shape), 2)
+    cells = rng.choice(s.size, size=40, replace=False)
+    s.flat[cells] = np.repeat([np.nan, np.inf, -np.inf, -0.0, 0.0], 8)
+    return y, s
+
+
+@contextlib.contextmanager
+def ranking_path(path):
+    """Force _binary_aucs onto one ranking path: the search always or never
+    meets its selection bound."""
+    bound = {"search": np.inf, "sort": 0.0}[path]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_SEARCH_BELOW", bound)
+        yield
 
 
 class TestBinarize:
@@ -277,11 +302,51 @@ class TestRocAuc:
     def test_equals_loop_implementation(self, matrices):
         y, s = matrices
         for averaging in AVERAGINGS:
-            got = roc_auc_detail(y, s, averaging)
             want = loop_roc_auc_detail(y, s, averaging)
             # each NaN score ranks as a tie run of its own, so every AUC stays
             # a number
-            assert got == want, averaging
+            assert roc_auc_detail(y, s, averaging) == want, averaging
+            for path in ("search", "sort"):
+                with ranking_path(path):
+                    assert roc_auc_detail(y, s, averaging) == want, (averaging, path)
+
+    @pytest.mark.parametrize("path", ["search", "sort"])
+    @pytest.mark.parametrize("prevalence", [0.02, 0.3])
+    def test_each_path_equals_loop_implementation(self, path, prevalence):
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            y, s = special_score_matrix(rng, (100, 60), prevalence)
+            with ranking_path(path):
+                for averaging in AVERAGINGS:
+                    got = roc_auc_detail(y, s, averaging)
+                    assert got == loop_roc_auc_detail(y, s, averaging), averaging
+
+    @pytest.mark.parametrize("path", ["search", "sort"])
+    def test_signed_zeros_tie(self, path):
+        y = np.array([[1, 0], [0, 1]])
+        s = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        with ranking_path(path):
+            for averaging in AVERAGINGS:
+                assert roc_auc_detail(y, s, averaging) == (0.5, 0), averaging
+
+    @pytest.mark.parametrize(
+        "shape, prevalence, ranker",
+        [((600, 500), 0.018, "_searched_rank_sums"), ((84, 18), 0.27, "_sorted_rank_sums")],
+    )
+    def test_selection_takes_one_path_on_every_axis(self, monkeypatch, shape, prevalence, ranker):
+        # the paper-shaped matrix (1.8% positives) and the toy one (27%)
+        rng = np.random.default_rng(2)
+        y = rng.random(shape) < prevalence
+        s = np.round(rng.random(shape), 4)
+        taken = []
+        for name in ("_searched_rank_sums", "_sorted_rank_sums"):
+            original = getattr(metrics, name)
+            monkeypatch.setattr(
+                metrics, name,
+                lambda t, s, name=name, original=original: taken.append(name) or original(t, s),
+            )
+        compute_report(y, s)
+        assert taken == [ranker] * 3  # columns, rows, the flattened matrix
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2)])
     def test_degenerate_shapes_equal_loop_implementation(self, shape):
@@ -292,11 +357,13 @@ class TestRocAuc:
             for averaging in AVERAGINGS:
                 assert roc_auc_detail(y, s, averaging) == loop_roc_auc_detail(y, s, averaging)
 
-    def test_report_equals_loop_implementation(self):
+    @pytest.mark.parametrize("prevalence, n_nan", [(0.1, 0), (0.02, 30)])
+    def test_report_equals_loop_implementation(self, prevalence, n_nan):
         rng = np.random.default_rng(11)
-        y = (rng.random((60, 40)) < 0.1).astype(np.int8)
+        y = (rng.random((60, 40)) < prevalence).astype(np.int8)
         y[:, 0] = 0  # a column with no positives
         s = np.round(rng.random((60, 40)), 2)
+        s.flat[rng.choice(s.size, size=n_nan, replace=False)] = np.nan
         report = compute_report(y, s)
         for averaging in AVERAGINGS:
             want_auc, want_excluded = loop_roc_auc_detail(y, s, averaging)
@@ -355,6 +422,19 @@ class TestReports:
         assert class_rows[1] == ("B", 1, 1.0)
         mol_rows = per_molecule_f1_rows(y_true, y_pred)
         assert mol_rows[0] == (0, 1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_is_a_metrics_error(self, shape):
+        with pytest.raises(MetricsError, match="empty"):
+            compute_report(np.zeros(shape), np.zeros(shape))
+        with pytest.raises(MetricsError, match="empty"):
+            prf(np.zeros(shape), np.zeros(shape), "samples")
+
+    @pytest.mark.parametrize("classes", [("A", "B"), ("A", "B", "C", "D")])
+    def test_per_class_rows_need_one_label_per_column(self, classes):
+        y = np.array([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(MetricsError, match="labels for 3 columns"):
+            per_class_f1_rows(y, y, LabelIndex(classes))
 
     def test_write_report_files(self, tmp_path):
         y = np.array([[1, 0], [0, 1]])
