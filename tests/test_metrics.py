@@ -357,18 +357,27 @@ class TestRocAuc:
             for averaging in AVERAGINGS:
                 assert roc_auc_detail(y, s, averaging) == loop_roc_auc_detail(y, s, averaging)
 
-    @pytest.mark.parametrize("prevalence, n_nan", [(0.1, 0), (0.02, 30)])
-    def test_report_equals_loop_implementation(self, prevalence, n_nan):
+    @staticmethod
+    def report_matrix(prevalence, n_nan):
         rng = np.random.default_rng(11)
         y = (rng.random((60, 40)) < prevalence).astype(np.int8)
         y[:, 0] = 0  # a column with no positives
         s = np.round(rng.random((60, 40)), 2)
         s.flat[rng.choice(s.size, size=n_nan, replace=False)] = np.nan
+        return y, s
+
+    def check_report_equals_loop_implementation(self, y, s):
         report = compute_report(y, s)
         for averaging in AVERAGINGS:
             want_auc, want_excluded = loop_roc_auc_detail(y, s, averaging)
             assert report.values[averaging]["roc_auc"] == want_auc
             assert report.auc_excluded[averaging] == want_excluded
+
+    def test_report_equals_loop_implementation(self):
+        self.check_report_equals_loop_implementation(*self.report_matrix(0.1, 0))
+
+    def test_sparse_report_with_nan_equals_loop_implementation(self):
+        self.check_report_equals_loop_implementation(*self.report_matrix(0.02, 30))
 
     def test_samples_averaging(self):
         y = np.array([[1, 0], [1, 1]])  # second row has one class only
