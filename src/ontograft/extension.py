@@ -98,14 +98,22 @@ def classify_batch(
 
 
 def prune_to_most_specific(graph: OntologyGraph, accepted: list[str]) -> list[str]:
-    """Drop any accepted class that is an ancestor of another accepted class."""
-    keep = []
-    accepted_set = set(accepted)
-    for cid in accepted:
-        others = accepted_set - {cid}
-        if not any(cid in graph.ancestors(o) for o in others):
-            keep.append(cid)
-    return keep
+    """Drop any accepted class that is an ancestor of another accepted class.
+
+    Each distinct class's ancestors are computed once, in ``accepted`` order,
+    so the work repeats under any string hash seed.
+    """
+    ancestors = {cid: graph.ancestors(cid) for cid in dict.fromkeys(accepted)}
+    return [
+        cid
+        for cid in accepted
+        if not any(cid in above for other, above in ancestors.items() if other != cid)
+    ]
+
+
+# Trailing decimal digits (any Unicode Nd digit; ``$`` also matches before a
+# final newline), as ``re.search(r"(\d+)$", cid)`` reads them.
+_TRAILING_NUMBER = re.compile(r"(\d+)$")
 
 
 class FreshIdAllocator:
@@ -116,10 +124,13 @@ class FreshIdAllocator:
         self.prefix = prefix
         self.width = width
         highest = 0
-        for cid in graph.ids():
-            m = re.search(r"(\d+)$", cid)
+        search = _TRAILING_NUMBER.search
+        for cid in graph:
+            m = search(cid)
             if m:
-                highest = max(highest, int(m.group(1)))
+                number = int(m.group(1))
+                if number > highest:
+                    highest = number
         self._next = highest + 1
 
     def allocate(self) -> str:

@@ -2,6 +2,16 @@
 
 The graph is immutable after construction; every mutating operation returns a
 new graph, so instances can be shared freely between threads.
+
+``OntologyGraph.__init__`` is the one validating entry point: parsed and
+hand-built graphs get the parent check and the whole-graph cycle search
+there.  ``insert_subsumptions`` costs what it adds instead.  The extended
+graph copies the class dict and the children map, gives a new child set only
+to the parents that gain a child, and shares every other child set with the
+graph it came from; no graph mutates a child set after construction, so
+sharing is safe.  It needs no cycle search: each added class has no
+children and may only reference classes already present, so no path can
+lead back to it and an acyclic graph stays acyclic.
 """
 
 from __future__ import annotations
@@ -94,6 +104,22 @@ class OntologyGraph:
         if cycle is not None:
             raise CycleError(cycle)
 
+    @classmethod
+    def _assemble(
+        cls,
+        classes: dict[str, OntologyClass],
+        children: dict[str, set[str]],
+        header_lines: tuple[str, ...],
+        trailing_stanzas: tuple[tuple[str, ...], ...],
+    ) -> "OntologyGraph":
+        """A graph from parts that are already consistent and acyclic; no checks."""
+        graph = cls.__new__(cls)
+        graph._classes = classes
+        graph._children = children
+        graph.header_lines = header_lines
+        graph.trailing_stanzas = trailing_stanzas
+        return graph
+
     def _find_cycle(self) -> list[str] | None:
         """Depth-first search over parent edges; returns one cycle if any."""
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -128,6 +154,10 @@ class OntologyGraph:
 
     def __len__(self) -> int:
         return len(self._classes)
+
+    def __iter__(self):
+        """Class ids in insertion order; ``ids()`` sorts them."""
+        return iter(self._classes)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OntologyGraph) and self._classes == other._classes
@@ -192,20 +222,31 @@ class OntologyGraph:
         """Return a new graph with each (class, superclass ids) pair added as a leaf.
 
         Superclasses may reference classes added earlier in ``additions``.
-        The receiver is left unmodified.
+        The receiver is left unmodified.  The cost follows the additions:
+        only the superclasses' child sets are copied, and no cycle search
+        runs, because a class that arrives without children and points only
+        at classes already present cannot close a cycle.
         """
-        new_classes = dict(self._classes)
+        classes = dict(self._classes)
+        children = dict(self._children)
+        owned: set[str] = set()  # ids whose child set is this graph's own copy
         for cls, superclasses in additions:
-            if cls.id in new_classes:
+            if cls.id in classes:
                 raise DuplicateIdError(cls.id)
             for sup in superclasses:
-                if sup not in new_classes:
+                if sup not in classes:
                     raise UnknownClassError(sup)
-            new_classes[cls.id] = replace(cls, parents=frozenset(superclasses))
-        return OntologyGraph(
-            new_classes,
-            header_lines=self.header_lines,
-            trailing_stanzas=self.trailing_stanzas,
+            new = replace(cls, parents=frozenset(superclasses))
+            classes[new.id] = new
+            children[new.id] = set()
+            owned.add(new.id)
+            for sup in new.parents:
+                if sup not in owned:
+                    children[sup] = set(children[sup])
+                    owned.add(sup)
+                children[sup].add(new.id)
+        return OntologyGraph._assemble(
+            classes, children, self.header_lines, self.trailing_stanzas
         )
 
 
@@ -355,24 +396,26 @@ def serialize_obo(
     out: list[str] = list(graph.header_lines)
     if out:
         out.append("")
-    for cid in graph.ids():
-        cls = graph[cid]
-        out.append("[Term]")
-        out.append(f"id: {cls.id}")
+    append = out.append
+    comment_of = edge_comments.get
+    classes = graph._classes
+    for cid in sorted(classes):
+        cls = classes[cid]
+        # one string per stanza's recognized lines, joined as the lines were
+        stanza = f"[Term]\nid: {cid}"
         if cls.name:
-            out.append(f"name: {cls.name}")
-        for parent in sorted(cls.parents):
-            comment = edge_comments.get((cls.id, parent))
-            if comment:
-                out.append(f"is_a: {parent} ! {comment}")
-            else:
-                out.append(f"is_a: {parent}")
+            stanza += f"\nname: {cls.name}"
+        parents = cls.parents
+        for parent in parents if len(parents) < 2 else sorted(parents):
+            comment = comment_of((cid, parent))
+            stanza += f"\nis_a: {parent} ! {comment}" if comment else f"\nis_a: {parent}"
         if cls.smiles is not None:
-            out.append(f'property_value: {SMILES_KEY} "{_escape(cls.smiles)}" xsd:string')
+            stanza += f'\nproperty_value: {SMILES_KEY} "{_escape(cls.smiles)}" xsd:string'
         if cls.obsolete:
-            out.append("is_obsolete: true")
+            stanza += "\nis_obsolete: true"
+        append(stanza)
         out.extend(cls.extra_lines)
-        out.append("")
+        append("")
     for block in graph.trailing_stanzas:
         out.extend(block)
         out.append("")

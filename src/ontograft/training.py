@@ -141,8 +141,9 @@ class OptimizerState:
     def __init__(self, store: ParameterStore, lr: float, weight_decay: float):
         dtype = store.param_arena.dtype
         buffer = np.empty(max(g.span.stop - g.span.start for g in store.groups), dtype)
-        self.m_arena = np.zeros_like(store.param_arena)
-        self.v_arena = np.zeros_like(store.param_arena)
+        # np.zeros maps lazily zeroed pages; zeros_like would fill them
+        self.m_arena = np.zeros(store.param_arena.size, dtype)
+        self.v_arena = np.zeros(store.param_arena.size, dtype)
         self.lr, self.weight_decay, self.step = lr, weight_decay, 0
         self.grads = store.group_views(buffer)
         # per group, its views of the gradients, m, v and the parameters, and
