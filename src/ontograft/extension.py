@@ -111,8 +111,8 @@ def prune_to_most_specific(graph: OntologyGraph, accepted: list[str]) -> list[st
     ]
 
 
-# Trailing decimal digits (any Unicode Nd digit; ``$`` also matches before a
-# final newline), as ``re.search(r"(\d+)$", cid)`` reads them.
+# An id's trailing decimal digits: any Unicode Nd digit counts, and ``$``
+# also matches before a final newline.
 _TRAILING_NUMBER = re.compile(r"(\d+)$")
 
 

@@ -104,22 +104,6 @@ class OntologyGraph:
         if cycle is not None:
             raise CycleError(cycle)
 
-    @classmethod
-    def _assemble(
-        cls,
-        classes: dict[str, OntologyClass],
-        children: dict[str, set[str]],
-        header_lines: tuple[str, ...],
-        trailing_stanzas: tuple[tuple[str, ...], ...],
-    ) -> "OntologyGraph":
-        """A graph from parts that are already consistent and acyclic; no checks."""
-        graph = cls.__new__(cls)
-        graph._classes = classes
-        graph._children = children
-        graph.header_lines = header_lines
-        graph.trailing_stanzas = trailing_stanzas
-        return graph
-
     def _find_cycle(self) -> list[str] | None:
         """Depth-first search over parent edges; returns one cycle if any."""
         WHITE, GRAY, BLACK = 0, 1, 2
@@ -245,9 +229,10 @@ class OntologyGraph:
                     children[sup] = set(children[sup])
                     owned.add(sup)
                 children[sup].add(new.id)
-        return OntologyGraph._assemble(
-            classes, children, self.header_lines, self.trailing_stanzas
-        )
+        graph = object.__new__(OntologyGraph)
+        graph._classes, graph._children = classes, children
+        graph.header_lines, graph.trailing_stanzas = self.header_lines, self.trailing_stanzas
+        return graph
 
 
 _PROPERTY_VALUE_RE = re.compile(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +19,16 @@ from ontograft.extension import (
     prune_to_most_specific,
 )
 from ontograft.model import ModelConfig, init_model
-from ontograft.ontology import DuplicateIdError, UnknownClassError, serialize_obo
+from ontograft.ontology import (
+    DuplicateIdError,
+    OntologyGraph,
+    UnknownClassError,
+    serialize_obo,
+)
 from ontograft.tokenizer import train_bpe
 from ontograft.training import TrainConfig, finetune
 
+import obo_oracle
 from conftest import make_graph
 
 
@@ -131,6 +140,48 @@ class TestPropose:
         graph = family_graph()
         kept = prune_to_most_specific(graph, ["T:A1", "T:B"])
         assert set(kept) == {"T:A1", "T:B"}
+
+    def test_prune_asks_each_class_once_and_keeps_the_same_list(self, monkeypatch):
+        graph = family_graph()
+        calls = []
+        ancestors = OntologyGraph.ancestors
+
+        def counted(self, class_id):
+            calls.append(class_id)
+            return ancestors(self, class_id)
+
+        cases = [
+            ["T:A", "T:A1", "T:B"], ["T:A1", "T:A", "T:ROOT", "T:L1"], ["T:B"],
+            ["T:ROOT", "T:B", "T:A"], [], ["T:L1", "T:A1", "T:A1"],
+        ]
+        expected = [obo_oracle.prune_to_most_specific(graph, acc) for acc in cases]
+        monkeypatch.setattr(OntologyGraph, "ancestors", counted)
+        for accepted, kept in zip(cases, expected):
+            calls.clear()
+            assert prune_to_most_specific(graph, accepted) == kept
+            assert calls == list(dict.fromkeys(accepted))
+        assert expected[1] == ["T:L1"] and expected[3] == ["T:B", "T:A"]
+
+    def test_prune_work_repeats_under_any_hash_seed(self):
+        script = (
+            "from ontograft.ontology import OntologyGraph, OntologyClass\n"
+            "from ontograft.extension import prune_to_most_specific\n"
+            "ids = [f'C:{i}' for i in range(40)]\n"
+            "g = OntologyGraph({c: OntologyClass(id=c, parents=frozenset(ids[:i][-2:]))"
+            " for i, c in enumerate(ids)})\n"
+            "calls = []\n"
+            "anc = OntologyGraph.ancestors\n"
+            "OntologyGraph.ancestors = lambda self, c: calls.append(c) or anc(self, c)\n"
+            "kept = prune_to_most_specific(g, ids[::3] + ids[1::7])\n"
+            "print(kept, calls)\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "12345"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+            outputs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert len(outputs) == 1
 
     def test_all_below_threshold(self):
         graph = family_graph()

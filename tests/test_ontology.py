@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ontograft.extension import FreshIdAllocator
 from ontograft.ontology import (
     CycleError,
     DuplicateIdError,
@@ -13,6 +16,7 @@ from ontograft.ontology import (
     serialize_obo,
 )
 
+import obo_oracle
 from conftest import make_graph, random_dag
 
 FENTIN = """\
@@ -269,3 +273,206 @@ class TestValidation:
     def test_self_parent_rejected(self):
         with pytest.raises(OntologyError):
             OntologyClass(id="A", parents=frozenset(["A"]))
+
+
+class TestInsertSharesAndSkipsRevalidation:
+    """Grafting builds the extended graph from the base's parts: the base
+    never changes, sibling extensions never see each other, and the errors
+    are the ones full construction raised."""
+
+    def base(self):
+        return make_graph({
+            "R": {}, "A": {"parents": ["R"]}, "B": {"parents": ["R"], "smiles": "CC"},
+        })
+
+    def test_two_extensions_of_one_base_are_independent(self):
+        base = self.base()
+        before = {cid: (base.children(cid), base.is_leaf(cid)) for cid in base.ids()}
+        leaves_before = base.leaves()
+        left = base.insert_subsumptions([(OntologyClass(id="X"), ["A"])])
+        right = base.insert_subsumptions([(OntologyClass(id="Y"), ["A", "B"])])
+        assert "X" in left and "Y" not in left
+        assert "Y" in right and "X" not in right
+        assert left.children("A") == {"X"}
+        assert right.children("A") == {"Y"} and right.children("B") == {"Y"}
+        assert left.leaves() == {"X", "B"}
+        assert right.leaves() == {"Y"}
+        assert {cid: (base.children(cid), base.is_leaf(cid)) for cid in base.ids()} == before
+        assert base.leaves() == leaves_before == {"A", "B"}
+        assert len(base) == 3
+
+    def test_extension_of_an_extension_leaves_both_intact(self):
+        base = self.base()
+        once = base.insert_subsumptions([(OntologyClass(id="X"), ["A"])])
+        twice = once.insert_subsumptions([(OntologyClass(id="Y"), ["A", "X"])])
+        assert base.children("A") == frozenset()
+        assert once.children("A") == {"X"} and once.is_leaf("X")
+        assert twice.children("A") == {"X", "Y"} and twice.children("X") == {"Y"}
+        assert twice.descendants("R") == {"A", "B", "X", "Y"}
+
+    @pytest.mark.parametrize(
+        "additions, error",
+        [
+            ([(OntologyClass(id="A"), ["R"])], DuplicateIdError),
+            ([(OntologyClass(id="N"), ["R"]), (OntologyClass(id="N"), ["A"])], DuplicateIdError),
+            ([(OntologyClass(id="N"), ["missing"])], UnknownClassError),
+            ([(OntologyClass(id="N1"), ["N2"]), (OntologyClass(id="N2"), ["A"])], UnknownClassError),
+            ([(OntologyClass(id="N"), ["N"])], UnknownClassError),
+            ([(OntologyClass(id="N"), ["A"]), (OntologyClass(id="M"), ["M", "N"])], UnknownClassError),
+        ],
+        ids=["existing-id", "repeated-new-id", "unknown", "added-later", "itself", "itself-after-others"],
+    )
+    def test_errors_match_full_construction(self, additions, error):
+        base = self.base()
+        with pytest.raises(error) as expected:
+            obo_oracle.insert_subsumptions(base, additions)
+        with pytest.raises(error) as got:
+            base.insert_subsumptions(additions)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        assert base.ids() == ["A", "B", "R"]
+
+    def test_no_cycle_search_and_no_full_construction(self, monkeypatch):
+        base = self.base()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("insert_subsumptions revalidated the whole graph")
+
+        monkeypatch.setattr(OntologyGraph, "_find_cycle", refuse)
+        monkeypatch.setattr(OntologyGraph, "__init__", refuse)
+        out = base.insert_subsumptions(
+            [(OntologyClass(id="N1"), ["A", "B"]), (OntologyClass(id="N2"), ["N1"])]
+        )
+        assert out.children("N1") == {"N2"}
+        assert out.ancestors("N2") == {"N1", "A", "B", "R"}
+
+
+# Ids mix ASCII and non-ASCII decimal digits (Arabic-Indic, Devanagari,
+# mathematical double-struck), digit-free ids and a trailing newline, which
+# ``$`` matches before.
+_ID_CHARS = list("AB:x_0179") + ["\u0661", "\u0669", "\u0967", "\U0001d7d9", "\n"]
+_TEXT = st.text(st.sampled_from(list('Cc()=O"\\! #[]') + ["\u00e9"]), max_size=8)
+
+
+@st.composite
+def grafts(draw):
+    """(base graph, two batches of additions, edge comments).  Each base
+    class takes parents among the earlier ones, so the base is acyclic;
+    additions reference base classes, earlier additions, unknown ids,
+    later additions or themselves, and may reuse an id."""
+    ids = draw(st.lists(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=5),
+                        max_size=12, unique=True))
+    classes = {}
+    for i, cid in enumerate(ids):
+        parents = draw(st.sets(st.sampled_from(ids[:i]), max_size=3)) if i else set()
+        smiles = draw(st.one_of(st.none(), _TEXT.filter(bool)))
+        classes[cid] = OntologyClass(
+            id=cid, name=draw(_TEXT), smiles=smiles, parents=frozenset(parents),
+            obsolete=draw(st.booleans()),
+            extra_lines=tuple(draw(st.lists(_TEXT.map("xref: {}".format), max_size=2))),
+        )
+    base = OntologyGraph(
+        classes,
+        header_lines=tuple(draw(st.lists(_TEXT.map("remark: {}".format), max_size=2))),
+        trailing_stanzas=tuple(
+            ("[Typedef]", f"id: {t}") for t in draw(st.lists(_TEXT, max_size=2))
+        ),
+    )
+    new_ids = draw(st.lists(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=5),
+                            max_size=6))
+    pool = ids + new_ids + ["missing"]
+    additions = [
+        (OntologyClass(id=nid, name=draw(_TEXT), smiles=draw(st.one_of(st.none(), _TEXT.filter(bool)))),
+         draw(st.lists(st.sampled_from(pool), max_size=3)))
+        for nid in new_ids
+    ]
+    cut = draw(st.integers(0, len(additions)))
+    edges = [(cls.id, sup) for cls, sups in additions for sup in sups]
+    edges += [(cid, p) for cid, cls in classes.items() for p in cls.parents]
+    comments = {edge: draw(st.sampled_from(["", "confidence=0.9000", "x ! y"]))
+                for edge in draw(st.lists(st.sampled_from(edges), max_size=4))} if edges else {}
+    return base, (additions[:cut], additions[cut:]), comments
+
+
+def outcome(insert, graph, additions):
+    try:
+        return insert(graph, additions), None
+    except OntologyError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_graph(got, ref, comments):
+    assert got == ref
+    assert got.ids() == ref.ids() and list(got) == list(ref._classes)
+    assert (got.header_lines, got.trailing_stanzas) == (ref.header_lines, ref.trailing_stanzas)
+    assert got.leaves() == ref.leaves()
+    assert got.structured_leaves() == ref.structured_leaves()
+    for cid in ref.ids():
+        assert got.children(cid) == ref.children(cid)
+        assert got.is_leaf(cid) == ref.is_leaf(cid)
+        assert got.ancestors(cid) == ref.ancestors(cid)
+        assert got.descendants(cid) == ref.descendants(cid)
+    text = serialize_obo(got, edge_comments=comments)
+    assert text.encode() == obo_oracle.serialize_obo(ref, edge_comments=comments).encode()
+
+
+class TestGraftAgainstOracle:
+    """Insert, serialize and the fresh-id scan against full construction,
+    the line-by-line serializer and the sorted ``re.search`` loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=grafts())
+    def test_same_graph_errors_and_bytes(self, case):
+        base, batches, comments = case
+        snapshot = obo_oracle.serialize_obo(base), {c: base.children(c) for c in base.ids()}
+        got, ref = base, base
+        for batch in batches:
+            got, got_error = outcome(OntologyGraph.insert_subsumptions, got, batch)
+            ref, ref_error = outcome(obo_oracle.insert_subsumptions, ref, batch)
+            assert got_error == ref_error
+            if ref_error is not None:
+                break
+            assert_same_graph(got, ref, comments)
+            assert FreshIdAllocator(got).allocate() == (
+                f"ONTOGRAFT:{obo_oracle.first_fresh_number(ref):06d}")
+        assert (obo_oracle.serialize_obo(base), {c: base.children(c) for c in base.ids()}) == snapshot
+        assert_same_graph(base, OntologyGraph(dict(base._classes), base.header_lines,
+                                              base.trailing_stanzas), comments)
+
+    def test_empty_graph(self):
+        empty = OntologyGraph({})
+        assert serialize_obo(empty) == obo_oracle.serialize_obo(empty) == ""
+        assert FreshIdAllocator(empty).allocate() == "ONTOGRAFT:000001"
+        out = empty.insert_subsumptions([(OntologyClass(id="N1"), [])])
+        assert_same_graph(out, obo_oracle.insert_subsumptions(empty, [(OntologyClass(id="N1"), [])]), {})
+
+    def test_escaped_smiles_comments_obsolete_and_extra_lines(self):
+        graph = make_graph({
+            "CHEBI:1": {}, "CHEBI:2": {"parents": ["CHEBI:1"], "obsolete": True},
+            "CHEBI:3": {"parents": ["CHEBI:1", "CHEBI:2"], "smiles": 'C"C\\N'},
+        })
+        graph = OntologyGraph(
+            {**dict(graph._classes), "CHEBI:4": OntologyClass(
+                id="CHEBI:4", parents=frozenset(["CHEBI:3"]), extra_lines=("xref: a", "synonym: b"))},
+            header_lines=("format-version: 1.2",),
+            trailing_stanzas=(("[Typedef]", "id: part_of"),),
+        )
+        comments = {("CHEBI:3", "CHEBI:2"): "confidence=0.5000", ("CHEBI:4", "CHEBI:3"): ""}
+        text = serialize_obo(graph, edge_comments=comments)
+        assert text == obo_oracle.serialize_obo(graph, edge_comments=comments)
+        assert '"C\\"C\\\\N"' in text and "is_a: CHEBI:2 ! confidence=0.5000" in text
+        assert parse_obo(text) == graph
+
+    @pytest.mark.parametrize(
+        "ids, first",
+        [
+            (["root", "alpha"], 1),
+            (["X:\u0661\u0662", "X:9"], 13),  # Arabic-Indic 12
+            (["X:7\n", "Y:3"], 8),  # $ matches before a final newline
+            (["X:\U0001d7d9\U0001d7d8", "b2a"], 11),  # double-struck 10; b2a has no trailing digits
+        ],
+    )
+    def test_fresh_id_scan_reads_like_re_search(self, ids, first):
+        graph = make_graph({cid: {} for cid in ids})
+        assert obo_oracle.first_fresh_number(graph) == first
+        assert FreshIdAllocator(graph, prefix="N:", width=3).allocate() == f"N:{first:03d}"
