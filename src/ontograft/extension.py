@@ -124,13 +124,10 @@ class FreshIdAllocator:
         self.prefix = prefix
         self.width = width
         highest = 0
-        search = _TRAILING_NUMBER.search
         for cid in graph:
-            m = search(cid)
+            m = _TRAILING_NUMBER.search(cid)
             if m:
-                number = int(m.group(1))
-                if number > highest:
-                    highest = number
+                highest = max(highest, int(m.group(1)))
         self._next = highest + 1
 
     def allocate(self) -> str:

@@ -206,10 +206,8 @@ class OntologyGraph:
         """Return a new graph with each (class, superclass ids) pair added as a leaf.
 
         Superclasses may reference classes added earlier in ``additions``.
-        The receiver is left unmodified.  The cost follows the additions:
-        only the superclasses' child sets are copied, and no cycle search
-        runs, because a class that arrives without children and points only
-        at classes already present cannot close a cycle.
+        The receiver is left unmodified.  Only the superclasses' child sets
+        are copied, and no cycle search runs (see the module docstring).
         """
         classes = dict(self._classes)
         children = dict(self._children)
@@ -381,8 +379,6 @@ def serialize_obo(
     out: list[str] = list(graph.header_lines)
     if out:
         out.append("")
-    append = out.append
-    comment_of = edge_comments.get
     classes = graph._classes
     for cid in sorted(classes):
         cls = classes[cid]
@@ -392,15 +388,15 @@ def serialize_obo(
             stanza += f"\nname: {cls.name}"
         parents = cls.parents
         for parent in parents if len(parents) < 2 else sorted(parents):
-            comment = comment_of((cid, parent))
+            comment = edge_comments.get((cid, parent))
             stanza += f"\nis_a: {parent} ! {comment}" if comment else f"\nis_a: {parent}"
         if cls.smiles is not None:
             stanza += f'\nproperty_value: {SMILES_KEY} "{_escape(cls.smiles)}" xsd:string'
         if cls.obsolete:
             stanza += "\nis_obsolete: true"
-        append(stanza)
+        out.append(stanza)
         out.extend(cls.extra_lines)
-        append("")
+        out.append("")
     for block in graph.trailing_stanzas:
         out.extend(block)
         out.append("")

@@ -357,9 +357,10 @@ _TEXT = st.text(st.sampled_from(list('Cc()=O"\\! #[]') + ["\u00e9"]), max_size=8
 @st.composite
 def grafts(draw):
     """(base graph, two batches of additions, edge comments).  Each base
-    class takes parents among the earlier ones, so the base is acyclic;
-    additions reference base classes, earlier additions, unknown ids,
-    later additions or themselves, and may reuse an id."""
+    class takes parents among the earlier ones, so the base is acyclic.
+    About half the cases add fresh ids under base classes and earlier
+    additions; the rest may also reference unknown ids, later additions or
+    the class itself, and may reuse an id."""
     ids = draw(st.lists(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=5),
                         max_size=12, unique=True))
     classes = {}
@@ -379,13 +380,19 @@ def grafts(draw):
         ),
     )
     new_ids = draw(st.lists(st.text(st.sampled_from(_ID_CHARS), min_size=1, max_size=5),
-                            max_size=6))
-    pool = ids + new_ids + ["missing"]
-    additions = [
-        (OntologyClass(id=nid, name=draw(_TEXT), smiles=draw(st.one_of(st.none(), _TEXT.filter(bool)))),
-         draw(st.lists(st.sampled_from(pool), max_size=3)))
-        for nid in new_ids
-    ]
+                            max_size=6, unique=True))
+    if draw(st.booleans()):  # mostly valid batches; otherwise any reference or a reused id
+        new_ids = [nid for nid in new_ids if nid not in classes]
+        pool = None
+    else:
+        new_ids += draw(st.lists(st.sampled_from(ids + new_ids or ["x"]), max_size=1))
+        pool = ids + new_ids + ["missing"]
+    additions = []
+    for j, nid in enumerate(new_ids):
+        targets = pool or ids + new_ids[:j]
+        sups = draw(st.lists(st.sampled_from(targets), max_size=3)) if targets else []
+        smiles = draw(st.one_of(st.none(), _TEXT.filter(bool)))
+        additions.append((OntologyClass(id=nid, name=draw(_TEXT), smiles=smiles), sups))
     cut = draw(st.integers(0, len(additions)))
     edges = [(cls.id, sup) for cls, sups in additions for sup in sups]
     edges += [(cid, p) for cid, cls in classes.items() for p in cls.parents]
