@@ -225,15 +225,28 @@ class ParameterStore:
 
 def init_model(config: ModelConfig) -> ParameterStore:
     """Weights from N(0, 0.02^2), layer-norm scale 1 / offset 0, biases 0,
-    PAD embedding row zeroed.  Deterministic given config.seed."""
+    PAD embedding row zeroed.  Deterministic given config.seed.
+
+    Each weight is drawn in float64 straight into its arena view and scaled
+    in place, the bits of ``rng.normal(0.0, 0.02, shape)`` without its
+    temporary; a float32 arena takes the draw through one float64 scratch
+    buffer, rounded as assignment rounds it."""
     rng = np.random.default_rng(config.seed)
     shapes = parameter_shapes(config)
     store = ParameterStore(shapes, config.np_dtype())
+    scratch = None
+    if store.param_arena.dtype != np.float64:
+        scratch = np.empty(max(int(np.prod(s)) for s in shapes.values()), np.float64)
     for name, shape in shapes.items():
+        view = store.params[name]
         if _decay_applies(name):
-            store.params[name][...] = rng.normal(0.0, 0.02, size=shape)
+            out = view if scratch is None else scratch[:view.size].reshape(shape)
+            rng.standard_normal(out=out)
+            out *= 0.02
+            if scratch is not None:
+                view[...] = out
         elif name.endswith(".g"):
-            store.params[name][...] = 1.0
+            view[...] = 1.0
         # layer-norm offsets and all biases stay 0
     store.params["tok_emb"][PAD_ID, :] = 0.0
     return store

@@ -3,9 +3,13 @@
 The graph is immutable after construction; every mutating operation returns a
 new graph, so instances can be shared freely between threads.
 
+``parse_obo`` reads the text in one pass over its lines.
 ``OntologyGraph.__init__`` is the one validating entry point: parsed and
-hand-built graphs get the parent check and the whole-graph cycle search
-there.  ``insert_subsumptions`` costs what it adds instead.  The extended
+hand-built graphs get the parent check and then the acyclicity check there.
+That check peels classes upward from the leaves, as Kahn's topological sort
+does; a depth-first search runs only when some class is left over, to name
+the cycle.  Classes without children share one empty child set.
+``insert_subsumptions`` costs what it adds instead.  The extended
 graph copies the class dict and the children map, gives a new child set only
 to the parents that gain a child, and shares every other child set with the
 graph it came from; no graph mutates a child set after construction, so
@@ -74,6 +78,9 @@ class OntologyClass:
             object.__setattr__(self, "parents", frozenset(self.parents))
 
 
+_NO_CHILDREN = frozenset()
+
+
 class OntologyGraph:
     """Acyclic is_a hierarchy over :class:`OntologyClass` instances.
 
@@ -87,22 +94,39 @@ class OntologyGraph:
         header_lines: tuple[str, ...] = (),
         trailing_stanzas: tuple[tuple[str, ...], ...] = (),
     ):
+        children: dict[str, set[str] | frozenset[str]] = dict.fromkeys(classes, _NO_CHILDREN)
         for cid, cls in classes.items():
             if cid != cls.id:
                 raise OntologyError(f"class keyed as {cid} but has id {cls.id}")
             for parent in cls.parents:
-                if parent not in classes:
+                kids = children.get(parent)
+                if kids is None:
                     raise UnknownClassError(parent)
+                if kids is _NO_CHILDREN:
+                    children[parent] = {cid}
+                else:
+                    kids.add(cid)
         self._classes = dict(classes)
         self.header_lines = tuple(header_lines)
         self.trailing_stanzas = tuple(trailing_stanzas)
-        self._children: dict[str, set[str]] = {cid: set() for cid in classes}
-        for cls in classes.values():
-            for parent in cls.parents:
-                self._children[parent].add(cls.id)
-        cycle = self._find_cycle()
-        if cycle is not None:
-            raise CycleError(cycle)
+        self._children = children
+        # Peel classes upward from the leaves, as Kahn's topological sort
+        # does: a class goes once all its children have gone.  Leaves go at
+        # once, so only classes with children are counted.  A class that never
+        # goes lies on or above a cycle; only then does the depth-first
+        # search run, to name the cycle.
+        waiting = {cid: 0 for cid, kids in children.items() if kids}
+        for cid in waiting:
+            for parent in classes[cid].parents:
+                waiting[parent] += 1
+        gone = [cid for cid, n in waiting.items() if not n]
+        for cid in gone:  # grows while it is read
+            for parent in classes[cid].parents:
+                waiting[parent] -= 1
+                if not waiting[parent]:
+                    gone.append(parent)
+        if len(gone) < len(waiting):
+            raise CycleError(self._find_cycle())
 
     def _find_cycle(self) -> list[str] | None:
         """Depth-first search over parent edges; returns one cycle if any."""
@@ -144,7 +168,9 @@ class OntologyGraph:
         return iter(self._classes)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OntologyGraph) and self._classes == other._classes
+        return isinstance(other, OntologyGraph) and (
+            self._classes, self.header_lines, self.trailing_stanzas
+        ) == (other._classes, other.header_lines, other.trailing_stanzas)
 
     def __getitem__(self, class_id: str) -> OntologyClass:
         try:
@@ -220,8 +246,7 @@ class OntologyGraph:
                     raise UnknownClassError(sup)
             new = replace(cls, parents=frozenset(superclasses))
             classes[new.id] = new
-            children[new.id] = set()
-            owned.add(new.id)
+            children[new.id] = _NO_CHILDREN
             for sup in new.parents:
                 if sup not in owned:
                     children[sup] = set(children[sup])
@@ -234,8 +259,10 @@ class OntologyGraph:
 
 
 _PROPERTY_VALUE_RE = re.compile(
-    r'^property_value:\s*(?P<key>\S+)\s+"(?P<value>(?:[^"\\]|\\.)*)"\s+xsd:string\s*$'
+    r'^property_value:\s*(?P<key>\S+)\s+"(?P<value>[^"\\]*(?:\\.[^"\\]*)*)"\s+xsd:string\s*$'
 )
+
+_TERM_TAGS = frozenset(("id", "name", "is_a", "is_obsolete", "property_value"))
 
 
 def _strip_comment(value: str) -> str:
@@ -263,102 +290,91 @@ def parse_obo(text: str) -> OntologyGraph:
     header_lines: list[str] = []
     classes: dict[str, OntologyClass] = {}
     trailing: list[tuple[str, ...]] = []
-    is_a_lines: list[tuple[str, str, int]] = []  # (child, parent, line number)
-
+    is_a_targets: list[str] = []  # every is_a target in file order, and its line
+    is_a_lines: list[int] = []
     lines = text.split("\n")
-    i = 0
-    n = len(lines)
-    in_header = True
-    while i < n:
-        line = lines[i].rstrip("\r")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    last = len(lines)
+    lines.append("[")  # closes the last stanza; read as no stanza of its own
+    in_header, term_start, block = True, 0, None  # term_start: the open [Term]'s line
+    for lineno, line in enumerate(lines, 1):
+        if term_start:
+            tag, sep, value = line.partition(":")
+            if not sep or tag not in _TERM_TAGS:
+                if not line.strip() or line.lstrip().startswith("["):
+                    # the stanza ends; the line is read below as outside it
+                    if term_id is None:
+                        raise OboSyntaxError("[Term] stanza without an id", term_start)
+                    if term_id in classes:
+                        raise DuplicateIdError(term_id)
+                    classes[term_id] = OntologyClass(
+                        term_id, name, smiles, frozenset(parents), obsolete, tuple(extra)
+                    )
+                    term_start = 0
+                elif not sep:
+                    raise OboSyntaxError(f"expected 'tag: value', got {line!r}", lineno)
+                elif (tag := tag.strip()) not in _TERM_TAGS:
+                    extra.append(line)
+                    continue
+            if term_start:
+                if tag == "is_a":
+                    value = value.strip()
+                    if "!" in value:
+                        value = _strip_comment(value)
+                    if not value:
+                        raise OboSyntaxError("is_a with empty target", lineno)
+                    parents.append(value)
+                    is_a_targets.append(value)
+                    is_a_lines.append(lineno)
+                elif tag == "property_value":
+                    m = _PROPERTY_VALUE_RE.match(line.strip())
+                    if m is not None and m.group("key") == SMILES_KEY:
+                        smiles = _unescape(m.group("value"))
+                        if not smiles:
+                            raise OboSyntaxError("empty SMILES value", lineno)
+                    else:
+                        extra.append(line)
+                elif tag == "id":
+                    if term_id is not None:
+                        raise OboSyntaxError("stanza has more than one id", lineno)
+                    value = value.strip()
+                    if not value:
+                        raise OboSyntaxError("empty id", lineno)
+                    term_id = _strip_comment(value) if "!" in value else value
+                elif tag == "name":
+                    value = value.strip()
+                    name = _strip_comment(value) if "!" in value else value
+                else:  # is_obsolete
+                    obsolete = _strip_comment(value.strip()).lower() == "true"
+                continue
+        if block is not None:  # an opaque stanza runs to the next stanza header
+            if not line.lstrip().startswith("["):
+                if line.strip():
+                    block.append(line)
+                continue
+            trailing.append(tuple(block))
+            block = None
         if not line.strip():
-            i += 1
             continue
         if not line.startswith("["):
             if in_header:
                 header_lines.append(line)
-                i += 1
                 continue
-            raise OboSyntaxError(f"unexpected line outside a stanza: {line!r}", i + 1)
+            raise OboSyntaxError(f"unexpected line outside a stanza: {line!r}", lineno)
+        if lineno > last:
+            break
         in_header = False
-        if line.strip() != "[Term]":
-            # Opaque stanza: keep until the next stanza header or EOF.
+        if line.strip() == "[Term]":
+            term_start, term_id, name, smiles, obsolete = lineno, None, "", None, False
+            parents, extra = [], []
+        else:
             block = [line]
-            i += 1
-            while i < n and not lines[i].lstrip().startswith("["):
-                stripped = lines[i].rstrip("\r")
-                if stripped.strip():
-                    block.append(stripped)
-                i += 1
-            trailing.append(tuple(block))
-            continue
 
-        stanza_start = i + 1
-        i += 1
-        term_id: str | None = None
-        name = ""
-        smiles: str | None = None
-        parent_refs: list[tuple[str, int]] = []  # (target, line number)
-        obsolete = False
-        extra: list[str] = []
-        while i < n:
-            raw = lines[i].rstrip("\r")
-            if raw.lstrip().startswith("["):
-                break
-            if not raw.strip():
-                i += 1
-                break
-            lineno = i + 1
-            if ":" not in raw:
-                raise OboSyntaxError(f"expected 'tag: value', got {raw!r}", lineno)
-            tag, _, value = raw.partition(":")
-            tag = tag.strip()
-            value = value.strip()
-            if tag == "id":
-                if term_id is not None:
-                    raise OboSyntaxError("stanza has more than one id", lineno)
-                if not value:
-                    raise OboSyntaxError("empty id", lineno)
-                term_id = _strip_comment(value)
-            elif tag == "name":
-                name = _strip_comment(value)
-            elif tag == "is_a":
-                target = _strip_comment(value)
-                if not target:
-                    raise OboSyntaxError("is_a with empty target", lineno)
-                parent_refs.append((target, lineno))
-            elif tag == "is_obsolete":
-                obsolete = _strip_comment(value).lower() == "true"
-            elif tag == "property_value":
-                m = _PROPERTY_VALUE_RE.match(raw.strip())
-                if m is not None and m.group("key") == SMILES_KEY:
-                    smiles = _unescape(m.group("value"))
-                    if not smiles:
-                        raise OboSyntaxError("empty SMILES value", lineno)
-                else:
-                    extra.append(raw)
-            else:
-                extra.append(raw)
-            i += 1
-        if term_id is None:
-            raise OboSyntaxError("[Term] stanza without an id", stanza_start)
-        if term_id in classes:
-            raise DuplicateIdError(term_id)
-        for target, lineno in parent_refs:
-            is_a_lines.append((term_id, target, lineno))
-        classes[term_id] = OntologyClass(
-            id=term_id,
-            name=name,
-            smiles=smiles,
-            parents=frozenset(target for target, _ in parent_refs),
-            obsolete=obsolete,
-            extra_lines=tuple(extra),
-        )
-
-    for child, parent, lineno in is_a_lines:
-        if parent not in classes:
+    for target, lineno in zip(is_a_targets, is_a_lines):
+        if target not in classes:
             raise OboSyntaxError(
-                f"is_a target {parent!r} is not declared in this file", lineno
+                f"is_a target {target!r} is not declared in this file", lineno
             )
     return OntologyGraph(
         classes, header_lines=tuple(header_lines), trailing_stanzas=tuple(trailing)

@@ -96,6 +96,23 @@ class TestInit:
         for name in a.params:
             npt.assert_array_equal(a.params[name], b.params[name])
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_same_bits_as_drawing_through_a_temporary(self, tiny_config, dtype):
+        # reference: one rng.normal temporary per weight, assigned to its view
+        config = replace(tiny_config, dtype=dtype)
+        rng = np.random.default_rng(config.seed)
+        ref = init_model(config)
+        ref.param_arena[...] = 0.0
+        for name, param in ref.params.items():  # declaration order
+            if param.ndim == 2:  # embeddings and weight matrices
+                param[...] = rng.normal(0.0, 0.02, size=param.shape)
+            elif name.endswith(".g"):
+                param[...] = 1.0
+        ref.params["tok_emb"][PAD_ID, :] = 0.0
+        store = init_model(config)
+        assert store.param_arena.dtype == np.dtype(dtype)
+        assert store.param_arena.tobytes() == ref.param_arena.tobytes()
+
     def test_parameter_count_matches_shape_formula(self, tiny_config, tiny_store):
         # independent closed-form sum over the declared shapes
         c = tiny_config

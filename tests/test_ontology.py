@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ontograft.extension import FreshIdAllocator
 from ontograft.ontology import (
+    SMILES_KEY,
     CycleError,
     DuplicateIdError,
     OboSyntaxError,
@@ -15,6 +16,7 @@ from ontograft.ontology import (
     parse_obo,
     serialize_obo,
 )
+from ontograft.synthetic import generate_toy_ontology
 
 import obo_oracle
 from conftest import make_graph, random_dag
@@ -483,3 +485,170 @@ class TestGraftAgainstOracle:
         graph = make_graph({cid: {} for cid in ids})
         assert obo_oracle.first_fresh_number(graph) == first
         assert FreshIdAllocator(graph, prefix="N:", width=3).allocate() == f"N:{first:03d}"
+
+
+# The parser against the line-by-line oracle.  Stanza bodies mix the tags the
+# parser reads with the extra lines real ChEBI stanzas carry; a malformed
+# case breaks one stanza or the hierarchy.
+_OBO_IDS = ["A:1", "A:2", "B:3", "C:4", "D:5"]
+_VALUE = st.text(st.sampled_from(list('Cc()=O"\\! #[]:') + ["é", "\t"]), max_size=8)
+_EXTRA = st.sampled_from([
+    'synonym: "tin hydroxide" EXACT [ChEBI]', "xref: CAS:76-87-9 ! CAS", 'def: "a \\"def\\"" []',
+    "subset: 3_STAR", " name : spaced tag", "comment:", "is_a_like: x",
+    'property_value: http://example.org/mass "12.0" xsd:string',
+    'property_value: http://purl.obolibrary.org/obo/chebi/smiles "CC" xsd:double',
+])
+_BLANK = st.sampled_from(["", "", "  ", "\t"])
+_BROKEN = st.sampled_from([
+    "is_a", "no colon here", "  [Term]", "is_a:", "is_a: ! only a comment", "id:",
+    "id: ! only a comment", "stray text",
+    'property_value: http://purl.obolibrary.org/obo/chebi/smiles "" xsd:string',
+])
+
+
+def _smiles_line(value: str, escape: bool) -> str:
+    if escape:
+        value = value.replace("\\", "\\\\").replace('"', '\\"')
+    return f'property_value: {SMILES_KEY} "{value}" xsd:string'
+
+
+@st.composite
+def obo_texts(draw):
+    """OBO text: header lines, [Term] stanzas (parents among earlier ids),
+    opaque stanzas, comments, escaped and raw SMILES, extra lines, stray
+    blank lines and \\r\\n endings; about half the cases then take one
+    malformation (a broken, deleted or repeated line, an unknown or own
+    is_a target, a repeated stanza, a 2- or 3-class cycle)."""
+    ids = _OBO_IDS[: draw(st.integers(0, len(_OBO_IDS)))]
+    comment = st.sampled_from(["", "", " ! a comment", " !"])
+    stanzas = []
+    for i, cid in enumerate(ids):
+        body = [f"id: {cid}{draw(comment)}"]
+        if draw(st.booleans()):
+            body.append(f"name: {draw(_VALUE)}")
+        parents = draw(st.lists(st.sampled_from(ids[:i]), max_size=2)) if i else []
+        body += [f"is_a: {p}{draw(comment)}" for p in parents]
+        if draw(st.booleans()):
+            body.append(_smiles_line(draw(_VALUE.filter(bool)), escape=draw(st.booleans())))
+        if draw(st.booleans()):
+            body.append(f"is_obsolete: {draw(st.sampled_from(['true', 'false', 'TRUE ! x']))}")
+        body += draw(st.lists(_EXTRA, max_size=3))
+        body = draw(st.permutations(body))
+        stanzas.append([draw(st.sampled_from(["[Term]", "[Term]  "]))] + body)
+    for _ in range(draw(st.integers(0, 2))):
+        block = ["[Typedef]", "id: part_of"] + draw(st.lists(st.sampled_from(
+            ["name: part of", "", "is_transitive: true", "xref: BFO:0000050"]), max_size=3))
+        stanzas.insert(draw(st.integers(0, len(stanzas))), block)
+    if ids and draw(st.booleans()):
+        stanza = draw(st.sampled_from([s for s in stanzas if s[0].startswith("[Term]")]))
+        kind = draw(st.sampled_from(["broken", "delete", "repeat", "unknown", "itself",
+                                     "stanza", "cycle"]))
+        at = draw(st.integers(1, len(stanza)))
+        if kind == "broken":
+            stanza.insert(at, draw(_BROKEN))
+        elif kind == "delete":
+            del stanza[at - 1]
+        elif kind == "repeat":
+            stanza.insert(at, stanza[at - 1])
+        elif kind in ("unknown", "itself"):
+            own = stanza[[line.startswith("id:") for line in stanza].index(True)][4:]
+            stanza.insert(at, f"is_a: {'missing' if kind == 'unknown' else own.split(' !')[0]}")
+        elif kind == "stanza":
+            stanzas.append(list(stanza))
+        else:  # each class of the cycle names the next as a parent
+            size = min(len(ids), draw(st.sampled_from([2, 3])))
+            for k, s in enumerate(s for s in stanzas if s[0].startswith("[Term]")):
+                if k < size:
+                    s.append(f"is_a: {ids[(k + 1) % size]}")
+    lines = draw(st.lists(st.sampled_from(["format-version: 1.2", "ontology: t",
+                                           "remark: a ! b", "date: 20:10"]), max_size=2))
+    for stanza in stanzas:
+        lines += [draw(_BLANK) for _ in range(draw(st.integers(0, 1)))]
+        lines += stanza + [draw(_BLANK)]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text), None
+    except OntologyError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "cycle", None))
+
+
+class TestParseAgainstOracle:
+    """``parse_obo`` against the line-by-line parser with the depth-first
+    cycle search: the same classes in the same order, header lines, opaque
+    stanzas and bytes, or the same error, message, line and cycle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=obo_texts())
+    def test_same_graph_or_error(self, text):
+        got, got_error = parse_outcome(parse_obo, text)
+        ref, ref_error = parse_outcome(obo_oracle.parse_obo, text)
+        assert got_error == ref_error
+        if ref is not None:
+            assert got == ref and list(got) == list(ref)
+            assert (got.header_lines, got.trailing_stanzas) == (ref.header_lines, ref.trailing_stanzas)
+            for cid in ref:
+                assert got.children(cid) == ref.children(cid)
+            assert serialize_obo(got).encode() == obo_oracle.serialize_obo(ref).encode()
+
+    @pytest.mark.parametrize("text, error", [
+        ("[Term]\nname: x\n", "line 1: [Term] stanza without an id"),
+        ("[Term]\nid: A\nid: B\n", "line 3: stanza has more than one id"),
+        ("[Term]\nid: A\nis_a\n", "line 3: expected 'tag: value', got 'is_a'"),
+        ("[Term]\r\nid: A\r\nis_a\r\n", "line 3: expected 'tag: value', got 'is_a'"),
+        ("[Term]\nid: A\n  [Term]\nid: B\n", "line 3: unexpected line outside a stanza: '  [Term]'"),
+        ("[Term]\nid: A\nis_a: ! c\n", "line 3: is_a with empty target"),
+        ("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n", "subsumption cycle: A -> B -> A"),
+        ("[Term]\nid: A\nis_a: A\n", "class A lists itself as a parent"),
+        ("[Term]\nid: A\n" + _smiles_line("", False) + "\n", "line 3: empty SMILES value"),
+        ("[Term]\nid: A\n\nstray\n", "line 4: unexpected line outside a stanza: 'stray'"),
+        ("[Term]\nid:  \n", "line 2: empty id"),
+    ])
+    def test_errors_read_as_before(self, text, error):
+        _, got = parse_outcome(parse_obo, text)
+        assert got == parse_outcome(obo_oracle.parse_obo, text)[1]
+        assert got[1] == error
+
+    def test_acyclic_graphs_never_search_for_a_cycle(self, monkeypatch):
+        texts = [FENTIN] + [serialize_obo(generate_toy_ontology(seed)) for seed in (0, 3)]
+        texts += [serialize_obo(random_dag(np.random.default_rng(s), 60)) for s in range(3)]
+        expected = [obo_oracle.parse_obo(text) for text in texts]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an acyclic graph ran the depth-first cycle search")
+
+        monkeypatch.setattr(OntologyGraph, "_find_cycle", refuse)
+        for text, ref in zip(texts, expected):
+            assert parse_obo(text) == ref
+
+    @pytest.mark.parametrize("edges", [
+        {"A": ["B"], "B": ["A"]},
+        {"A": ["B"], "B": ["C"], "C": ["A"]},
+        {"R": [], "A": ["R", "C"], "B": ["A"], "C": ["B"], "L": ["A"], "M": ["L", "R"]},
+        {"R": [], "X": ["R", "Y"], "Y": ["X"], "U": ["Y"], "P": ["Q"], "Q": ["P", "R"]},
+    ], ids=["two", "three", "three-under-a-root-with-leaves", "two-cycles"])
+    def test_cycles_named_as_by_the_oracle(self, edges):
+        text = "".join(f"[Term]\nid: {cid}\n" + "".join(f"is_a: {p}\n" for p in ps) + "\n"
+                       for cid, ps in edges.items())
+        _, got = parse_outcome(parse_obo, text)
+        assert got[0] is CycleError
+        assert got == parse_outcome(obo_oracle.parse_obo, text)[1]
+        classes = {cid: OntologyClass(id=cid, parents=frozenset(ps)) for cid, ps in edges.items()}
+        with pytest.raises(CycleError) as built:
+            OntologyGraph(classes)
+        with pytest.raises(CycleError) as oracle:
+            obo_oracle.build_graph(classes)
+        assert built.value.cycle == oracle.value.cycle
+
+
+class TestEquality:
+    def test_header_and_opaque_stanzas_count(self):
+        graph = make_graph({"A": {}, "B": {"parents": ["A"]}})
+        classes = dict(graph._classes)
+        assert graph == OntologyGraph(classes)
+        assert graph != OntologyGraph(classes, header_lines=("format-version: 1.2",))
+        assert graph != OntologyGraph(classes, trailing_stanzas=(("[Typedef]", "id: part_of"),))
+        assert graph != OntologyGraph({"A": classes["A"]})
