@@ -1,22 +1,12 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-    build-dataset | train-tokenizer | pretrain | finetune | evaluate |
-    classify | explain | extend
-
 Every subcommand reads an optional INI config (--config) with flag overrides,
 requires an explicit seed, writes outputs atomically, and exits nonzero with
 a machine-readable ``ERROR<TAB>component<TAB>message`` line on failure.
 
-The files a stage reads are declared once: ``INPUTS`` says how each input
-flag is loaded, and ``STAGES`` names the inputs each subcommand requires or
-accepts.  Before a stage runs, ``main`` checks that ``--config`` and every
-given input exist and that no output file is a directory nor output
-directory a file, resolves the config and loads the inputs in the declared
-order, so a missing or corrupt input fails before the stage writes
-anything.  An input its loader cannot read (a directory, bytes that are
-not UTF-8) fails as its component's error; ``finetune`` loads its model
-only after it has encoded the dataset.  Any other failing file operation
-ends in a ``cli`` error line.
+Each subcommand is declared once, in ``STAGES``.  Its paths are checked and
+its inputs loaded before it runs, so a bad input fails before it writes; a
+file operation that fails outside the loaders ends in a ``cli`` error line.
 """
 
 from __future__ import annotations
@@ -28,6 +18,7 @@ import logging
 import os
 import sys
 from itertools import chain
+from typing import NamedTuple
 
 from . import attribution, dataset, extension, metrics, ontology, tokenizer as tok
 from ._io import atomic_write_text, read_failure
@@ -86,13 +77,14 @@ def _setup_logging() -> None:
     root.setLevel(logging.INFO)
 
 
-def _read_smiles_file(path) -> list[str]:
-    """Newline-delimited SMILES, or the smiles column of a dataset TSV."""
+def _read_smiles_file(path, need_one: bool = False) -> list[str]:
+    """SMILES lines or a dataset TSV's smiles column; a lone header passes unless ``need_one``."""
     with open(path, "r", encoding="utf-8") as fh:
         column = [l.split("\t", 1)[0] for l in fh.read().split("\n") if l.strip()]
-    if not column:
+    molecules = column[1:] if column[:1] == ["smiles"] else column
+    if not column or (need_one and not molecules):
         raise ConfigError(f"{path}: no molecules found")
-    return column[1:] if column[0] == "smiles" else column
+    return molecules
 
 
 # Input flag -> (loader, help, the error an unreadable file raises).  Each
@@ -113,37 +105,80 @@ INPUTS = {
     "train": (lambda path: _read_smiles_file(path), "training TSV or SMILES file", ConfigError),
     "validation": (lambda path: _read_smiles_file(path), "validation TSV or SMILES file",
                    ConfigError),
-    "input": (lambda path: _read_smiles_file(path), "TSV or newline-delimited SMILES", ConfigError),
+    "input": (lambda path: _read_smiles_file(path, need_one=True),
+              "TSV or newline-delimited SMILES", ConfigError),
 }
-# The output flags.  ``--checkpoint-dir``, and ``--out`` for the stages in
-# _DIRECTORY_OUT, name a directory; the others name a file.
-_OUTPUTS = ("out", "out_ontology", "out_report", "log", "checkpoint_dir")
-_DIRECTORY_OUT = ("build-dataset", "evaluate", "explain")
 
-# Subcommand -> (help, --out help or None, required inputs, optional inputs).
-# Inputs load in the order listed; ``_cmd_<name>(args, cfg, inputs)`` gets
-# each as an attribute of ``inputs``, or a function that loads it for the
-# inputs in _DEFERRED, which the stage loads later.
+
+class Flag(NamedTuple):
+    """``add_argument(flag, **kwargs)``.  An ``output`` flag names a "file" or
+    a "directory"; not given, it names its ``default`` file beside --out."""
+    flag: str
+    kwargs: dict
+    output: str | None = None
+    default: str | None = None
+
+
+def _setting(flag: str, help: str | None = None, key: str | None = None) -> Flag:
+    """A flag that overrides the setting ``key`` (default: the flag's name)."""
+    key = key or flag[2:].replace("-", "_")
+    return Flag(flag, {"dest": key, "type": setting_type(key), "help": help})
+
+
+def _out(help: str, output: str = "file") -> Flag:
+    return Flag("--out", {"required": True, "help": help}, output)
+
+
+class Stage(NamedTuple):
+    """A subcommand.  Its inputs (keys of INPUTS) load in the order listed and
+    reach ``_cmd_<name>(args, cfg, inputs)`` as attributes of ``inputs``, a
+    ``deferred`` one as a function that loads it; ``flags`` in --help order."""
+    help: str
+    required: tuple[str, ...]
+    optional: tuple[str, ...] = ()
+    deferred: tuple[str, ...] = ()
+    flags: tuple[Flag, ...] = ()
+
+
+_SEED = _setting("--seed", "random seed (mandatory here or in config)")
+_THRESHOLD = _setting("--threshold", "classification threshold")
+_TRAINING = (
+    Flag("--checkpoint-dir", {}, "directory"),
+    Flag("--log", {"help": "epoch log CSV (default: training_log.csv next to --out)"}, "file",
+         "training_log.csv"),
+    _setting("--learning-rate"), _setting("--batch-size"))
+# finetune loads its model (360 MB at paper shape) after encoding: a misfit fails first
 STAGES = {
-    "build-dataset": ("ontology -> labeled TSV splits", "output dataset directory",
-                      ("ontology",), ()),
-    "train-tokenizer": ("learn BPE merges from SMILES", "tokenizer file", ("input",), ()),
-    "pretrain": ("masked-language-model pretraining", "output model file",
-                 ("tokenizer", "train", "labels"), ("validation",)),
-    "finetune": ("multi-label fine-tuning", "output model file",
-                 ("tokenizer", "model", "dataset"), ()),
-    "evaluate": ("metric report on a labeled split", "output directory",
-                 ("tokenizer", "model", "test"), ("labels",)),
-    "classify": ("predict classes for unseen SMILES", "results JSON",
-                 ("tokenizer", "model", "labels", "input"), ()),
-    "explain": ("attention-based explanation report", "output directory for HTML reports",
-                ("tokenizer", "model", "labels"), ("input",)),
-    "extend": ("classify and graft into the ontology", None,
-               ("tokenizer", "model", "labels", "ontology", "input"), ()),
+    "build-dataset": Stage("ontology -> labeled TSV splits", ("ontology",), flags=(
+        _out("output dataset directory", "directory"),
+        _setting("--n-labels", key="n_label_classes"), _setting("--min-members"))),
+    "train-tokenizer": Stage("learn BPE merges from SMILES", ("input",), flags=(
+        _out("tokenizer file"), _setting("--target-vocab"), _setting("--max-len"))),
+    "pretrain": Stage("masked-language-model pretraining", ("tokenizer", "train", "labels"),
+                      ("validation",), flags=(
+        _out("output model file"), _setting("--epochs", key="pretrain_epochs"), *_TRAINING,
+        _setting("--mask-probability"))),
+    "finetune": Stage("multi-label fine-tuning", ("tokenizer", "model", "dataset"),
+                      deferred=("model",), flags=(
+        _out("output model file"), _THRESHOLD, _setting("--epochs", key="finetune_epochs"),
+        *_TRAINING)),
+    "evaluate": Stage("metric report on a labeled split", ("tokenizer", "model", "test"),
+                      ("labels",), flags=(
+        _out("output directory", "directory"), _THRESHOLD)),
+    "classify": Stage("predict classes for unseen SMILES",
+                      ("tokenizer", "model", "labels", "input"), flags=(
+        _out("results JSON"), _THRESHOLD, _setting("--top-k"))),
+    "explain": Stage("attention-based explanation report", ("tokenizer", "model", "labels"),
+                     ("input",), flags=(
+        _out("output directory for HTML reports", "directory"), _THRESHOLD,
+        Flag("--smiles", {"help": "one molecule to explain"}),
+        Flag("--layer", {"type": int, "default": -1, "help": "encoder layer to aggregate"}),
+        Flag("--csv", {"action": "store_true", "help": "also dump attribution CSVs"}))),
+    "extend": Stage("classify and graft into the ontology",
+                    ("tokenizer", "model", "labels", "ontology", "input"), flags=(
+        _THRESHOLD, Flag("--out-ontology", {"required": True}, "file"),
+        Flag("--out-report", {"required": True}, "file"), _setting("--id-prefix"))),
 }
-# finetune encodes the dataset before it loads the model (360 MB at paper
-# shape), so a molecule that does not fit fails first
-_DEFERRED = {"finetune": ("model",)}
 
 
 def _load_input(key: str, path: str):
@@ -158,28 +193,37 @@ def _load_input(key: str, path: str):
 
 def _load_inputs(args) -> argparse.Namespace:
     """The subcommand's inputs, loaded in the declared order (None if not
-    given); a deferred input is given as a function that loads it."""
-    inputs = {}
-    for key in args.inputs:
+    given); a deferred input is given as the function that loads it."""
+    stage, inputs = STAGES[args.command], {}
+    for key in stage.required + stage.optional:
         path = getattr(args, key)
-        if path is None:
-            inputs[key] = None
-        elif key in args.deferred:
-            inputs[key] = functools.partial(_load_input, key, path)
-        else:
-            inputs[key] = _load_input(key, path)
+        load = functools.partial(_load_input, key, path)
+        inputs[key] = None if path is None else (load if key in stage.deferred else load())
     return argparse.Namespace(**inputs)
 
 
-def _check_output_files(args) -> None:
-    """An output file must not be an existing directory, nor an output
-    directory an existing file: the stage would fail only when it writes,
-    after all of its work."""
-    for key in _OUTPUTS:
-        path = getattr(args, key, None)
-        directory = key == "checkpoint_dir" or (key == "out" and args.command in _DIRECTORY_OUT)
-        if path is not None and os.path.exists(path) and os.path.isdir(path) != directory:
+def _check_paths(args) -> None:
+    """Every given input must exist.  With defaults filled in, no output file may
+    be a directory, no output directory a file and no two outputs one path:
+    else the stage would fail, or overwrite an output, after all of its work."""
+    stage = STAGES[args.command]
+    for path in (args.config, *(getattr(args, key) for key in stage.required + stage.optional)):
+        if path is not None and not os.path.exists(path):
+            raise ConfigError(f"input path does not exist: {path}")
+    named = {}  # absolute path -> the flag that names it
+    for output in (flag for flag in stage.flags if flag.output):
+        dest = output.flag[2:].replace("-", "_")
+        if getattr(args, dest) is None and output.default:
+            setattr(args, dest, os.path.join(os.path.dirname(os.path.abspath(args.out)),
+                                             output.default))
+        path, directory = getattr(args, dest), output.output == "directory"
+        if path is None:
+            continue
+        if os.path.exists(path) and os.path.isdir(path) != directory:
             raise ConfigError(f"output path is {'not ' * directory}a directory: {path}")
+        other = named.setdefault(os.path.abspath(path), output.flag)
+        if other != output.flag:
+            raise ConfigError(f"{other} and {output.flag} name the same path: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +268,10 @@ def _cmd_train_tokenizer(args, cfg: RunConfig, inputs) -> None:
     )
 
 
-def _train_config(args, cfg: RunConfig, epochs: int) -> TrainConfig:
-    """The ``[training]`` settings, for ``--epochs`` epochs if given."""
-    return cfg.build(TrainConfig, "training", epochs=epochs if args.epochs is None else args.epochs)
-
-
-def _save_model_and_log(args, store, mcfg: ModelConfig, logs) -> None:
-    save_model(store, mcfg, args.out)
-    log_path = args.log or os.path.join(os.path.dirname(os.path.abspath(args.out)), "training_log.csv")
-    append_epoch_logs(log_path, logs)
-
-
 def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
     tokenizer = inputs.tokenizer
     policy = cfg.build(MaskingPolicy, "masking")
-    tcfg = _train_config(args, cfg, cfg.pretrain_epochs)
+    tcfg = cfg.build(TrainConfig, "training", epochs=cfg.pretrain_epochs)
     # Encode (without truncation) before the model exists, so a molecule that
     # does not fit fails without allocating it.
     train, validation = (
@@ -258,14 +291,15 @@ def _cmd_pretrain(args, cfg: RunConfig, inputs) -> None:
         store, mcfg, tokenizer, train, validation, tcfg, policy,
         checkpoint_dir=args.checkpoint_dir,
     )
-    _save_model_and_log(args, store, mcfg, logs)
+    save_model(store, mcfg, args.out)
+    append_epoch_logs(args.log, logs)
     if logs:
         logger.info("final train loss %.4f, val loss %.4f", logs[-1].train_loss, logs[-1].val_loss)
 
 
 def _cmd_finetune(args, cfg: RunConfig, inputs) -> None:
     splits, labels = inputs.dataset
-    tcfg = _train_config(args, cfg, cfg.finetune_epochs)
+    tcfg = cfg.build(TrainConfig, "training", epochs=cfg.finetune_epochs)
     # no truncation, as in pretraining: an over-length molecule is an error
     encoded = [[inputs.tokenizer.encode(m.smiles) for m in split]
                for split in (splits.train, splits.validation)]
@@ -278,7 +312,8 @@ def _cmd_finetune(args, cfg: RunConfig, inputs) -> None:
         store, mcfg, inputs.tokenizer, splits, tcfg,
         checkpoint_dir=args.checkpoint_dir, threshold=cfg.threshold, encoded=encoded,
     )
-    _save_model_and_log(args, store, mcfg, logs)
+    save_model(store, mcfg, args.out)
+    append_epoch_logs(args.log, logs)
     if logs:
         logger.info(
             "final val loss %.4f, val samples-F1 %.4f",
@@ -349,7 +384,7 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
             f"label index has {len(labels)} classes, model expects {mcfg.n_labels}"
         )
     attribution.check_layer(args.layer, mcfg.n_layers)
-    smiles_list = inputs.input or [args.smiles]
+    smiles_list = [args.smiles] if inputs.input is None else inputs.input
     seqs = [tokenizer.encode(smiles, truncate=True) for smiles in smiles_list]
     for smiles, seq in zip(smiles_list, seqs):
         if not attribution.content_positions(seq):
@@ -405,13 +440,6 @@ def _cmd_extend(args, cfg: RunConfig, inputs) -> None:
 # argument parsing
 
 
-def _add_setting(sub: argparse.ArgumentParser, flag: str, key: str | None = None,
-                 **kwargs) -> None:
-    """A flag that overrides the setting ``key`` (default: the flag's name)."""
-    key = key or flag[2:].replace("-", "_")
-    sub.add_argument(flag, dest=key, type=setting_type(key), **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ontograft",
@@ -423,42 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the documented default config to PATH and exit",
     )
     subs = parser.add_subparsers(dest="command")
-    p = {}  # subcommand -> its parser
-    for name, (help_text, out_help, required, optional) in STAGES.items():
-        sub = p[name] = subs.add_parser(name, help=help_text)
+    for name, stage in STAGES.items():
+        sub = subs.add_parser(name, help=stage.help)
         sub.add_argument("--config", help="INI config file; flags override it")
-        _add_setting(sub, "--seed", help="random seed (mandatory here or in config)")
-        for key in required + optional:
-            sub.add_argument("--" + key.replace("_", "-"), required=key in required,
-                             help=INPUTS[key][1])
-        if out_help:
-            sub.add_argument("--out", required=True, help=out_help)
+        sub.add_argument(_SEED.flag, **_SEED.kwargs)
+        for key in stage.required + stage.optional:
+            sub.add_argument("--" + key, required=key in stage.required, help=INPUTS[key][1])
+        for flag in stage.flags:
+            sub.add_argument(flag.flag, **flag.kwargs)
         # looked up now, so a replaced _cmd_* function is the one that runs
-        func = globals()["_cmd_" + name.replace("-", "_")]
-        sub.set_defaults(func=func, inputs=required + optional, deferred=_DEFERRED.get(name, ()))
-
-    for name in ("finetune", "evaluate", "classify", "explain", "extend"):
-        _add_setting(p[name], "--threshold", help="classification threshold")
-    _add_setting(p["build-dataset"], "--n-labels", "n_label_classes")
-    _add_setting(p["build-dataset"], "--min-members")
-    _add_setting(p["train-tokenizer"], "--target-vocab")
-    _add_setting(p["train-tokenizer"], "--max-len")
-    for name in ("pretrain", "finetune"):
-        p[name].add_argument("--epochs", type=int)
-        p[name].add_argument("--checkpoint-dir")
-        p[name].add_argument(
-            "--log", help="epoch log CSV (default: training_log.csv next to --out)"
-        )
-        _add_setting(p[name], "--learning-rate")
-        _add_setting(p[name], "--batch-size")
-    _add_setting(p["pretrain"], "--mask-probability")
-    _add_setting(p["classify"], "--top-k")
-    p["explain"].add_argument("--smiles", help="one molecule to explain")
-    p["explain"].add_argument("--layer", type=int, default=-1, help="encoder layer to aggregate")
-    p["explain"].add_argument("--csv", action="store_true", help="also dump attribution CSVs")
-    p["extend"].add_argument("--out-ontology", required=True)
-    p["extend"].add_argument("--out-report", required=True)
-    _add_setting(p["extend"], "--id-prefix")
+        sub.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
     return parser
 
 
@@ -473,10 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        for path in (args.config, *(getattr(args, key) for key in args.inputs)):
-            if path is not None and not os.path.exists(path):
-                raise ConfigError(f"input path does not exist: {path}")
-        _check_output_files(args)
+        _check_paths(args)
         cfg = build_run_config(args.config, vars(args))
         args.func(args, cfg, _load_inputs(args))
         return 0

@@ -154,8 +154,8 @@ class TestErrors:
         assert err.splitlines()[-1].startswith("ERROR\tcli\t")
 
     @pytest.mark.parametrize("command, missing", [
-        (command, key) for command, (_, _, required, optional) in cli.STAGES.items()
-        for key in required + optional
+        (command, key) for command, stage in cli.STAGES.items()
+        for key in stage.required + stage.optional
     ])
     def test_missing_input_path(self, tmp_path, capsys, command, missing):
         """Every input a subcommand names is checked before anything loads."""
@@ -402,6 +402,90 @@ class TestErrors:
         assert "Traceback" not in err
         assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is not a directory: {checkpoints}"
         assert loaded == [] and not out.exists()
+
+    @staticmethod
+    def _unloaded_run(monkeypatch, tmp_path, command, given):
+        """``command`` with ``given`` flags and every other required flag:
+        inputs at one empty file, outputs at new paths under ``out/``.
+        Returns the argv and the list ``_load_inputs`` appends its calls to."""
+        loaded = []
+        monkeypatch.setattr(cli, "_load_inputs", lambda args: loaded.append(args))
+        present = tmp_path / "present"
+        present.write_text("")
+        argv = [command, "--seed", "1", *given]
+        for action in _subparsers().choices[command]._actions:
+            if action.required and action.option_strings[0] not in given:
+                path = present if action.dest in cli.INPUTS else tmp_path / "out" / action.dest
+                argv += [action.option_strings[0], str(path)]
+        return argv, loaded
+
+    @pytest.mark.parametrize("command, flag, kind", [
+        (command, flag.flag, flag.output) for command, stage in cli.STAGES.items()
+        for flag in stage.flags if flag.output
+    ])
+    def test_output_of_the_other_kind(self, tmp_path, capsys, monkeypatch, command, flag, kind):
+        """Every declared output: a directory where a file goes, or a file
+        where a directory goes, fails before any input loads."""
+        wrong = tmp_path / "wrong"
+        if kind == "file":
+            wrong.mkdir()
+        else:
+            wrong.write_text("kept\n")
+        argv, loaded = self._unloaded_run(monkeypatch, tmp_path, command, [flag, str(wrong)])
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        is_or_not = "a directory" if kind == "file" else "not a directory"
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is {is_or_not}: {wrong}"
+        assert loaded == [] and sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command, given, message", [
+        ("extend", ["--out-ontology", "same.out", "--out-report", "same.out"],
+         "--out-ontology and --out-report name the same path: same.out"),
+        ("extend", ["--out-ontology", "same.out", "--out-report", "{tmp}/same.out"],
+         "--out-ontology and --out-report name the same path: {tmp}/same.out"),
+        ("pretrain", ["--out", "p.bin", "--log", "p.bin"], "--out and --log name the same path: p.bin"),
+        ("finetune", ["--out", "ck", "--checkpoint-dir", "ck"],
+         "--out and --checkpoint-dir name the same path: ck"),
+        # --log not given names training_log.csv beside --out
+        ("pretrain", ["--out", "training_log.csv"],
+         "--out and --log name the same path: {tmp}/training_log.csv"),
+    ], ids=["extend", "extend-abspath", "pretrain-log", "finetune-checkpoint-dir",
+            "pretrain-default-log"])
+    def test_outputs_on_one_path(self, tmp_path, capsys, monkeypatch, command, given, message):
+        """Two outputs of one stage on one path (after ``abspath``, counting
+        the default ``--log``) fail before any input loads."""
+        monkeypatch.chdir(tmp_path)
+        given = [arg.format(tmp=tmp_path) for arg in given]
+        argv, loaded = self._unloaded_run(monkeypatch, tmp_path, command, given)
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "ERROR\tcli\t" + message.format(tmp=tmp_path)
+        assert loaded == [] and sorted(tmp_path.iterdir()) == [tmp_path / "present"]
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("pretrain", ["--train", "train.tsv", "--labels", "labels.txt"]),
+        ("finetune", ["--model", "../pretrained.bin", "--dataset", "."]),
+    ])
+    def test_default_log_that_is_a_directory(self, workspace, tmp_path, capsys, monkeypatch,
+                                             command, inputs):
+        """``training_log.csv`` beside ``--out`` is checked before the run,
+        not written to after the training."""
+        loaded = []
+        load_inputs = cli._load_inputs
+        monkeypatch.setattr(cli, "_load_inputs",
+                            lambda args: loaded.append(args) or load_inputs(args))
+        monkeypatch.chdir(workspace["dataset"])
+        log = tmp_path / "run" / "training_log.csv"
+        log.mkdir(parents=True)
+        out = tmp_path / "run" / "m.bin"
+        code = main([command, "--config", str(workspace["config"]),
+                     "--tokenizer", str(workspace["tokenizer"]), *inputs,
+                     "--out", str(out), "--epochs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"ERROR\tcli\toutput path is a directory: {log}"
+        assert loaded == [] and not out.exists() and list(log.iterdir()) == []
 
     @pytest.mark.parametrize("section, key, value, kind", [
         ("model", "n_layers", "abc", "int"),
@@ -789,6 +873,41 @@ class TestEmptySplits:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command, args", [
+        ("train-tokenizer", ["--out", "tok.txt"]),
+        ("classify", ["--out", "results.json"]),
+        ("explain", ["--out", "explain"]),
+        ("extend", ["--ontology", "{obo}", "--out-ontology", "e.obo",
+                    "--out-report", "changes.json"]),
+    ])
+    def test_header_only_input(self, workspace, tmp_path, capsys, monkeypatch, command, args):
+        """An ``--input`` with only its header holds no molecule: an error,
+        not an empty result nor a query of ``None``."""
+        monkeypatch.chdir(tmp_path)
+        header_only = tmp_path / "hdr.tsv"
+        header_only.write_text("smiles\tX\n")
+        model_inputs = [] if command == "train-tokenizer" else [
+            "--tokenizer", str(workspace["tokenizer"]), "--model", str(workspace["finetuned"]),
+            "--labels", str(workspace["dataset"] / "labels.txt")]
+        code = main([command, "--config", str(workspace["config"]), *model_inputs,
+                     "--input", str(header_only),
+                     *(arg.format(obo=workspace["obo"]) for arg in args)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tcli\t{header_only}: no molecules found"
+        assert sorted(tmp_path.iterdir()) == [header_only]
+
+    def test_pretrain_with_header_only_validation(self, small_run, tmp_path):
+        """An empty validation split from build-dataset still pretrains."""
+        root, common = small_run
+        validation = tmp_path / "validation.tsv"
+        _header_only(root / "data" / "validation.tsv", validation)
+        code = main(["pretrain", *common, "--tokenizer", str(root / "tok.txt"),
+                     "--train", str(root / "data" / "train.tsv"), "--validation", str(validation),
+                     "--labels", str(root / "data" / "labels.txt"),
+                     "--out", str(tmp_path / "m.bin"), "--epochs", "1"])
+        assert code == 0 and (tmp_path / "m.bin").exists()
+
 class TestInputs:
     def test_loaders_are_looked_up_when_they_run(self, workspace, tmp_path, monkeypatch):
         """Loaders replaced through their module attributes after cli is
@@ -855,6 +974,7 @@ NON_DEFAULT = {
 FLAG_SETTINGS = {
     "seed", "threshold", "n_label_classes", "min_members", "target_vocab", "max_len",
     "mask_probability", "learning_rate", "batch_size", "top_k", "id_prefix",
+    "pretrain_epochs", "finetune_epochs",
 }
 
 
@@ -972,7 +1092,7 @@ class TestSettings:
             monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
                                 lambda args, cfg, inputs: resolved.append(cfg))
         # every required input below is "x": make it exist, and load nothing;
-        # every required output is "new", which does not exist
+        # every required output is "new-<flag>", which does not exist
         monkeypatch.chdir(tmp_path)
         (tmp_path / "x").touch()
         monkeypatch.setattr(cli, "_load_inputs", lambda args: None)
@@ -980,7 +1100,8 @@ class TestSettings:
         seen = set()
         for command, sub in subparsers.choices.items():
             required = [s for a in sub._actions if a.required
-                        for s in (a.option_strings[0], "x" if a.dest in cli.INPUTS else "new")]
+                        for s in (a.option_strings[0],
+                                  "x" if a.dest in cli.INPUTS else "new" + a.option_strings[0])]
             for action in sub._actions:
                 key = action.dest
                 if key not in keys:
