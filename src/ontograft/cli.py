@@ -87,15 +87,22 @@ def _read_smiles_file(path, need_one: bool = False) -> list[str]:
     return molecules
 
 
+def _load_model(path):
+    """(store, config) of a model file that ends with its last array."""
+    store, config, trailing = load_model(path)
+    if trailing:
+        raise ModelError(f"{path}: {len(trailing)} bytes after the last array")
+    return store, config
+
+
 # Input flag -> (loader, help, the error an unreadable file raises).  Each
 # loader looks its function up when it runs, so a replaced module attribute
-# (a profiler's wrapper, a test's stub) is the one called.  A model loads as
-# (store, config).
+# (a profiler's wrapper, a test's stub) is the one called.
 INPUTS = {
     "ontology": (lambda path: ontology.load_obo(path), "OBO ontology", ontology.OntologyError),
     "tokenizer": (lambda path: tok.Tokenizer.load(path), "tokenizer file from train-tokenizer",
                   tok.TokenizerError),
-    "model": (lambda path: load_model(path)[:2], "model file", ModelError),
+    "model": (_load_model, "model file", ModelError),
     "dataset": (lambda path: dataset.load_tsv(path), "dataset directory from build-dataset",
                 dataset.DatasetError),
     "test": (lambda path: dataset.load_split_tsv(path), "labeled TSV to evaluate",

@@ -34,7 +34,8 @@ backward pass and then one AdamW step.
 
 All math runs in 64-bit floats by default so gradients can be checked against
 central finite differences; with ``dtype = "float32"`` every array computed
-here is float32.  Constants are Python floats, never NumPy scalars: under
+here is float32 (``erf`` and ``expit`` work in float64 inside and return
+float32).  Constants are Python floats, never NumPy scalars: under
 NumPy 2 scalar promotion (NEP 50) an ``np.float64`` scalar would upcast a
 float32 array to float64.
 """
@@ -48,7 +49,6 @@ from itertools import chain, count, groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erf, expit
 
 from ._io import _replacing
 from .tokenizer import PAD_ID, TokenSequence
@@ -284,6 +284,70 @@ def _layer_norm_backward(dy: np.ndarray, cache, g: np.ndarray):
     mean_dxhat_xhat /= n
     dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
     return dx, dg, db
+
+
+# erf as in Cephes ndtr.c: x T(x^2)/U(x^2) for |x| <= 1, else
+# 1 - exp(-x^2) P(|x|)/Q(|x|), sign restored.  Coefficients highest degree
+# first; U and Q are monic and their leading 1 is left out.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 1 << 15
+
+
+def _polevl(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order of operations (polevl / p1evl)."""
+    y = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x: np.ndarray) -> np.ndarray:
+    """The error function, elementwise, in blocks of ``_ERF_BLOCK`` so the
+    temporaries stay in cache; each rational runs only on its own branch's
+    elements.  Evaluated in float64 and stored in ``x``'s dtype.  For
+    |x| <= 1 the bits are those of the C code; above, numpy's exp may move
+    the last bit."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _ERF_BLOCK):
+        xb = flat[start:start + _ERF_BLOCK].astype(np.float64, copy=False)
+        ob = flat_out[start:start + _ERF_BLOCK]
+        ax = np.abs(xb)
+        inner = ax <= 1.0
+        i = np.flatnonzero(inner)
+        s = xb.take(i)
+        z = s * s
+        s *= _polevl(z, _ERF_T)
+        s /= _polevl(z, _ERF_U, monic=True)
+        ob[i] = s
+        # |x| > 1, and NaN; past 8, 1 - erfc(x) rounds to 1 already
+        i = np.flatnonzero(~inner)
+        a = np.minimum(ax.take(i), 8.0)
+        e = np.exp(-a * a)
+        e *= _polevl(a, _ERF_P)
+        e /= _polevl(a, _ERF_Q, monic=True)
+        np.subtract(1.0, e, out=e)
+        ob[i] = np.copysign(e, xb.take(i), out=e)
+    return out
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-x)), evaluated in float64 and
+    stored in ``x``'s dtype; exp(-x) overflowing to inf gives 0."""
+    x = np.asarray(x)
+    with np.errstate(over="ignore", under="ignore"):
+        return (1.0 / (1.0 + np.exp(-x, dtype=np.float64))).astype(x.dtype, copy=False)
 
 
 def _gelu_term(x: np.ndarray) -> np.ndarray:

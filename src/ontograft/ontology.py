@@ -308,6 +308,12 @@ def parse_obo(text: str) -> OntologyGraph:
                         raise OboSyntaxError("[Term] stanza without an id", term_start)
                     if term_id in classes:
                         raise DuplicateIdError(term_id)
+                    if not term_id:  # the id was only a comment
+                        raise OboSyntaxError("class id must be non-empty", id_line)
+                    if term_id in parents:  # this stanza's is_a lines end is_a_lines
+                        at = len(is_a_lines) - len(parents) + parents.index(term_id)
+                        raise OboSyntaxError(f"class {term_id} lists itself as a parent",
+                                             is_a_lines[at])
                     classes[term_id] = OntologyClass(
                         term_id, name, smiles, frozenset(parents), obsolete, tuple(extra)
                     )
@@ -342,6 +348,7 @@ def parse_obo(text: str) -> OntologyGraph:
                     if not value:
                         raise OboSyntaxError("empty id", lineno)
                     term_id = _strip_comment(value) if "!" in value else value
+                    id_line = lineno
                 elif tag == "name":
                     value = value.strip()
                     name = _strip_comment(value) if "!" in value else value

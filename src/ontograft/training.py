@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from ._io import atomic_copy
 from .dataset import DatasetSplits, LabeledMolecule
@@ -25,6 +24,7 @@ from .model import (
     ModelConfig,
     NumericError,
     ParameterStore,
+    expit,
     loss_and_grad,
     mlm_loss_value,
     multilabel_loss_value,

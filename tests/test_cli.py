@@ -590,6 +590,23 @@ class TestErrors:
         assert err.splitlines()[-1].startswith("ERROR\ttokenizer\t")
         assert not (tmp_path / "out.json").exists()
 
+    def test_model_with_bytes_after_its_last_array(self, workspace, tmp_path, capsys):
+        """A model file with a row appended is refused, not loaded as if whole."""
+        model = tmp_path / "appended.bin"
+        row = b"CCC(NN)CC,TOY:000001,0.9\n"
+        model.write_bytes(workspace["finetuned"].read_bytes() + row)
+        smiles_file = tmp_path / "query.smi"
+        smiles_file.write_text("CCC(NN)CC\n")
+        code = main(["classify", "--config", str(workspace["config"]),
+                     "--model", str(model),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(smiles_file), "--out", str(tmp_path / "out.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ERROR\tmodel\t{model}: {len(row)} bytes after the last array"
+        assert not (tmp_path / "out.json").exists()
+
     @pytest.mark.parametrize("key, value", [("activation", "gelu_tanh"), ("mlm_loss", "bce")])
     def test_model_trained_with_retired_option(self, workspace, tmp_path, capsys, key, value):
         """A model file saved while the option existed, with a value the model

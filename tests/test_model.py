@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
+import scipy.special
 
 from ontograft import model as model_module
 from ontograft.attribution import token_importance
@@ -22,8 +23,11 @@ from ontograft.model import (
     NumericError,
     _forward_core,
     _layer_norm,
+    _ERF_BLOCK,
     _layer_norm_backward,
     _mlm_head_forward,
+    erf,
+    expit,
     forward,
     init_model,
     load_model,
@@ -468,6 +472,78 @@ BATCHES = st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=40),
                    min_size=1, max_size=8)
 
 
+def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Units in the last place between two float arrays of one dtype, same sign."""
+    ints = np.int64 if a.dtype == np.float64 else np.int32
+    return np.abs(a.view(ints).astype(np.int64) - b.view(ints).astype(np.int64))
+
+
+class TestErfAndExpit:
+    """The numpy erf and sigmoid against scipy.special."""
+
+    @staticmethod
+    def spread(rng) -> np.ndarray:
+        grid = np.linspace(-10.0, 10.0, 400_001)
+        return np.concatenate([grid] + [rng.normal(0.0, s, 100_000) for s in (0.5, 1.5, 4.0)])
+
+    def test_erf_bits_equal_scipy_within_one(self):
+        x = np.linspace(-1.0, 1.0, 400_001)
+        x = np.concatenate([x, np.nextafter([1.0, -1.0], 0.0), np.geomspace(1e-300, 1.0, 1000)])
+        assert erf(x).tobytes() == scipy.special.erf(x).tobytes()
+
+    def test_erf_within_one_ulp_of_scipy(self):
+        x = self.spread(np.random.default_rng(0))
+        assert ulp_distance(erf(x), scipy.special.erf(x)).max() <= 1
+
+    def test_erf_float32_stays_float32_within_two_ulp(self):
+        x = self.spread(np.random.default_rng(1)).astype(np.float32)
+        got = erf(x)
+        assert got.dtype == np.float32
+        assert ulp_distance(got, scipy.special.erf(x)).max() <= 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_erf_special_values(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, tiny, -tiny, 1e3 * tiny], dtype)
+        got = erf(x)
+        assert np.isnan(got[0]) and list(got[1:3]) == [1.0, -1.0]
+        assert got[3] == 0.0 and np.signbit(got[3]) and not np.signbit(got[4])
+        assert got[5:].tobytes() == scipy.special.erf(x[5:]).tobytes()
+        assert got[5] > 0 and got[6] < 0
+
+    def test_erf_blocks_match_piece_by_piece(self):
+        """An array of several blocks, spanning both branches, has the bits
+        of erf applied to small pieces that straddle the block edges."""
+        x = np.random.default_rng(2).normal(0.0, 1.5, (3 * _ERF_BLOCK // 64 + 17, 64))
+        flat = x.reshape(-1)
+        assert (np.abs(flat) <= 1.0).any() and (np.abs(flat) > 1.0).any()
+        pieces = np.concatenate([erf(flat[i:i + 777]) for i in range(0, flat.size, 777)])
+        assert erf(x).tobytes() == pieces.tobytes()
+
+    def test_expit_against_scipy(self):
+        x = 4.0 * self.spread(np.random.default_rng(3))
+        npt.assert_allclose(expit(x), scipy.special.expit(x), rtol=1e-15, atol=0)
+        got = expit(x.astype(np.float32))
+        assert got.dtype == np.float32
+        assert ulp_distance(got, scipy.special.expit(x.astype(np.float32))).max() <= 2
+
+    def test_expit_saturates_quietly(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = expit(np.array([-1000.0, 1000.0, -0.0]))
+        assert list(got) == [0.0, 1.0, 0.5]
+
+    def test_cli_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import ontograft.cli, sys; "
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, check=True)
+        assert run.stdout.strip() == "[]"
+
+
 class TestPackedAgainstPaddedOracle:
     """The packed encoder against the padded one it replaced
     (``padded_oracle``), inference and gradients to a relative 1e-12: a
@@ -500,7 +576,7 @@ class TestPackedAgainstPaddedOracle:
         for b, (out, n) in enumerate(zip(outs, lengths)):
             assert_close(out.hidden, ref[b, :n])
             assert_close(out.logits, ref_logits[b])
-            assert_close(out.probabilities, expit(ref_logits[b]))
+            assert_close(out.probabilities, scipy.special.expit(ref_logits[b]))
             att = np.stack([layer["probs"][b] for layer in padded_layers])
             assert out.attention.shape == (config.n_layers, config.n_heads, n, n)
             assert_close(out.attention, att[:, :, :n, :n])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -576,6 +578,24 @@ def parse_outcome(parse, text):
         return None, (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "cycle", None))
 
 
+def assert_same_error(got, ref, text):
+    """``got`` is the oracle's error ``ref``, except for the two errors the
+    oracle raises untyped from ``OntologyClass``: parse_obo raises them as
+    OboSyntaxError with the same message, at an is_a line naming the class
+    itself or at an id line whose value is only a comment."""
+    if ref is None or ref[0] is not OntologyError:
+        assert got == ref
+        return
+    kind, message, line, cycle = got
+    assert (kind, message, cycle) == (OboSyntaxError, f"line {line}: {ref[1]}", None)
+    tag, _, value = text.split("\n")[line - 1].rstrip("\r").partition(":")
+    if ref[1] == "class id must be non-empty":
+        assert (tag, value.strip()[:1]) == ("id", "!")
+    else:
+        own = re.fullmatch(r"class (.+) lists itself as a parent", ref[1]).group(1)
+        assert (tag, value.split("!")[0].strip()) == ("is_a", own)
+
+
 class TestParseAgainstOracle:
     """``parse_obo`` against the line-by-line parser with the depth-first
     cycle search: the same classes in the same order, header lines, opaque
@@ -586,7 +606,7 @@ class TestParseAgainstOracle:
     def test_same_graph_or_error(self, text):
         got, got_error = parse_outcome(parse_obo, text)
         ref, ref_error = parse_outcome(obo_oracle.parse_obo, text)
-        assert got_error == ref_error
+        assert_same_error(got_error, ref_error, text)
         if ref is not None:
             assert got == ref and list(got) == list(ref)
             assert (got.header_lines, got.trailing_stanzas) == (ref.header_lines, ref.trailing_stanzas)
@@ -602,14 +622,17 @@ class TestParseAgainstOracle:
         ("[Term]\nid: A\n  [Term]\nid: B\n", "line 3: unexpected line outside a stanza: '  [Term]'"),
         ("[Term]\nid: A\nis_a: ! c\n", "line 3: is_a with empty target"),
         ("[Term]\nid: A\nis_a: B\n\n[Term]\nid: B\nis_a: A\n", "subsumption cycle: A -> B -> A"),
-        ("[Term]\nid: A\nis_a: A\n", "class A lists itself as a parent"),
+        ("[Term]\nid: A\nis_a: A\n", "line 3: class A lists itself as a parent"),
+        ("[Term]\nid: B\n\n[Term]\nis_a: B\nis_a: A ! self\nid: A\nis_a: A\n",
+         "line 6: class A lists itself as a parent"),
+        ("[Term]\nid: ! only a comment\nis_a: B\n", "line 2: class id must be non-empty"),
         ("[Term]\nid: A\n" + _smiles_line("", False) + "\n", "line 3: empty SMILES value"),
         ("[Term]\nid: A\n\nstray\n", "line 4: unexpected line outside a stanza: 'stray'"),
         ("[Term]\nid:  \n", "line 2: empty id"),
     ])
     def test_errors_read_as_before(self, text, error):
         _, got = parse_outcome(parse_obo, text)
-        assert got == parse_outcome(obo_oracle.parse_obo, text)[1]
+        assert_same_error(got, parse_outcome(obo_oracle.parse_obo, text)[1], text)
         assert got[1] == error
 
     def test_acyclic_graphs_never_search_for_a_cycle(self, monkeypatch):
