@@ -503,13 +503,18 @@ class TestErfAndExpit:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_erf_special_values(self, dtype):
-        tiny = np.finfo(dtype).smallest_subnormal
-        x = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, tiny, -tiny, 1e3 * tiny], dtype)
-        got = erf(x)
-        assert np.isnan(got[0]) and list(got[1:3]) == [1.0, -1.0]
-        assert got[3] == 0.0 and np.signbit(got[3]) and not np.signbit(got[4])
-        assert got[5:].tobytes() == scipy.special.erf(x[5:]).tobytes()
-        assert got[5] > 0 and got[6] < 0
+        """NaN, +-inf, +-0 and the largest finite values, without a warning;
+        subnormals as scipy has them."""
+        tiny, huge = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max
+        x = np.array([np.nan, np.inf, -np.inf, huge, -huge, -0.0, 0.0,
+                      tiny, -tiny, 1e3 * tiny], dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = erf(x)
+        assert np.isnan(got[0]) and list(got[1:5]) == [1.0, -1.0, 1.0, -1.0]
+        assert got[5] == 0.0 and np.signbit(got[5]) and not np.signbit(got[6])
+        assert got[7:].tobytes() == scipy.special.erf(x[7:]).tobytes()
+        assert got[7] > 0 and got[8] < 0
 
     def test_erf_blocks_match_piece_by_piece(self):
         """An array of several blocks, spanning both branches, has the bits
