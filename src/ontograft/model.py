@@ -316,15 +316,14 @@ def erf(x: np.ndarray) -> np.ndarray:
     temporaries stay in cache.  Evaluated in float64 and stored in ``x``'s
     dtype.  For |x| <= 1 the bits are those of the C code; above, numpy's
     exp may move the last bit."""
-    x = np.asarray(x)
-    out = np.empty_like(x)
+    out = np.empty(x.shape, x.dtype)  # C order, so that the flat view writes into it
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     for start in range(0, flat.size, _ERF_BLOCK):
         xb = flat[start:start + _ERF_BLOCK].astype(np.float64, copy=False)
         ob = flat_out[start:start + _ERF_BLOCK]
-        # the |x| <= 1 rational on the whole block, which costs less than
-        # gathering and scattering the most of GELU's inputs that need it;
-        # the rest is overwritten below
+        # the |x| <= 1 rational on the whole block: most of GELU's inputs
+        # need it, and gathering them costs more than the arithmetic spent
+        # on the rest, which is overwritten below
         with np.errstate(over="ignore", invalid="ignore"):
             z = xb * xb
             s = xb * _polevl(z, _ERF_T)
@@ -345,7 +344,6 @@ def erf(x: np.ndarray) -> np.ndarray:
 def expit(x: np.ndarray) -> np.ndarray:
     """The logistic sigmoid 1 / (1 + exp(-x)), evaluated in float64 and
     stored in ``x``'s dtype; exp(-x) overflowing to inf gives 0."""
-    x = np.asarray(x)
     with np.errstate(over="ignore", under="ignore"):
         return (1.0 / (1.0 + np.exp(-x, dtype=np.float64))).astype(x.dtype, copy=False)
 

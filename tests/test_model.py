@@ -472,6 +472,15 @@ BATCHES = st.lists(st.lists(st.integers(0, 19), min_size=1, max_size=40),
                    min_size=1, max_size=8)
 
 
+def run_python(script: str, *args: str) -> str:
+    """Standard output of ``python -c script *args`` importing this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
 def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Units in the last place between two float arrays of one dtype, same sign."""
     ints = np.int64 if a.dtype == np.float64 else np.int32
@@ -524,6 +533,7 @@ class TestErfAndExpit:
         assert (np.abs(flat) <= 1.0).any() and (np.abs(flat) > 1.0).any()
         pieces = np.concatenate([erf(flat[i:i + 777]) for i in range(0, flat.size, 777)])
         assert erf(x).tobytes() == pieces.tobytes()
+        assert erf(x.T).tobytes() == erf(x.T.copy()).tobytes()
 
     def test_expit_against_scipy(self):
         x = 4.0 * self.spread(np.random.default_rng(3))
@@ -539,14 +549,9 @@ class TestErfAndExpit:
         assert list(got) == [0.0, 1.0, 0.5]
 
     def test_cli_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         script = ("import ontograft.cli, sys; "
                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env=env, check=True)
-        assert run.stdout.strip() == "[]"
+        assert run_python(script).strip() == "[]"
 
 
 class TestPackedAgainstPaddedOracle:
@@ -782,12 +787,7 @@ class TestLoadMemory:
             "load_model(sys.argv[1])\n"
             "print(peak_kib() - before)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(model_module.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m.bin")],
-                             capture_output=True, text=True, env=env, check=True)
-        growth = 1024 * int(run.stdout)
+        growth = 1024 * int(run_python(script, str(tmp_path / "m.bin")))
         # a 27 MB arena grew the process by 28 MB; holding the file and
         # writing a second, gradient arena as well read 104 MB
         assert growth < 1.25 * arena + largest
