@@ -13,14 +13,11 @@ the mean of its ranks, so a tie counts half; -0.0 ties with 0.0.  NaN
 equals nothing: NaN scores rank after the slice's finite ones in input
 order, each a run of its own, so the AUC stays a number.
 
-Each axis sorts its scores once and takes one of two paths, chosen from the
-input alone.  Where positives x log2(slice length) is below 0.6 of the
-cells (sparse labels, as in a test split over hundreds of classes), each
-finite positive's tie run is found by bisection in its slice's sorted
-scores, so only the positives are ranked.  Otherwise every cell's midrank
-is read off one argsort.  Midranks are integers or halves, so every rank
-sum below 2**52 is exact in float64 whatever the path or the summation
-order, and the AUCs equal those of a per-element loop bit for bit.
+Each axis sorts its scores once, and each finite positive's tie run is
+found by bisection in its slice's sorted scores, so only the positives are
+ranked.  Midranks are integers or halves, so every rank sum below 2**52 is
+exact in float64 whatever the summation order, and the AUCs equal those of
+a per-element loop bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +60,12 @@ def _prf_from_counts(tp, fp, fn):
     return precision, recall, f1
 
 
+def _confusion(t: np.ndarray, p: np.ndarray, axis: int | None):
+    """(true positives, false positives, false negatives) of boolean truth
+    and prediction, summed along axis (None: the whole matrix)."""
+    return (t & p).sum(axis=axis), (~t & p).sum(axis=axis), (t & ~p).sum(axis=axis)
+
+
 def _check_shapes(y_true: np.ndarray, y_other: np.ndarray):
     y_true = np.asarray(y_true)
     y_other = np.asarray(y_other)
@@ -73,6 +76,12 @@ def _check_shapes(y_true: np.ndarray, y_other: np.ndarray):
     if y_true.size == 0:
         raise MetricsError(f"empty {y_true.shape} matrix: need at least one row and one label")
     return y_true, y_other
+
+
+# Which axis each averaging scores along: one F1 and AUC per column for
+# macro and weighted, one per row for samples, one over the flattened matrix
+# for micro.
+_AXIS = {"micro": None, "samples": 1, "macro": 0, "weighted": 0}
 
 
 def _left_fold_mean(values: np.ndarray) -> float:
@@ -90,18 +99,10 @@ def prf(
         raise MetricsError(f"unknown averaging {averaging!r}")
     t = y_true.astype(bool)
     p = y_pred.astype(bool)
-    tp = (t & p).sum(axis=0)
-    fp = (~t & p).sum(axis=0)
-    fn = (t & ~p).sum(axis=0)
-
+    prec, rec, f1 = _prf_from_counts(*_confusion(t, p, _AXIS[averaging]))
     if averaging == "micro":
-        prec, rec, f1 = _prf_from_counts(tp.sum(), fp.sum(), fn.sum())
         return float(prec), float(rec), float(f1)
-    if averaging == "macro":
-        prec, rec, f1 = _prf_from_counts(tp, fp, fn)
-        return _left_fold_mean(prec), _left_fold_mean(rec), _left_fold_mean(f1)
     if averaging == "weighted":
-        prec, rec, f1 = _prf_from_counts(tp, fp, fn)
         support = t.sum(axis=0).astype(np.float64)
         total = support.sum()
         if total == 0:
@@ -111,45 +112,8 @@ def prf(
             float(sum((rec * support).tolist()) / total),
             float(sum((f1 * support).tolist()) / total),
         )
-    # samples: per-row metrics, then their mean
-    row_tp = (t & p).sum(axis=1)
-    row_fp = (~t & p).sum(axis=1)
-    row_fn = (t & ~p).sum(axis=1)
-    prec, rec, f1 = _prf_from_counts(row_tp, row_fp, row_fn)
+    # macro: per column, samples: per row, then their mean
     return _left_fold_mean(prec), _left_fold_mean(rec), _left_fold_mean(f1)
-
-
-# Which axis each averaging ranks along: one AUC per column for macro and
-# weighted, one per row for samples, one over the flattened matrix for micro.
-_AUC_AXIS = {"micro": None, "samples": 1, "macro": 0, "weighted": 0}
-
-
-def _sorted_midranks(ordered: np.ndarray) -> np.ndarray:
-    """1-based ranks of values already sorted along the last axis, ties
-    given the mean of their rank range.
-
-    A tie run is a stretch of equal neighbours; NaN sorts last and equals
-    nothing, so each NaN is a run of its own."""
-    n = ordered.shape[-1]
-    position = np.arange(n)
-    starts_run = np.ones(ordered.shape, dtype=bool)
-    starts_run[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    ends_run = np.ones(ordered.shape, dtype=bool)
-    ends_run[..., :-1] = starts_run[..., 1:]
-    start = np.maximum.accumulate(np.where(starts_run, position, 0), axis=-1)
-    end = np.minimum.accumulate(
-        np.where(ends_run, position, n - 1)[..., ::-1], axis=-1
-    )[..., ::-1]
-    return (start + end) / 2.0 + 1.0
-
-
-def _sorted_rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per slice, the midrank sum of the finite positives: every cell ranked
-    from one argsort per slice."""
-    order = np.argsort(s, axis=-1)
-    ranks = _sorted_midranks(np.take_along_axis(s, order, axis=-1))
-    positive = np.take_along_axis(finite_pos, order, axis=-1)
-    return np.where(positive, ranks, 0.0).sum(axis=-1)
 
 
 def _count_leading(ordered, base, n, value, below) -> np.ndarray:
@@ -167,7 +131,7 @@ def _count_leading(ordered, base, n, value, below) -> np.ndarray:
     return count
 
 
-def _searched_rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Per slice, the midrank sum of the finite positives: each one's tie
     run [left, right) found by bisection in its slice's sorted scores, so
     that only the positives are ranked."""
@@ -184,13 +148,6 @@ def _searched_rank_sums(finite_pos: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.bincount(rows, weights=twice_midrank, minlength=m) / 2.0
 
 
-# The search costs about 2 log2(n) gathers per positive, the sort a pass
-# over every cell.  The search was as fast as the sort at P log2(n) of 1.1 to
-# 3.7 times the cells on matrices of 0.3 M cells and more; below 0.6 it was
-# at least 1.5 times faster on each of them.
-_SEARCH_BELOW = 0.6
-
-
 def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
     """Mann-Whitney AUC, ties counted half, of every slice along axis (None:
     the flattened matrix, as a 1-element array), and which of them are
@@ -202,10 +159,7 @@ def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
     n_pos = t.sum(axis=-1)
     n_neg = t.shape[-1] - n_pos
     nan = np.isnan(s)
-    if n_pos.sum() * np.log2(t.shape[-1]) < _SEARCH_BELOW * t.size:
-        rank_sum = _searched_rank_sums(t & ~nan, s)
-    else:
-        rank_sum = _sorted_rank_sums(t & ~nan, s)
+    rank_sum = _rank_sums(t & ~nan, s)
     nan_pos = t & nan
     if nan_pos.any():
         # NaN ranks after the slice's finite scores, in input order
@@ -236,7 +190,7 @@ def roc_auc_detail(
     if averaging not in AVERAGINGS:
         raise MetricsError(f"unknown averaging {averaging!r}")
     t = y_true.astype(bool)
-    aucs = _binary_aucs(t, y_score.astype(np.float64), _AUC_AXIS[averaging])
+    aucs = _binary_aucs(t, y_score.astype(np.float64), _AXIS[averaging])
     return _average_auc(t, averaging, *aucs)
 
 
@@ -269,7 +223,7 @@ def compute_report(
     report = MetricReport(threshold=threshold)
     for averaging in AVERAGINGS:
         precision, recall, f1 = prf(y_true, y_pred, averaging)
-        axis = _AUC_AXIS[averaging]
+        axis = _AXIS[averaging]
         aucs = per_column if axis == 0 else _binary_aucs(t, s, axis)
         auc, excluded = _average_auc(t, averaging, *aucs)
         report.values[averaging] = {
@@ -289,10 +243,7 @@ def per_class_f1_rows(
     if len(labels) != y_true.shape[1]:
         raise MetricsError(f"{len(labels)} labels for {y_true.shape[1]} columns")
     t = y_true.astype(bool)
-    p = y_pred.astype(bool)
-    _, _, f1 = _prf_from_counts(
-        (t & p).sum(axis=0), (~t & p).sum(axis=0), (t & ~p).sum(axis=0)
-    )
+    _, _, f1 = _prf_from_counts(*_confusion(t, y_pred.astype(bool), 0))
     support = t.sum(axis=0)
     return [
         (cid, int(support[j]), float(f1[j])) for j, cid in enumerate(labels)
@@ -300,11 +251,8 @@ def per_class_f1_rows(
 
 
 def per_molecule_f1_rows(y_true: np.ndarray, y_pred: np.ndarray) -> list[tuple[int, float]]:
-    t = y_true.astype(bool)
-    p = y_pred.astype(bool)
-    _, _, f1 = _prf_from_counts(
-        (t & p).sum(axis=1), (~t & p).sum(axis=1), (t & ~p).sum(axis=1)
-    )
+    y_true, y_pred = _check_shapes(y_true, y_pred)
+    _, _, f1 = _prf_from_counts(*_confusion(y_true.astype(bool), y_pred.astype(bool), 1))
     return [(i, float(f1[i])) for i in range(y_true.shape[0])]
 
 

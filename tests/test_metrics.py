@@ -1,4 +1,3 @@
-import contextlib
 import json
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontograft import metrics
 from ontograft.metrics import (
     AVERAGINGS,
     MetricsError,
@@ -154,16 +152,6 @@ def special_score_matrix(rng, shape, prevalence):
     return y, s
 
 
-@contextlib.contextmanager
-def ranking_path(path):
-    """Force _binary_aucs onto one ranking path: the search always or never
-    meets its selection bound."""
-    bound = {"search": np.inf, "sort": 0.0}[path]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_SEARCH_BELOW", bound)
-        yield
-
-
 class TestBinarize:
     def test_boundary_is_positive(self):
         assert binarize(np.array([[0.5]]), 0.5)[0, 0] == 1
@@ -306,47 +294,26 @@ class TestRocAuc:
             # each NaN score ranks as a tie run of its own, so every AUC stays
             # a number
             assert roc_auc_detail(y, s, averaging) == want, averaging
-            for path in ("search", "sort"):
-                with ranking_path(path):
-                    assert roc_auc_detail(y, s, averaging) == want, (averaging, path)
-
-    @pytest.mark.parametrize("path", ["search", "sort"])
-    @pytest.mark.parametrize("prevalence", [0.02, 0.3])
-    def test_each_path_equals_loop_implementation(self, path, prevalence):
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            y, s = special_score_matrix(rng, (100, 60), prevalence)
-            with ranking_path(path):
-                for averaging in AVERAGINGS:
-                    got = roc_auc_detail(y, s, averaging)
-                    assert got == loop_roc_auc_detail(y, s, averaging), averaging
-
-    @pytest.mark.parametrize("path", ["search", "sort"])
-    def test_signed_zeros_tie(self, path):
-        y = np.array([[1, 0], [0, 1]])
-        s = np.array([[-0.0, 0.0], [0.0, -0.0]])
-        with ranking_path(path):
-            for averaging in AVERAGINGS:
-                assert roc_auc_detail(y, s, averaging) == (0.5, 0), averaging
 
     @pytest.mark.parametrize(
-        "shape, prevalence, ranker",
-        [((600, 500), 0.018, "_searched_rank_sums"), ((84, 18), 0.27, "_sorted_rank_sums")],
+        "shape, prevalence",
+        # (84, 18) at 27% is the toy test split, (600, 500) at 1.8% the paper
+        # benchmark's score matrix
+        [((100, 60), 0.02), ((100, 60), 0.3), ((84, 18), 0.27), ((600, 500), 0.018)],
     )
-    def test_selection_takes_one_path_on_every_axis(self, monkeypatch, shape, prevalence, ranker):
-        # the paper-shaped matrix (1.8% positives) and the toy one (27%)
-        rng = np.random.default_rng(2)
-        y = rng.random(shape) < prevalence
-        s = np.round(rng.random(shape), 4)
-        taken = []
-        for name in ("_searched_rank_sums", "_sorted_rank_sums"):
-            original = getattr(metrics, name)
-            monkeypatch.setattr(
-                metrics, name,
-                lambda t, s, name=name, original=original: taken.append(name) or original(t, s),
-            )
-        compute_report(y, s)
-        assert taken == [ranker] * 3  # columns, rows, the flattened matrix
+    def test_equals_loop_implementation_at_shape(self, shape, prevalence):
+        rng = np.random.default_rng(17)
+        for _ in range(3 if shape[0] * shape[1] < 10**5 else 1):
+            y, s = special_score_matrix(rng, shape, prevalence)
+            for averaging in AVERAGINGS:
+                got = roc_auc_detail(y, s, averaging)
+                assert got == loop_roc_auc_detail(y, s, averaging), averaging
+
+    def test_signed_zeros_tie(self):
+        y = np.array([[1, 0], [0, 1]])
+        s = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        for averaging in AVERAGINGS:
+            assert roc_auc_detail(y, s, averaging) == (0.5, 0), averaging
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (2, 2)])
     def test_degenerate_shapes_equal_loop_implementation(self, shape):
@@ -432,12 +399,24 @@ class TestReports:
         mol_rows = per_molecule_f1_rows(y_true, y_pred)
         assert mol_rows[0] == (0, 1.0)
 
+    @pytest.mark.parametrize("pred_shape", [(1, 3), (3,), (3, 1)])
+    def test_per_molecule_rows_need_equal_shapes(self, pred_shape):
+        # a prediction that numpy would broadcast over the 3 x 3 truth
+        y_true = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        y_pred = np.ones(pred_shape, dtype=np.int8)
+        with pytest.raises(MetricsError, match="shape mismatch"):
+            per_molecule_f1_rows(y_true, y_pred)
+        with pytest.raises(MetricsError, match="shape mismatch"):
+            per_class_f1_rows(y_true, y_pred, LabelIndex(("A", "B", "C")))
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty_matrix_is_a_metrics_error(self, shape):
         with pytest.raises(MetricsError, match="empty"):
             compute_report(np.zeros(shape), np.zeros(shape))
         with pytest.raises(MetricsError, match="empty"):
             prf(np.zeros(shape), np.zeros(shape), "samples")
+        with pytest.raises(MetricsError, match="empty"):
+            per_molecule_f1_rows(np.zeros(shape), np.zeros(shape))
 
     @pytest.mark.parametrize("classes", [("A", "B"), ("A", "B", "C", "D")])
     def test_per_class_rows_need_one_label_per_column(self, classes):
