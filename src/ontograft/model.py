@@ -814,7 +814,8 @@ def save_model(store: ParameterStore, config: ModelConfig, path) -> None:
 def load_model(path) -> tuple[ParameterStore, ModelConfig, bytes]:
     """Inverse of save_model; also returns any bytes after the last array
     (``b""`` for a file save_model wrote, the optimizer state for a
-    checkpoint written by an older version).  Each array is read from the
+    checkpoint written by an older version).  Every CLI stage refuses a
+    file with such bytes (``cli._load_model``).  Each array is read from the
     file into its view of the parameter arena, so loading holds one array's
     bytes beyond the arena.  A file cut short or otherwise unreadable raises
     ModelError."""

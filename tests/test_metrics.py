@@ -296,14 +296,15 @@ class TestRocAuc:
             assert roc_auc_detail(y, s, averaging) == want, averaging
 
     @pytest.mark.parametrize(
-        "shape, prevalence",
+        "shape, prevalence, matrices",
         # (84, 18) at 27% is the toy test split, (600, 500) at 1.8% the paper
         # benchmark's score matrix
-        [((100, 60), 0.02), ((100, 60), 0.3), ((84, 18), 0.27), ((600, 500), 0.018)],
+        [((100, 60), 0.02, 3), ((100, 60), 0.3, 3), ((84, 18), 0.27, 3), ((600, 500), 0.018, 1)],
+        ids=["100x60-sparse", "100x60-dense", "toy", "paper"],
     )
-    def test_equals_loop_implementation_at_shape(self, shape, prevalence):
+    def test_equals_loop_implementation_at_shape(self, shape, prevalence, matrices):
         rng = np.random.default_rng(17)
-        for _ in range(3 if shape[0] * shape[1] < 10**5 else 1):
+        for _ in range(matrices):
             y, s = special_score_matrix(rng, shape, prevalence)
             for averaging in AVERAGINGS:
                 got = roc_auc_detail(y, s, averaging)
