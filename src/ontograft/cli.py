@@ -20,6 +20,8 @@ import sys
 from itertools import chain
 from typing import NamedTuple
 
+import numpy as np
+
 from . import attribution, dataset, extension, metrics, ontology, tokenizer as tok
 from ._io import atomic_write_text, read_failure
 from .config import (
@@ -335,11 +337,18 @@ def _cmd_evaluate(args, cfg: RunConfig, inputs) -> None:
         # score each column against the wrong class
         raise dataset.DatasetError(f"{args.labels} does not match the header of {args.test}")
     store, mcfg = inputs.model
-    report, class_rows, molecule_rows = metrics.evaluate_model(
-        store, mcfg, inputs.tokenizer, molecules, labels, threshold=cfg.threshold,
-        batch_size=cfg.batch_size,
+    _, y_score = extension.score_molecules(
+        store, mcfg, inputs.tokenizer, labels, [m.smiles for m in molecules], cfg.batch_size
     )
-    metrics.write_report(report, class_rows, molecule_rows, args.out)
+    if not molecules:
+        raise metrics.MetricsError("no molecules to evaluate")
+    y_true = np.stack([m.labels for m in molecules]).astype(np.int8)
+    y_pred = metrics.binarize(y_score, cfg.threshold)
+    report = metrics.compute_report(y_true, y_score, cfg.threshold)
+    metrics.write_report(
+        report, metrics.per_class_f1_rows(y_true, y_pred, labels),
+        metrics.per_molecule_f1_rows(y_true, y_pred), args.out,
+    )
     for averaging in metrics.AVERAGINGS:
         vals = report.values[averaging]
         logger.info(
@@ -386,10 +395,7 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         raise ConfigError("explain needs exactly one of --smiles or --input")
     tokenizer, labels = inputs.tokenizer, inputs.labels
     store, mcfg = inputs.model
-    if len(labels) != mcfg.n_labels:
-        raise attribution.AttributionError(
-            f"label index has {len(labels)} classes, model expects {mcfg.n_labels}"
-        )
+    labels.check_fit(mcfg.n_labels)
     attribution.check_layer(args.layer, mcfg.n_layers)
     smiles_list = [args.smiles] if inputs.input is None else inputs.input
     seqs = [tokenizer.encode(smiles, truncate=True) for smiles in smiles_list]
@@ -408,11 +414,9 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         seq = seqs[i]
         attrib = attribution.token_importance(output.attention, seq, tokenizer, layer=args.layer)
         shares = attribution.head_token_share(output.attention, seq, tokenizer)
-        predictions = [
-            (labels.classes[j], float(output.probabilities[j]))
-            for j in range(len(labels))
-            if output.probabilities[j] >= cfg.threshold
-        ]
+        accept = metrics.binarize(output.probabilities, cfg.threshold)
+        predictions = [(cid, float(p)) for cid, p, keep
+                       in zip(labels.classes, output.probabilities, accept) if keep]
         predictions.sort(key=lambda item: (-item[1], item[0]))
         html_doc = attribution.render_report(
             smiles_list[i], attrib, shares, predictions, threshold=cfg.threshold

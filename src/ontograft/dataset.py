@@ -47,6 +47,13 @@ class LabelIndex:
         except KeyError:
             raise UnknownClassError(class_id) from None
 
+    def check_fit(self, n_outputs: int) -> None:
+        """One class per label output of the model, or a DatasetError."""
+        if len(self.classes) != n_outputs:
+            raise DatasetError(
+                f"label index has {len(self.classes)} classes, model expects {n_outputs}"
+            )
+
 
 @dataclass(eq=False)
 class LabeledMolecule:

@@ -1,8 +1,9 @@
-"""Classify unseen SMILES against the label classes and graft the accepted
-predictions into the ontology as new leaf classes with is_a edges.
+"""Score and classify unseen SMILES against the label classes, and graft the
+accepted predictions into the ontology as new leaf classes with is_a edges.
 
-Molecules where nothing clears the threshold never produce edges; they are
-reported with their top-scoring suggestions instead.
+``score_molecules`` is the scoring step of ``evaluate``, ``classify`` and
+``extend``.  Molecules where nothing clears the threshold never produce
+edges; they are reported with their top-scoring suggestions instead.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import LabelIndex
+from .metrics import binarize
 from .model import ModelConfig, ParameterStore, predict_probabilities
 from .ontology import OntologyClass, OntologyGraph, UnknownClassError
-from .tokenizer import Tokenizer
+from .tokenizer import TokenSequence, Tokenizer
 
 
 class ExtensionError(Exception):
@@ -27,7 +29,7 @@ class ExtensionError(Exception):
 class ClassificationResult:
     smiles: str
     probabilities: np.ndarray  # aligned with the label index
-    accepted: list[str]  # label class ids with probability >= threshold
+    accepted: list[str]  # label class ids that metrics.binarize accepts
     below_threshold: bool
     top_k: list[tuple[str, float]]  # fallback suggestions, highest first
     truncated: bool = False
@@ -54,6 +56,21 @@ class ChangeReport:
         ) + "\n"
 
 
+def score_molecules(
+    store: ParameterStore,
+    config: ModelConfig,
+    tokenizer: Tokenizer,
+    labels: LabelIndex,
+    smiles_list: list[str],
+    batch_size: int = 32,
+) -> tuple[list[TokenSequence], np.ndarray]:
+    """Each molecule's encoding, over-length ones truncated with a flag
+    (inference degrades gracefully), and its row of label probabilities."""
+    labels.check_fit(config.n_labels)
+    seqs = [tokenizer.encode(s, truncate=True) for s in smiles_list]
+    return seqs, predict_probabilities(store, config, seqs, batch_size)
+
+
 def classify_batch(
     store: ParameterStore,
     config: ModelConfig,
@@ -64,24 +81,19 @@ def classify_batch(
     top_k: int = 3,
     batch_size: int = 32,
 ) -> list[ClassificationResult]:
-    """Encode, run the model, threshold the sigmoid probabilities.
+    """Score (``score_molecules``), then threshold the probabilities.
 
-    Over-length inputs are truncated with a flag (inference degrades
-    gracefully).  If nothing is accepted, the top_k highest-probability
-    labels are reported as suggestions only.
+    If nothing is accepted, the top_k highest-probability labels are
+    reported as suggestions only.
     """
     if not 0.0 < threshold < 1.0:
         raise ExtensionError(f"threshold must be in (0, 1), got {threshold}")
-    if len(labels) != config.n_labels:
-        raise ExtensionError(
-            f"label index has {len(labels)} classes, model expects {config.n_labels}"
-        )
-    seqs = [tokenizer.encode(s, truncate=True) for s in smiles_list]
-    probs = predict_probabilities(store, config, seqs, batch_size)
+    seqs, probs = score_molecules(store, config, tokenizer, labels, smiles_list, batch_size)
+    accept = binarize(probs, threshold)
     results = []
     for i, smiles in enumerate(smiles_list):
         p = probs[i]
-        accepted = [labels.classes[j] for j in range(len(labels)) if p[j] >= threshold]
+        accepted = [cid for cid, keep in zip(labels.classes, accept[i]) if keep]
         ranked = sorted(range(len(labels)), key=lambda j: (-p[j], j))
         suggestions = [(labels.classes[j], float(p[j])) for j in ranked[:top_k]]
         results.append(

@@ -1,5 +1,6 @@
 """Multi-label precision/recall/F1 and ROC-AUC under the four averaging
-schemes (samples, micro, macro, weighted).
+schemes (samples, micro, macro, weighted) from arrays of truth and scores,
+and the report files.  ``binarize`` is the one acceptance rule.
 
 Zero-division convention throughout: a precision, recall, or F1 whose
 denominator is 0 evaluates to 0.  Per-class AUC is undefined for single-class
@@ -29,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import atomic_write_text
-from .dataset import LabeledMolecule, LabelIndex
-from .model import ModelConfig, ParameterStore, predict_probabilities
-from .tokenizer import Tokenizer
+from .dataset import LabelIndex
 
 AVERAGINGS = ("samples", "micro", "macro", "weighted")
 
@@ -90,6 +89,21 @@ def _left_fold_mean(values: np.ndarray) -> float:
     return sum(values.tolist()) / values.size
 
 
+def _average_prf(support: np.ndarray, averaging: str, prec, rec, f1):
+    """(precision, recall, f1) averaged from the values along the
+    averaging's axis; ``support`` is each column's positive count."""
+    if averaging == "micro":
+        return float(prec), float(rec), float(f1)
+    if averaging == "weighted":
+        weights = support.astype(np.float64)
+        total = weights.sum()
+        if total == 0:
+            return 0.0, 0.0, 0.0
+        return tuple(float(sum((v * weights).tolist()) / total) for v in (prec, rec, f1))
+    # macro: per column, samples: per row, then their mean
+    return _left_fold_mean(prec), _left_fold_mean(rec), _left_fold_mean(f1)
+
+
 def prf(
     y_true: np.ndarray, y_pred: np.ndarray, averaging: str
 ) -> tuple[float, float, float]:
@@ -98,22 +112,8 @@ def prf(
     if averaging not in AVERAGINGS:
         raise MetricsError(f"unknown averaging {averaging!r}")
     t = y_true.astype(bool)
-    p = y_pred.astype(bool)
-    prec, rec, f1 = _prf_from_counts(*_confusion(t, p, _AXIS[averaging]))
-    if averaging == "micro":
-        return float(prec), float(rec), float(f1)
-    if averaging == "weighted":
-        support = t.sum(axis=0).astype(np.float64)
-        total = support.sum()
-        if total == 0:
-            return 0.0, 0.0, 0.0
-        return (
-            float(sum((prec * support).tolist()) / total),
-            float(sum((rec * support).tolist()) / total),
-            float(sum((f1 * support).tolist()) / total),
-        )
-    # macro: per column, samples: per row, then their mean
-    return _left_fold_mean(prec), _left_fold_mean(rec), _left_fold_mean(f1)
+    values = _prf_from_counts(*_confusion(t, y_pred.astype(bool), _AXIS[averaging]))
+    return _average_prf(t.sum(axis=0), averaging, *values)
 
 
 def _count_leading(ordered, base, n, value, below) -> np.ndarray:
@@ -170,15 +170,16 @@ def _binary_aucs(t: np.ndarray, s: np.ndarray, axis: int | None):
     return auc, (n_pos > 0) & (n_neg > 0)
 
 
-def _average_auc(t: np.ndarray, averaging: str, auc: np.ndarray, defined: np.ndarray):
-    """(average of the defined AUCs, number of undefined ones excluded)."""
+def _average_auc(support: np.ndarray, averaging: str, auc: np.ndarray, defined: np.ndarray):
+    """(average of the defined AUCs, number of undefined ones excluded);
+    ``support`` is each column's positive count."""
     excluded = int(defined.size - defined.sum())
     valid = auc[defined]
     if valid.size == 0:
         return 0.0, excluded
     if averaging == "weighted":
-        support = t.sum(axis=0)[defined].astype(np.float64)
-        return float(sum((valid * support).tolist()) / support.sum()), excluded
+        weights = support[defined].astype(np.float64)
+        return float(sum((valid * weights).tolist()) / weights.sum()), excluded
     return float(np.mean(valid)), excluded
 
 
@@ -191,7 +192,7 @@ def roc_auc_detail(
         raise MetricsError(f"unknown averaging {averaging!r}")
     t = y_true.astype(bool)
     aucs = _binary_aucs(t, y_score.astype(np.float64), _AXIS[averaging])
-    return _average_auc(t, averaging, *aucs)
+    return _average_auc(t.sum(axis=0), averaging, *aucs)
 
 
 @dataclass
@@ -216,16 +217,20 @@ def compute_report(
     y_true: np.ndarray, y_score: np.ndarray, threshold: float = 0.5
 ) -> MetricReport:
     y_true, y_score = _check_shapes(y_true, y_score)
-    y_pred = binarize(y_score, threshold)
     t = y_true.astype(bool)
+    p = binarize(y_score, threshold).astype(bool)
     s = y_score.astype(np.float64)
-    per_column = _binary_aucs(t, s, 0)  # shared by macro and weighted
+    support = t.sum(axis=0)
+    # one count and one ranking per axis: macro and weighted share the columns'
+    per_axis = {
+        axis: (_prf_from_counts(*_confusion(t, p, axis)), _binary_aucs(t, s, axis))
+        for axis in (None, 1, 0)
+    }
     report = MetricReport(threshold=threshold)
     for averaging in AVERAGINGS:
-        precision, recall, f1 = prf(y_true, y_pred, averaging)
-        axis = _AXIS[averaging]
-        aucs = per_column if axis == 0 else _binary_aucs(t, s, axis)
-        auc, excluded = _average_auc(t, averaging, *aucs)
+        values, aucs = per_axis[_AXIS[averaging]]
+        precision, recall, f1 = _average_prf(support, averaging, *values)
+        auc, excluded = _average_auc(support, averaging, *aucs)
         report.values[averaging] = {
             "f1": f1,
             "precision": precision,
@@ -254,32 +259,6 @@ def per_molecule_f1_rows(y_true: np.ndarray, y_pred: np.ndarray) -> list[tuple[i
     y_true, y_pred = _check_shapes(y_true, y_pred)
     _, _, f1 = _prf_from_counts(*_confusion(y_true.astype(bool), y_pred.astype(bool), 1))
     return [(i, float(f1[i])) for i in range(y_true.shape[0])]
-
-
-def evaluate_model(
-    store: ParameterStore,
-    config: ModelConfig,
-    tokenizer: Tokenizer,
-    molecules: list[LabeledMolecule],
-    labels: LabelIndex,
-    threshold: float = 0.5,
-    batch_size: int = 32,
-):
-    """Full report plus the per-class and per-molecule F1 tables."""
-    if len(labels) != config.n_labels:
-        raise MetricsError(
-            f"label index has {len(labels)} classes, model expects {config.n_labels}"
-        )
-    if not molecules:
-        raise MetricsError("no molecules to evaluate")
-    seqs = [tokenizer.encode(m.smiles, truncate=True) for m in molecules]
-    y_true = np.stack([m.labels for m in molecules]).astype(np.int8)
-    y_score = predict_probabilities(store, config, seqs, batch_size)
-    y_pred = binarize(y_score, threshold)
-    report = compute_report(y_true, y_score, threshold)
-    class_rows = per_class_f1_rows(y_true, y_pred, labels)
-    molecule_rows = per_molecule_f1_rows(y_true, y_pred)
-    return report, class_rows, molecule_rows
 
 
 def write_report(report: MetricReport, class_rows, molecule_rows, out_dir: str) -> None:

@@ -224,6 +224,12 @@ class TrainConfig:
             raise TrainingError(
                 "epochs must be >= 0, batch_size >= 1 and checkpoint_every >= 0"
             )
+        # NaN fails both comparisons
+        if not (0.0 < self.learning_rate < np.inf and 0.0 <= self.weight_decay < np.inf):
+            raise TrainingError(
+                "learning_rate must be finite and > 0, and weight_decay finite and >= 0, "
+                f"got {self.learning_rate} and {self.weight_decay}"
+            )
 
 
 @dataclass

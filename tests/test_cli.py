@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ontograft import cli, metrics, model, ontology, tokenizer
+from ontograft import cli, extension, metrics, model, ontology, tokenizer
 from ontograft.cli import build_parser, main
 from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
@@ -278,6 +278,36 @@ class TestErrors:
         assert err.splitlines()[-1] == "ERROR\tconfig\t[training] checkpoint_every must be >= 0, got -1"
         assert not out.exists() and not checkpoints.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("setting", [
+        "learning_rate = -1", "learning_rate = 0", "learning_rate = nan", "weight_decay = -5",
+    ], ids=["negative_rate", "zero_rate", "nan_rate", "negative_decay"])
+    def test_untrainable_step_settings(self, workspace, tmp_path, capsys, monkeypatch,
+                                       command, setting):
+        """A learning rate that is not finite and above 0, or a negative
+        weight decay, would train uphill or to NaN weights: it fails before
+        the model is built or loaded."""
+        made = []
+        monkeypatch.setattr(cli, "init_model", lambda *args: made.append(args))
+        monkeypatch.setattr(cli, "load_model", lambda path: made.append(path))
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text().replace("learning_rate = 0.003", setting))
+        out = tmp_path / "m.bin"
+        inputs = {
+            "pretrain": ["--train", str(workspace["dataset"] / "train.tsv"),
+                         "--labels", str(workspace["dataset"] / "labels.txt")],
+            "finetune": ["--model", str(workspace["pretrained"]),
+                         "--dataset", str(workspace["dataset"])],
+        }[command]
+        code = main([command, "--config", str(config), "--tokenizer", str(workspace["tokenizer"]),
+                     *inputs, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "ERROR\ttraining\tlearning_rate must be finite and > 0, and weight_decay")
+        assert made == [] and sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     def test_pretrain_encodes_before_it_allocates(self, workspace, tmp_path, capsys, monkeypatch):
         short = tmp_path / "short.txt"
         trained = tokenizer.Tokenizer.load(workspace["tokenizer"])
@@ -372,7 +402,7 @@ class TestErrors:
         """``evaluate --out`` names a directory: a file there fails before
         the test split is scored."""
         scored = []
-        monkeypatch.setattr(metrics, "evaluate_model", lambda *args, **kwargs: scored.append(args))
+        monkeypatch.setattr(extension, "score_molecules", lambda *args: scored.append(args))
         out = tmp_path / "report"
         out.write_text("kept\n")
         code = main(["evaluate", "--config", str(workspace["config"]),
@@ -670,23 +700,43 @@ class TestErrors:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("mismatch", ["extra_class", "one_class"])
-    def test_explain_labels_must_match_model(self, workspace, tmp_path, capsys, mismatch):
+    @pytest.mark.parametrize("command", ["classify", "extend", "evaluate", "explain"])
+    def test_labels_must_match_model(self, workspace, tmp_path, capsys, command, mismatch):
         """An extra class indexed past the model's outputs; fewer classes
-        paired the model's columns with the wrong labels."""
+        paired the model's columns with the wrong labels.  Every stage that
+        runs the model refuses both before it writes."""
         classes = (workspace["dataset"] / "labels.txt").read_text().split()
-        labels = tmp_path / "labels.txt"
         chosen = classes + ["EXTRA:1"] if mismatch == "extra_class" else classes[:1]
+        labels = tmp_path / "labels.txt"
         labels.write_text("\n".join(chosen) + "\n")
-        out = tmp_path / "explain"
-        code = main(["explain", "--config", str(workspace["config"]),
+        # evaluate takes its classes from the test TSV's label columns
+        test = tmp_path / "test.tsv"
+        width = 1 + min(len(chosen), len(classes))  # smiles and the kept label columns
+        cells = [line.split("\t")[:width] for line in
+                 (workspace["dataset"] / "test.tsv").read_text().splitlines()]
+        if mismatch == "extra_class":
+            cells = [cells[0] + ["EXTRA:1"]] + [row + ["0"] for row in cells[1:]]
+        test.write_text("".join("\t".join(row) + "\n" for row in cells))
+        out = tmp_path / "out"
+        given = {
+            "classify": ["--labels", str(labels), "--input", str(workspace["queries"]),
+                         "--out", str(out)],
+            "extend": ["--labels", str(labels), "--input", str(workspace["queries"]),
+                       "--ontology", str(workspace["obo"]),
+                       "--out-ontology", str(out), "--out-report", str(tmp_path / "changes.json")],
+            "evaluate": ["--test", str(test), "--out", str(out)],
+            "explain": ["--labels", str(labels), "--smiles", "CC(NN)CCC", "--out", str(out)],
+        }[command]
+        code = main([command, "--config", str(workspace["config"]),
                      "--model", str(workspace["finetuned"]),
-                     "--tokenizer", str(workspace["tokenizer"]),
-                     "--labels", str(labels), "--smiles", "CC(NN)CCC", "--out", str(out)])
+                     "--tokenizer", str(workspace["tokenizer"]), *given])
         assert code == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith("ERROR\texplainability\t")
-        assert not out.exists()
+        assert err.splitlines()[-1] == (
+            f"ERROR\tdataset\tlabel index has {len(chosen)} classes, "
+            f"model expects {len(classes)}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.txt", "test.tsv"]
 
     def test_cycle_reported_as_ontology_error(self, tmp_path, capsys):
         obo = tmp_path / "cyc.obo"

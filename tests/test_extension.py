@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ontograft.dataset import DatasetSplits, LabelIndex, LabeledMolecule
+from ontograft.dataset import DatasetError, DatasetSplits, LabelIndex, LabeledMolecule
 from ontograft.extension import (
     ClassificationResult,
     ExtensionError,
@@ -90,7 +90,7 @@ class TestClassify:
 
     def test_label_width_check(self, toy_model):
         store, config, tok, _, _ = toy_model
-        with pytest.raises(ExtensionError):
+        with pytest.raises(DatasetError, match="label index has 1 classes, model expects 3"):
             classify_batch(store, config, tok, LabelIndex(("A",)), ["CC"])
 
     def test_overlong_input_truncated_with_flag(self, toy_model):

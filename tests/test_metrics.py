@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -384,6 +386,19 @@ class TestReports:
         doc = json.loads(report.to_json())
         assert set(doc["metrics"]) == set(AVERAGINGS)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_report_scores_equal_prf(self, n, k, seed):
+        """compute_report counts each axis once; its scores are prf's."""
+        rng = np.random.default_rng(seed)
+        y = (rng.random((n, k)) < 0.4).astype(np.int8)
+        s = np.round(rng.random((n, k)), 1)
+        report = compute_report(y, s, 0.5)
+        for averaging in AVERAGINGS:
+            got = report.values[averaging]
+            want = prf(y, binarize(s, 0.5), averaging)
+            assert (got["precision"], got["recall"], got["f1"]) == want
+
     def test_random_scores_near_half_auc(self):
         rng = np.random.default_rng(8)
         y = (rng.random((400, 10)) < 0.5).astype(np.int8)
@@ -435,3 +450,19 @@ class TestReports:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "per_class_f1.csv").read_text().startswith("class_id,support,f1")
         assert (tmp_path / "per_molecule_f1.csv").read_text().startswith("row_index,f1")
+
+
+def test_metrics_does_not_import_the_model():
+    """metrics scores arrays; the model runs in extension.score_molecules."""
+    source = Path(__file__).resolve().parents[1] / "src" / "ontograft" / "metrics.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            if node.module is None:  # from . import model
+                imported.update(base + alias.name for alias in node.names)
+    assert ".dataset" in imported  # the walk sees the relative imports
+    assert imported.isdisjoint({".model", ".tokenizer", "ontograft.model", "ontograft.tokenizer"})
