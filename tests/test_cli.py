@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ontograft import cli, extension, metrics, model, ontology, tokenizer
+from ontograft import cli, extension, model, ontology, tokenizer
 from ontograft.cli import build_parser, main
 from ontograft.config import SETTINGS, build_run_config, setting_type
 from ontograft.ontology import load_obo, save_obo
@@ -706,8 +706,8 @@ class TestErrors:
         paired the model's columns with the wrong labels.  Every stage that
         runs the model refuses both before it writes."""
         classes = (workspace["dataset"] / "labels.txt").read_text().split()
-        chosen = classes + ["EXTRA:1"] if mismatch == "extra_class" else classes[:1]
         labels = tmp_path / "labels.txt"
+        chosen = classes + ["EXTRA:1"] if mismatch == "extra_class" else classes[:1]
         labels.write_text("\n".join(chosen) + "\n")
         # evaluate takes its classes from the test TSV's label columns
         test = tmp_path / "test.tsv"
