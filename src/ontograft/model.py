@@ -13,6 +13,14 @@ layer's attention probabilities into one [layers, heads, L, L] array per
 item, at the item's own length L, and inference and validation hold one
 layer's activations at a time.
 
+The last layer's attention runs on every token; its tail (output
+projection, second layer norm, FFN) and the final layer norm run only on
+the rows the pass reads: the BOS rows in ``predict_logits`` (classification
+and fine-tuning validation), the masked rows in ``mlm_loss_value``
+(pretraining validation), every row in ``forward`` and ``loss_and_grad``.
+A selection of one row out of a batch of two or more tokens runs the tail
+on two rows and drops one, since a one-row product rounds differently.
+
 Position-wise work (embeddings, layer norms, the Q/K/V and output
 projections, the FFN, both heads, and all of their gradients) runs on the
 batch's real tokens, packed into one [n_tokens, d] matrix.  Attention runs
@@ -467,6 +475,7 @@ def _forward_core(
     batch: list[TokenSequence],
     rng: np.random.Generator | None = None,
     on_layer: Callable[[dict], None] | None = None,
+    keep: Callable[[_Packing], np.ndarray] | None = None,
 ):
     """Pack ``batch`` and run the encoder stack; the one way into the encoder.
 
@@ -477,9 +486,19 @@ def _forward_core(
     layer's activations are alive at a time.  Returns the packed final
     hidden states and what the backward pass needs beyond the layer caches:
     the packing and the final layer norm's cache.
+
+    ``keep``, if given, maps the packing to the packed rows the caller reads,
+    and is called before any encoder work.  The last layer's attention still
+    runs on every token, so its probabilities and context keep their bits;
+    the rest of that layer and the final layer norm run on the kept rows
+    alone, and the hidden states returned are those rows, in ``keep``'s
+    order.  A one-row selection from a batch of two or more tokens runs on
+    that row twice: a one-row product is a matrix-vector product, which
+    rounds differently from the full pass (see TestGemmRows).
     """
     pk = _pack(batch, config)
     p = store.params
+    rows = None if keep is None else keep(pk)
 
     x = p["tok_emb"][pk.ids] + p["pos_emb"][pk.positions]
     for i in range(config.n_layers):
@@ -487,6 +506,9 @@ def _forward_core(
         h1, ln1_cache = _layer_norm(x, p[lp + "ln1.g"], p[lp + "ln1.b"])
         q, k, v = (h1 @ p[lp + f"attn.w{proj}"] + p[lp + f"attn.b{proj}"] for proj in "qkv")
         ctx, attention = _attention(q, k, v, pk, config, rng)
+        if rows is not None and i == config.n_layers - 1:
+            tail = np.repeat(rows, 2) if len(rows) == 1 < len(pk.ids) else rows
+            x, ctx = x[tail], ctx[tail]
         x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
@@ -498,19 +520,19 @@ def _forward_core(
                           h2=h2, ln2=ln2_cache, a1=a1, e1=e1, g1=g1))
 
     hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
+    if rows is not None:
+        hidden = hidden[:len(rows)]
     return hidden, (pk, final_ln_cache)
 
 
-def _classification_logits(store: ParameterStore, hidden: np.ndarray, offsets: np.ndarray):
-    """The classification head on the packed BOS rows: (BOS rows, logits).
+def _classification_logits(store: ParameterStore, bos: np.ndarray):
+    """The classification head on the items' BOS rows.
 
     The head runs as a stack of one-row products, one per item: numpy
     computes a one-row product as a matrix-vector product, which rounds
     differently from a product of several rows, so each item's logits have
     the bits the item gets alone."""
-    bos = hidden[offsets]
-    logits = (bos[:, None] @ store.params["cls.w"])[:, 0] + store.params["cls.b"]
-    return bos, logits
+    return (bos[:, None] @ store.params["cls.w"])[:, 0] + store.params["cls.b"]
 
 
 def forward(
@@ -547,7 +569,7 @@ def forward(
 
     hidden, (pk, _) = _forward_core(store, config, batch,
                                     on_layer=capture if capture_attention else None)
-    _, logits = _classification_logits(store, hidden, pk.offsets)
+    logits = _classification_logits(store, hidden[pk.offsets])
     probs = expit(logits)
     return [
         ForwardOutput(
@@ -669,9 +691,9 @@ def _mlm_objective(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits
 
 
-def _gather_mlm(hidden: np.ndarray, pk: _Packing, targets: list[list[tuple[int, int]]]):
-    """The packed hidden rows at the masked positions, their row index in
-    target order, and the original token ids."""
+def _gather_mlm(pk: _Packing, targets: list[list[tuple[int, int]]]):
+    """The packed rows of the masked positions, in target order, and the
+    original token ids."""
     pairs = [(b, pos, original) for b, entries in enumerate(targets) for pos, original in entries]
     if not pairs:
         raise ModelError("MLM batch contains no masked positions")
@@ -679,8 +701,7 @@ def _gather_mlm(hidden: np.ndarray, pk: _Packing, targets: list[list[tuple[int, 
     # a position past its own item would read the next item's row
     if len(targets) > len(pk.offsets) or np.any((pos < 0) | (pos >= pk.lengths[item])):
         raise ModelError("MLM target position outside its sequence")
-    index = pk.offsets[item] + pos
-    return hidden[index], index, tgt
+    return pk.offsets[item] + pos, tgt
 
 
 def mlm_loss_value(
@@ -689,9 +710,16 @@ def mlm_loss_value(
     batch: list[TokenSequence],
     targets: list[list[tuple[int, int]]],
 ) -> float:
-    """Forward-only MLM loss (no gradients touched); used for validation."""
-    hidden, (pk, _) = _forward_core(store, config, batch)
-    rows, _, tgt = _gather_mlm(hidden, pk, targets)
+    """Forward-only MLM loss (no gradients touched); used for validation.
+    The last layer's tail runs on the masked rows alone."""
+
+    def masked_rows(pk):
+        nonlocal tgt
+        index, tgt = _gather_mlm(pk, targets)
+        return index
+
+    tgt = None
+    rows, _ = _forward_core(store, config, batch, keep=masked_rows)
     logits, _ = _mlm_head_forward(store, rows)
     loss, _ = _mlm_objective(logits, tgt)
     return loss
@@ -738,7 +766,8 @@ def loss_and_grad(
             raise ModelError(
                 f"labels shape {y.shape} != {(len(batch), config.n_labels)}"
             )
-        bos, logits = _classification_logits(store, hidden, pk.offsets)
+        bos = hidden[pk.offsets]
+        logits = _classification_logits(store, bos)
         loss = multilabel_loss_value(logits, y)
         dlogits = (expit(logits) - y) / y.size
         np.matmul(bos.T, dlogits, out=g["cls.w"])
@@ -748,8 +777,8 @@ def loss_and_grad(
     else:
         if mlm_targets is None:
             raise ModelError("mlm objective requires mlm_targets")
-        rows, index, tgt = _gather_mlm(hidden, pk, mlm_targets)
-        logits, head_cache = _mlm_head_forward(store, rows)
+        index, tgt = _gather_mlm(pk, mlm_targets)
+        logits, head_cache = _mlm_head_forward(store, hidden[index])
         loss, dlogits = _mlm_objective(logits, tgt)
         d_rows, decoder = _mlm_head_backward(store, g, dlogits, head_cache)
         # np.add.at, not +=: a position listed twice gets both rows, in target order
@@ -772,12 +801,13 @@ def predict_logits(
     batch_size: int = 32,
 ) -> np.ndarray:
     """Classification logits for a list of sequences, batched, without
-    dropout: row ``i`` has the bits of ``forward``'s logits for ``seqs[i]``."""
+    dropout: row ``i`` has the bits of ``forward``'s logits for ``seqs[i]``.
+    The last layer's tail runs on the BOS rows alone."""
     out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
-        hidden, (pk, _) = _forward_core(store, config, chunk)
-        out[start:start + len(chunk)] = _classification_logits(store, hidden, pk.offsets)[1]
+        bos, _ = _forward_core(store, config, chunk, keep=lambda pk: pk.offsets)
+        out[start:start + len(chunk)] = _classification_logits(store, bos)
     return out
 
 

@@ -22,10 +22,12 @@ from ontograft.model import (
     ModelError,
     NumericError,
     _forward_core,
+    _gather_mlm,
     _layer_norm,
     _ERF_BLOCK,
     _layer_norm_backward,
     _mlm_head_forward,
+    _mlm_objective,
     erf,
     expit,
     forward,
@@ -639,9 +641,10 @@ def perturbed_model(dtype):
 class TestBatchInvariance:
     """An item's outputs do not depend on the other items of its batch:
     every output of an item has the bits the item gets alone, and every
-    ``predict_logits`` chunking gives them too.  One-token items are left
-    out: alone, their position-wise products have a single row (see
-    TestGemmRows)."""
+    ``predict_logits`` chunking gives them too.  A one-token item alone
+    makes every position-wise product a one-row product, which rounds
+    differently (see TestGemmRows): its reference is the item beside a copy
+    of itself, and a chunking that leaves it alone is not compared."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -652,12 +655,16 @@ class TestBatchInvariance:
     @example(batch=[[2, 5, 5, 3], [2, 5, 5, 3], [2, 7, 9, 3]], dtype="float32")
     @example(batch=[[5, 6]] * 8, dtype="float64")
     @example(batch=[[5, 6], [3] * 40, [7, 8, 9], [4] * 17], dtype="float64")
+    @example(batch=[[5, 6]], dtype="float64")  # the last layer's tail on two rows, one kept
+    @example(batch=[[5], [9], [7], [3], [12]], dtype="float64")
+    @example(batch=[[5], [9, 4, 4], [7]], dtype="float32")
     def test_items_get_the_bits_they_get_alone(self, batch, dtype):
         config, store = perturbed_model(dtype)
         seqs = [TokenSequence(tuple(ids)) for ids in batch]
         outs = forward(store, config, seqs, capture_attention=True)
         for item, out in zip(seqs, outs):
-            alone = forward(store, config, [item], capture_attention=True)[0]
+            alone = forward(store, config, [item] * (1 if len(item) > 1 else 2),
+                            capture_attention=True)[0]
             for field in ("hidden", "logits", "probabilities", "attention"):
                 assert getattr(out, field).dtype == np.dtype(dtype)
                 npt.assert_array_equal(getattr(out, field), getattr(alone, field), err_msg=field)
@@ -665,7 +672,120 @@ class TestBatchInvariance:
             assert out.attention.shape == (config.n_layers, config.n_heads, n, n)
         want = np.stack([out.logits for out in outs])
         for batch_size in range(1, len(seqs) + 1):
-            npt.assert_array_equal(predict_logits(store, config, seqs, batch_size), want)
+            chunks = [seqs[i:i + batch_size] for i in range(0, len(seqs), batch_size)]
+            if min(sum(map(len, chunk)) for chunk in chunks) > 1:
+                npt.assert_array_equal(predict_logits(store, config, seqs, batch_size), want)
+
+
+@pytest.fixture
+def gelu_rows(monkeypatch):
+    """The row count of every ``_gelu_term`` call from here on: per encoder
+    layer the rows its FFN runs on, then the MLM head's rows."""
+    rows = []
+    term = model_module._gelu_term
+
+    def counting(x):
+        rows.append(len(x))
+        return term(x)
+
+    monkeypatch.setattr(model_module, "_gelu_term", counting)
+    return rows
+
+
+# 6, 3, 4 and 8 tokens
+ROWS_BATCH = [seq(5, 6, 7, 8), seq(9), seq(10, 11), seq(5, 5, 5, 5, 5, 5)]
+
+
+class TestLastLayerRows:
+    """After the last attention, each pass runs the rest of the encoder on
+    the rows it reads: ``predict_logits`` on the BOS rows, ``mlm_loss_value``
+    on the masked rows, ``forward`` and ``loss_and_grad`` on every token.
+    The bit tests above pass whether or not the rows are cut; these count
+    them (the tiny model has two layers)."""
+
+    @pytest.mark.parametrize("batch, batch_size, want", [
+        (ROWS_BATCH, 4, [21, 4]),  # one BOS row per item
+        (ROWS_BATCH, 3, [13, 3, 8, 2]),  # a one-item chunk of 8 tokens runs its BOS row twice
+        ([TokenSequence((5,))], 1, [1, 1]),  # one token: one row already
+    ])
+    def test_predict_logits_runs_the_tail_on_bos_rows(self, gelu_rows, tiny_config, tiny_store,
+                                                       batch, batch_size, want):
+        predict_logits(tiny_store, tiny_config, batch, batch_size)
+        assert gelu_rows == want
+
+    @pytest.mark.parametrize("targets, want", [
+        ([[(1, 5), (3, 8)], [], [(0, 4), (1, 4)], [(2, 7)]], [21, 5, 5]),
+        ([[(1, 5), (1, 6)], [], [], []], [21, 2, 2]),  # a position listed twice runs twice
+        ([[], [], [], [(4, 9)]], [21, 2, 1]),  # one masked row runs twice, the head once
+    ])
+    def test_mlm_loss_value_runs_the_tail_on_masked_rows(self, gelu_rows, tiny_config,
+                                                          tiny_store, targets, want):
+        mlm_loss_value(tiny_store, tiny_config, ROWS_BATCH, targets)
+        assert gelu_rows == want
+
+    @pytest.mark.parametrize("targets", [[[(6, 5)], [], [], []], [[], [], [], []]])
+    def test_bad_mlm_target_fails_before_the_encoder(self, gelu_rows, tiny_config, tiny_store,
+                                                      targets):
+        with pytest.raises(ModelError):
+            mlm_loss_value(tiny_store, tiny_config, ROWS_BATCH, targets)
+        assert gelu_rows == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=BATCHES,
+        masked=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 39), st.integers(0, 19)),
+                        min_size=1, max_size=12),
+        dtype=st.sampled_from(["float64", "float32"]),
+    )
+    @example(batch=[[5, 6, 7], [8, 9]], masked=[(1, 1, 4)], dtype="float64")  # one masked row
+    @example(batch=[[5, 6, 7], [8, 9]], masked=[(0, 2, 4), (0, 2, 4)], dtype="float32")
+    @example(batch=[[5, 6, 7, 8]], masked=[(0, 1, 3), (0, 3, 11)], dtype="float64")
+    @example(batch=[[5, 6, 7, 8]], masked=[(0, 2, 9)], dtype="float32")
+    def test_mlm_loss_value_has_the_bits_of_the_full_pass(self, batch, masked, dtype):
+        """``mlm_loss_value`` against the head and objective applied to the
+        gathered rows of a pass that runs every row."""
+        config, store = perturbed_model(dtype)
+        seqs = [TokenSequence(tuple(ids)) for ids in batch]
+        targets = [[] for _ in seqs]
+        for item, pos, original in masked:  # (item, position) folded into the batch
+            item %= len(seqs)
+            targets[item].append((pos % len(seqs[item]), original))
+        hidden, (pk, _) = _forward_core(store, config, seqs)
+        index, tgt = _gather_mlm(pk, targets)
+        want, _ = _mlm_objective(_mlm_head_forward(store, hidden[index])[0], tgt)
+        assert mlm_loss_value(store, config, seqs, targets) == want
+
+    def test_paper_width_float32_logits_are_forward_logits(self):
+        """768/3072 GEMMs, float32, at the bench's classify query lengths in
+        batches of 4, and one query alone."""
+        config = ModelConfig(vocab_size=1395, n_labels=500, n_layers=2, dtype="float32", seed=1)
+        store = init_model(config)
+        rng = np.random.default_rng(0)
+        seqs = [TokenSequence(tuple(rng.integers(4, config.vocab_size, n).tolist()))
+                for n in (128, 92, 200, 164, 20, 56)]
+        want = [out.logits for chunk in (seqs[:4], seqs[4:], seqs[:1])
+                for out in forward(store, config, chunk)]
+        got = np.concatenate([predict_logits(store, config, seqs, batch_size=4),
+                              predict_logits(store, config, seqs[:1])])
+        npt.assert_array_equal(got, np.stack(want))
+
+    def test_forward_and_training_run_every_row(self, gelu_rows, tiny_config, tiny_store):
+        labels = np.zeros((len(ROWS_BATCH), tiny_config.n_labels))
+        for call, want in (
+            (lambda: forward(tiny_store, tiny_config, ROWS_BATCH), [21, 21]),
+            (lambda: forward(tiny_store, tiny_config, ROWS_BATCH, capture_attention=True),
+             [21, 21]),
+            (lambda: loss_and_grad(tiny_store, tiny_config, ROWS_BATCH, "multilabel",
+                                   labels=labels, optimizer=WholeGradient(tiny_store)),
+             [21, 21]),
+            (lambda: loss_and_grad(tiny_store, tiny_config, ROWS_BATCH, "mlm",
+                                   mlm_targets=[[(1, 5)], [], [], []],
+                                   optimizer=WholeGradient(tiny_store)),
+             [21, 21, 1]),
+        ):
+            gelu_rows.clear()
+            call()
+            assert gelu_rows == want
 
 
 def float_arrays(tree):
@@ -711,11 +831,12 @@ class TestInferenceMemory:
         )]
 
     def test_peak_near_one_layer(self):
-        # a one-layer model's peak is one layer's activations (the weights
-        # are allocated before the measurement).  Six layers may add the
-        # previous layer's last arrays while the next one starts (1.34x
-        # measured); keeping every layer's cache reads over 3x.
-        for deep, shallow in zip(self.peaks(6), self.peaks(1)):
+        # a two-layer model's peak is one layer's activations on every token
+        # plus the previous layer's last arrays (the weights are allocated
+        # before the measurement; the last layer's tail runs on the rows the
+        # pass reads, so a one-layer model peaks lower).  Six layers read the
+        # same peak (1.00x measured); keeping every layer's cache reads 3.7x.
+        for deep, shallow in zip(self.peaks(6), self.peaks(2)):
             assert deep < 1.5 * shallow
 
     def test_capture_adds_only_the_returned_attention(self):
