@@ -15,11 +15,9 @@ layer's activations at a time.
 
 The last layer's attention runs on every token; its tail (output
 projection, second layer norm, FFN) and the final layer norm run only on
-the rows the pass reads: the BOS rows in ``predict_logits`` (classification
-and fine-tuning validation), the masked rows in ``mlm_loss_value``
-(pretraining validation), every row in ``forward`` and ``loss_and_grad``.
-A selection of one row out of a batch of two or more tokens runs the tail
-on two rows and drops one, since a one-row product rounds differently.
+the rows the pass reads: BOS rows in ``predict_logits``, masked rows in
+``mlm_loss_value``, every row in ``forward`` and ``loss_and_grad``.  One
+kept row out of two or more tokens runs twice (see ``_forward_core``).
 
 Position-wise work (embeddings, layer norms, the Q/K/V and output
 projections, the FFN, both heads, and all of their gradients) runs on the
@@ -712,16 +710,10 @@ def mlm_loss_value(
 ) -> float:
     """Forward-only MLM loss (no gradients touched); used for validation.
     The last layer's tail runs on the masked rows alone."""
-
-    def masked_rows(pk):
-        nonlocal tgt
-        index, tgt = _gather_mlm(pk, targets)
-        return index
-
-    tgt = None
-    rows, _ = _forward_core(store, config, batch, keep=masked_rows)
+    rows, (pk, _) = _forward_core(store, config, batch,
+                                  keep=lambda pk: _gather_mlm(pk, targets)[0])
     logits, _ = _mlm_head_forward(store, rows)
-    loss, _ = _mlm_objective(logits, tgt)
+    loss, _ = _mlm_objective(logits, _gather_mlm(pk, targets)[1])
     return loss
 
 
