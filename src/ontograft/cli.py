@@ -17,7 +17,6 @@ import json
 import logging
 import os
 import sys
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +37,7 @@ from .model import (
     init_model,
     load_model,
     forward,
+    inference_chunks,
     save_model,
 )
 from .training import (
@@ -403,14 +403,15 @@ def _cmd_explain(args, cfg: RunConfig, inputs) -> None:
         if not attribution.content_positions(seq):
             raise attribution.AttributionError(f"{smiles!r}: sequence has no real tokens")
     os.makedirs(args.out, exist_ok=True)
-    # in input order, one chunk's attention alive at a time; a molecule's
-    # outputs have the bits it gets alone (see model.forward), so the pages
-    # do not depend on the chunking
-    outputs = chain.from_iterable(
-        forward(store, mcfg, seqs[start:start + cfg.batch_size], capture_attention=True)
-        for start in range(0, len(seqs), cfg.batch_size)
+    # one chunk's attention alive at a time; a molecule's outputs have the
+    # bits it gets alone (see model.forward), so the pages do not depend on
+    # the chunking
+    outputs = (
+        (i, output) for chunk in inference_chunks(seqs, mcfg, cfg.batch_size)
+        for i, output in zip(chunk, forward(store, mcfg, [seqs[i] for i in chunk],
+                                            capture_attention=True))
     )
-    for i, output in enumerate(outputs):
+    for i, output in outputs:
         seq = seqs[i]
         attrib = attribution.token_importance(output.attention, seq, tokenizer, layer=args.layer)
         shares = attribution.head_token_share(output.attention, seq, tokenizer)

@@ -19,7 +19,7 @@ from dataclasses import MISSING, fields
 
 from ._io import read_failure
 from .model import ModelConfig
-from .training import MaskingPolicy, TrainConfig
+from .training import MaskingPolicy, TrainConfig, TrainingError
 
 
 class ConfigError(Exception):
@@ -154,15 +154,19 @@ def build_run_config(
     for section, key, least in (
         ("tokenizer", "max_len", 3),  # BOS and EOS take two positions
         ("tokenizer", "min_frequency", 1),
-        ("training", "batch_size", 1),
-        ("training", "checkpoint_every", 0),
         ("extension", "top_k", 0),
         ("extension", "id_width", 0),
     ):
         if sections[section][key] < least:
             raise ConfigValueError(
                 f"[{section}] {key} must be >= {least}, got {sections[section][key]}")
-    return RunConfig(sections)
+    run = RunConfig(sections)
+    try:  # TrainConfig holds the [training] range rules
+        for epochs in (run.pretrain_epochs, run.finetune_epochs):
+            run.build(TrainConfig, "training", epochs=epochs)
+    except TrainingError as exc:
+        raise ConfigValueError(str(exc)) from None
+    return run
 
 
 def write_default_config(path) -> None:

@@ -90,12 +90,12 @@ def classify_batch(
         raise ExtensionError(f"threshold must be in (0, 1), got {threshold}")
     seqs, probs = score_molecules(store, config, tokenizer, labels, smiles_list, batch_size)
     accept = binarize(probs, threshold)
+    ranked = np.argsort(-probs, axis=1, kind="stable")[:, :top_k]  # ties: by label index
     results = []
     for i, smiles in enumerate(smiles_list):
         p = probs[i]
-        accepted = [cid for cid, keep in zip(labels.classes, accept[i]) if keep]
-        ranked = sorted(range(len(labels)), key=lambda j: (-p[j], j))
-        suggestions = [(labels.classes[j], float(p[j])) for j in ranked[:top_k]]
+        accepted = [labels.classes[j] for j in np.flatnonzero(accept[i])]
+        suggestions = [(labels.classes[j], float(p[j])) for j in ranked[i]]
         results.append(
             ClassificationResult(
                 smiles=smiles,

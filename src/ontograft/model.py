@@ -22,11 +22,12 @@ kept row out of two or more tokens runs twice (see ``_forward_core``).
 Position-wise work (embeddings, layer norms, the Q/K/V and output
 projections, the FFN, both heads, and all of their gradients) runs on the
 batch's real tokens, packed into one [n_tokens, d] matrix.  Attention runs
-once per sequence, on its own [heads, L, L] block sliced from the packed
-Q/K/V rows, so no key is padding and none is masked.  An item's outputs
-therefore do not depend on the other items of its batch, as long as a row
-of a matrix product does not depend on the product's other rows (which
-holds for products of two rows or more).
+on views of the packed Q/K/V rows, one [items, heads, L, L] block per run of
+equal-length items, so no key is padding and none is masked.  An item's
+outputs therefore do not depend on the other items of its batch, as long as
+a row of a matrix product does not depend on the product's other rows (which
+holds for products of two rows or more).  Inference batches come from
+``inference_chunks``: shortest first, up to ``batch_size * max_len`` tokens.
 
 The backward pass finishes the parameters group by group
 (``ParameterStore.groups``): the final layer norm and both heads, each layer
@@ -373,13 +374,15 @@ def _gelu_grad(x: np.ndarray, term: np.ndarray) -> np.ndarray:
 class _Packing(NamedTuple):
     """Where a batch's real tokens sit.  Packed row ``r`` holds token
     ``ids[r]`` at position ``positions[r]``; item ``b`` has ``lengths[b]``
-    rows from ``offsets[b]``, the slice ``rows[b]``."""
+    rows from ``offsets[b]``, the slice ``rows[b]``; ``runs`` holds (items,
+    rows, length) for each run of consecutive items of one length."""
 
     ids: np.ndarray
     positions: np.ndarray
     offsets: np.ndarray
     lengths: np.ndarray
     rows: list[slice]
+    runs: list[tuple[slice, slice, int]]
 
 
 def _pack(seqs: list[TokenSequence], config: ModelConfig) -> _Packing:
@@ -397,19 +400,24 @@ def _pack(seqs: list[TokenSequence], config: ModelConfig) -> _Packing:
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(ids.size) - np.repeat(offsets, lengths)
     rows = [slice(start, start + n) for start, n in zip(offsets.tolist(), lengths.tolist())]
-    return _Packing(ids, positions, offsets, lengths, rows)
+    firsts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()
+    runs = [(slice(b, e), slice(rows[b].start, rows[e - 1].stop), rows[b].stop - rows[b].start)
+            for b, e in zip(firsts, firsts[1:] + [len(seqs)])]
+    return _Packing(ids, positions, offsets, lengths, rows, runs)
 
 
-def _heads(rows: np.ndarray, n_heads: int) -> np.ndarray:
-    """One sequence's packed rows [L, d] as a view [heads, L, d / heads]."""
-    return rows.reshape(len(rows), n_heads, -1).swapaxes(0, 1)
+def _heads(rows: np.ndarray, length: int, n_heads: int) -> np.ndarray:
+    """A run's packed rows [items * L, d] as a view [items, heads, L, d / heads]."""
+    return rows.reshape(-1, length, n_heads, rows.shape[1] // n_heads).swapaxes(1, 2)
 
 
 def _attention(q, k, v, pk: _Packing, config: ModelConfig, rng):
-    """Scaled dot-product attention of each sequence over its own keys, on
-    one [heads, L, L] block per item; dropout iff ``rng`` is given.  Returns
-    the packed context rows and, per item, (probabilities, dropout keep mask
-    or None, the probabilities used for the context)."""
+    """Scaled dot-product attention of each sequence over its own keys;
+    dropout iff ``rng`` is given.  Each of ``pk.runs`` is one [items, heads,
+    L, L] block of views into the packed rows, for which numpy makes the
+    per-(item, head) products and per-row reductions of one item at a time.
+    Returns the packed context rows and, per run, (probabilities, dropout
+    keep mask or None, the probabilities used for the context)."""
     dropout = config.attention_dropout if rng is not None else 0.0
     scale = float(1.0 / np.sqrt(config.head_dim))  # a Python float keeps the dtype
     if dropout > 0.0:
@@ -418,38 +426,37 @@ def _attention(q, k, v, pk: _Packing, config: ModelConfig, rng):
         t = int(pk.lengths.max())
         draws = rng.random((len(pk.rows), config.n_heads, t, t))
     ctx = np.empty_like(q)
-    items = []
-    for b, rows in enumerate(pk.rows):
-        qb, kb, vb = (_heads(a[rows], config.n_heads) for a in (q, k, v))
+    runs = []
+    for items, rows, n in pk.runs:
+        qb, kb, vb = (_heads(a[rows], n, config.n_heads) for a in (q, k, v))
         # softmax in place: scores, exponentials and probabilities share one array
         p = qb @ kb.swapaxes(-1, -2)
         p *= scale
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        n = rows.stop - rows.start
-        keep = draws[b, :, :n, :n] >= dropout if dropout > 0.0 else None
+        keep = draws[items, :, :n, :n] >= dropout if dropout > 0.0 else None
         p_used = p if keep is None else p * keep / (1.0 - dropout)
-        _heads(ctx[rows], config.n_heads)[...] = p_used @ vb
-        items.append((p, keep, p_used))
-    return ctx, items
+        _heads(ctx[rows], n, config.n_heads)[...] = p_used @ vb
+        runs.append((p, keep, p_used))
+    return ctx, runs
 
 
 def _attention_backward(dctx, lc: dict, pk: _Packing, config: ModelConfig):
     """d(loss)/d(packed Q, K, V rows) from d(loss)/d(packed context rows),
-    one item at a time as in ``_attention``."""
+    one run at a time as in ``_attention``."""
     scale = float(1.0 / np.sqrt(config.head_dim))
     dq, dk, dv = (np.empty_like(dctx) for _ in range(3))
-    for rows, (probs, keep, p_used) in zip(pk.rows, lc["attention"]):
-        qb, kb, vb, dcb = (_heads(a[rows], config.n_heads)
+    for (_, rows, n), (probs, keep, p_used) in zip(pk.runs, lc["attention"]):
+        qb, kb, vb, dcb = (_heads(a[rows], n, config.n_heads)
                            for a in (lc["q"], lc["k"], lc["v"], dctx))
         dp = dcb @ vb.swapaxes(-1, -2)
-        _heads(dv[rows], config.n_heads)[...] = p_used.swapaxes(-1, -2) @ dcb
+        _heads(dv[rows], n, config.n_heads)[...] = p_used.swapaxes(-1, -2) @ dcb
         if keep is not None:  # dropout ran in the forward pass
             dp = dp * keep / (1.0 - config.attention_dropout)
         ds = probs * (dp - (probs * dp).sum(axis=-1, keepdims=True))
-        _heads(dq[rows], config.n_heads)[...] = (ds @ kb) * scale
-        _heads(dk[rows], config.n_heads)[...] = (ds.swapaxes(-1, -2) @ qb) * scale
+        _heads(dq[rows], n, config.n_heads)[...] = (ds @ kb) * scale
+        _heads(dk[rows], n, config.n_heads)[...] = (ds.swapaxes(-1, -2) @ qb) * scale
     return dq, dk, dv
 
 
@@ -492,7 +499,8 @@ def _forward_core(
     alone, and the hidden states returned are those rows, in ``keep``'s
     order.  A one-row selection from a batch of two or more tokens runs on
     that row twice: a one-row product is a matrix-vector product, which
-    rounds differently from the full pass (see TestGemmRows).
+    rounds differently from the full pass (see TestGemmRows).  A batch of
+    one token runs its one row, however often ``keep`` lists it.
     """
     pk = _pack(batch, config)
     p = store.params
@@ -504,9 +512,9 @@ def _forward_core(
         h1, ln1_cache = _layer_norm(x, p[lp + "ln1.g"], p[lp + "ln1.b"])
         q, k, v = (h1 @ p[lp + f"attn.w{proj}"] + p[lp + f"attn.b{proj}"] for proj in "qkv")
         ctx, attention = _attention(q, k, v, pk, config, rng)
-        if rows is not None and i == config.n_layers - 1:
-            tail = np.repeat(rows, 2) if len(rows) == 1 < len(pk.ids) else rows
-            x, ctx = x[tail], ctx[tail]
+        if rows is not None and i == config.n_layers - 1 and len(pk.ids) > 1:
+            tail = np.repeat(rows, 2) if len(rows) == 1 else rows
+            x, ctx, rows = x[tail], ctx[tail], np.arange(len(rows))
         x = x + (ctx @ p[lp + "attn.wo"] + p[lp + "attn.bo"])
         h2, ln2_cache = _layer_norm(x, p[lp + "ln2.g"], p[lp + "ln2.b"])
         a1 = h2 @ p[lp + "ffn.w1"] + p[lp + "ffn.b1"]
@@ -519,7 +527,7 @@ def _forward_core(
 
     hidden, final_ln_cache = _layer_norm(x, p["final_ln.g"], p["final_ln.b"])
     if rows is not None:
-        hidden = hidden[:len(rows)]
+        hidden = hidden[rows]
     return hidden, (pk, final_ln_cache)
 
 
@@ -559,10 +567,11 @@ def forward(
         # checked the lengths, and filled as each layer ends, so capturing
         # adds the returned arrays and nothing else to the peak
         i = next(layers)
+        items = [probs for run, _, _ in lc["attention"] for probs in run]
         if i == 0:
             attention.extend(np.empty((config.n_layers, *probs.shape), probs.dtype)
-                             for probs, _, _ in lc["attention"])
-        for out, (probs, _, _) in zip(attention, lc["attention"]):
+                             for probs in items)
+        for out, probs in zip(attention, items):
             out[i] = probs
 
     hidden, (pk, _) = _forward_core(store, config, batch,
@@ -786,20 +795,35 @@ def loss_and_grad(
     return loss
 
 
+def inference_chunks(seqs: list[TokenSequence], config: ModelConfig, batch_size: int):
+    """The indices of ``seqs`` in chunks, shortest first, each filled up to
+    ``batch_size * config.max_len`` tokens (what ``batch_size`` full-length
+    sequences hold) or holding one sequence."""
+    chunk, tokens = [], 0
+    for i in sorted(range(len(seqs)), key=lambda i: len(seqs[i])):
+        if chunk and tokens + len(seqs[i]) > batch_size * config.max_len:
+            yield chunk
+            chunk, tokens = [], 0
+        chunk.append(i)
+        tokens += len(seqs[i])
+    if chunk:
+        yield chunk
+
+
 def predict_logits(
     store: ParameterStore,
     config: ModelConfig,
     seqs: list[TokenSequence],
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Classification logits for a list of sequences, batched, without
-    dropout: row ``i`` has the bits of ``forward``'s logits for ``seqs[i]``.
-    The last layer's tail runs on the BOS rows alone."""
+    """Classification logits for a list of sequences, in ``inference_chunks``,
+    without dropout: row ``i`` has the bits of ``forward``'s logits for
+    ``seqs[i]``.  The last layer's tail runs on the BOS rows alone."""
     out = np.zeros((len(seqs), config.n_labels), dtype=config.np_dtype())
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start:start + batch_size]
-        bos, _ = _forward_core(store, config, chunk, keep=lambda pk: pk.offsets)
-        out[start:start + len(chunk)] = _classification_logits(store, bos)
+    for chunk in inference_chunks(seqs, config, batch_size):
+        bos, _ = _forward_core(store, config, [seqs[i] for i in chunk],
+                               keep=lambda pk: pk.offsets)
+        out[chunk] = _classification_logits(store, bos)
     return out
 
 

@@ -220,15 +220,16 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between periodic checkpoints; 0 = none
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.checkpoint_every < 0:
-            raise TrainingError(
-                "epochs must be >= 0, batch_size >= 1 and checkpoint_every >= 0"
-            )
+        # every [training] range rule; config.build_run_config runs them first
+        for key, least in (("epochs", 0), ("batch_size", 1), ("checkpoint_every", 0)):
+            if getattr(self, key) < least:
+                raise TrainingError(
+                    f"[training] {key} must be >= {least}, got {getattr(self, key)}")
         # NaN fails both comparisons
         if not (0.0 < self.learning_rate < np.inf and 0.0 <= self.weight_decay < np.inf):
             raise TrainingError(
-                "learning_rate must be finite and > 0, and weight_decay finite and >= 0, "
-                f"got {self.learning_rate} and {self.weight_decay}"
+                "[training] learning_rate must be finite and > 0, and weight_decay finite "
+                f"and >= 0, got {self.learning_rate} and {self.weight_decay}"
             )
 
 

@@ -278,35 +278,38 @@ class TestErrors:
         assert err.splitlines()[-1] == "ERROR\tconfig\t[training] checkpoint_every must be >= 0, got -1"
         assert not out.exists() and not checkpoints.exists()
 
-    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "classify"])
     @pytest.mark.parametrize("setting", [
         "learning_rate = -1", "learning_rate = 0", "learning_rate = nan", "weight_decay = -5",
     ], ids=["negative_rate", "zero_rate", "nan_rate", "negative_decay"])
     def test_untrainable_step_settings(self, workspace, tmp_path, capsys, monkeypatch,
                                        command, setting):
         """A learning rate that is not finite and above 0, or a negative
-        weight decay, would train uphill or to NaN weights: it fails before
-        the model is built or loaded."""
-        made = []
-        monkeypatch.setattr(cli, "init_model", lambda *args: made.append(args))
-        monkeypatch.setattr(cli, "load_model", lambda path: made.append(path))
+        weight decay, would train uphill or to NaN weights: like
+        ``batch_size = 0``, it fails in the config before any input loads,
+        in every stage."""
+        loaded = []
+        monkeypatch.setattr(cli, "_load_inputs", lambda args: loaded.append(args))
         config = tmp_path / "run.ini"
         config.write_text(workspace["config"].read_text().replace("learning_rate = 0.003", setting))
-        out = tmp_path / "m.bin"
-        inputs = {
-            "pretrain": ["--train", str(workspace["dataset"] / "train.tsv"),
-                         "--labels", str(workspace["dataset"] / "labels.txt")],
-            "finetune": ["--model", str(workspace["pretrained"]),
-                         "--dataset", str(workspace["dataset"])],
-        }[command]
-        code = main([command, "--config", str(config), "--tokenizer", str(workspace["tokenizer"]),
-                     *inputs, "--out", str(out)])
-        assert code == 1
+        if command == "classify":
+            argv, outputs = self._curation_run(workspace, tmp_path, command, config)
+        else:
+            outputs = [tmp_path / "m.bin"]
+            inputs = {
+                "pretrain": ["--train", str(workspace["dataset"] / "train.tsv"),
+                             "--labels", str(workspace["dataset"] / "labels.txt")],
+                "finetune": ["--model", str(workspace["pretrained"]),
+                             "--dataset", str(workspace["dataset"])],
+            }[command]
+            argv = [command, "--config", str(config), "--tokenizer", str(workspace["tokenizer"]),
+                    *inputs, "--out", str(outputs[0])]
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(
-            "ERROR\ttraining\tlearning_rate must be finite and > 0, and weight_decay")
-        assert made == [] and sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+            "ERROR\tconfig\t[training] learning_rate must be finite and > 0, and weight_decay")
+        assert loaded == [] and not any(path.exists() for path in outputs)
 
     def test_pretrain_encodes_before_it_allocates(self, workspace, tmp_path, capsys, monkeypatch):
         short = tmp_path / "short.txt"
@@ -837,7 +840,34 @@ class TestExplainBatches:
 
 
 class TestClassifyBatches:
-    """A query's scores do not depend on which queries share its batch."""
+    """A query's scores do not depend on which queries share its batch, and
+    a batch holds at most ``batch_size * max_len`` tokens."""
+
+    @pytest.mark.parametrize("stage", ["classify", "explain"])
+    def test_no_chunk_exceeds_batch_size_times_max_len_tokens(self, workspace, tmp_path,
+                                                               monkeypatch, stage):
+        calls = []
+        core = model._forward_core
+
+        def recording(store, config, batch, *args, **kwargs):
+            calls.append((config.max_len, [len(item) for item in batch]))
+            return core(store, config, batch, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_forward_core", recording)
+        config = tmp_path / "run.ini"
+        config.write_text(workspace["config"].read_text().replace(
+            "batch_size = 8", "batch_size = 1"))
+        molecules = tmp_path / "molecules.smi"
+        molecules.write_text("\n".join(EXPLAIN_MOLECULES * 4) + "\n")
+        out = tmp_path / stage
+        assert main([stage, "--config", str(config), "--model", str(workspace["finetuned"]),
+                     "--tokenizer", str(workspace["tokenizer"]),
+                     "--labels", str(workspace["dataset"] / "labels.txt"),
+                     "--input", str(molecules), "--out", str(out)]) == 0
+        assert sum(len(lengths) for _, lengths in calls) == 4 * len(EXPLAIN_MOLECULES)
+        assert len(calls) > 1 and max(len(lengths) for _, lengths in calls) > 1
+        for max_len, lengths in calls:
+            assert sum(lengths) <= 1 * max_len or len(lengths) == 1
 
     def test_classify_results_do_not_depend_on_batch_size(self, workspace, tmp_path):
         molecules = tmp_path / "molecules.smi"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -21,6 +22,8 @@ from ontograft.model import (
     ModelConfig,
     ModelError,
     NumericError,
+    _attention,
+    _attention_backward,
     _forward_core,
     _gather_mlm,
     _layer_norm,
@@ -30,7 +33,9 @@ from ontograft.model import (
     _mlm_objective,
     erf,
     expit,
+    _pack,
     forward,
+    inference_chunks,
     init_model,
     load_model,
     loss_and_grad,
@@ -42,6 +47,7 @@ from ontograft.model import (
 from ontograft.tokenizer import BOS_ID, EOS_ID, PAD_ID, TokenSequence, train_bpe
 from ontograft.training import OptimizerState
 
+import attention_oracle
 import padded_oracle
 from conftest import WholeGradient, with_config_keys
 
@@ -567,6 +573,7 @@ class TestPackedAgainstPaddedOracle:
     @settings(max_examples=80, deadline=None)
     @given(batch=BATCHES, dropout=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @example(batch=[[5], [5, 5, 5, 5], [7], [5, 9]], dropout=True, seed=0)
+    @example(batch=[[5], [7], [5, 9], [6, 6], [5, 5, 5, 5]], dropout=True, seed=3)
     def test_inference_matches_the_padded_oracle(self, batch, dropout, seed):
         config, store = oracle_model()
         seqs = [TokenSequence(tuple(ids)) for ids in batch]
@@ -577,8 +584,12 @@ class TestPackedAgainstPaddedOracle:
         ref, _ = padded_oracle.forward_core(store, config, seqs, rng(), padded_layers.append)
         for b, n in enumerate(lengths):
             assert_close(hidden[pk.rows[b]], ref[b, :n])
-            for mine, theirs in zip(packed_layers, padded_layers):
-                assert_close(mine["attention"][b][2], theirs["probs_used"][b, :, :n, :n])
+        for mine, theirs in zip(packed_layers, padded_layers):
+            # the layer cache holds one block per run of equal-length items
+            used = [probs for _, _, run in mine["attention"] for probs in run]
+            assert len(used) == len(seqs)
+            for b, n in enumerate(lengths):
+                assert_close(used[b], theirs["probs_used"][b, :, :n, :n])
                 npt.assert_array_equal(theirs["probs"][b, :, :, n:], 0.0)
         if dropout:
             return
@@ -672,9 +683,102 @@ class TestBatchInvariance:
             assert out.attention.shape == (config.n_layers, config.n_heads, n, n)
         want = np.stack([out.logits for out in outs])
         for batch_size in range(1, len(seqs) + 1):
-            chunks = [seqs[i:i + batch_size] for i in range(0, len(seqs), batch_size)]
-            if min(sum(map(len, chunk)) for chunk in chunks) > 1:
+            chunks = inference_chunks(seqs, config, batch_size)
+            if min(sum(len(seqs[i]) for i in chunk) for chunk in chunks) > 1:
                 npt.assert_array_equal(predict_logits(store, config, seqs, batch_size), want)
+
+
+class TestAttentionRuns:
+    """``_pack`` groups consecutive items of one length into runs, and
+    ``_attention`` and ``_attention_backward`` compute each run as one
+    [items, heads, L, L] block.  ``attention_oracle`` computes one item at a
+    time, as the encoder did before; every output has its bits, with and
+    without dropout."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([1, 2, 3, 5, 9]), min_size=1, max_size=10),
+        n_heads=st.sampled_from([1, 2, 3]),
+        dtype=st.sampled_from(["float64", "float32"]),
+        dropout=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[1, 1, 3, 3, 3, 2, 9, 1, 5, 5], n_heads=2, dtype="float64", dropout=True,
+             seed=0)
+    @example(lengths=[9, 9, 9, 9], n_heads=3, dtype="float32", dropout=False, seed=1)
+    @example(lengths=[1], n_heads=1, dtype="float64", dropout=True, seed=2)
+    def test_runs_have_the_bits_of_one_item_at_a_time(self, lengths, n_heads, dtype, dropout,
+                                                      seed):
+        config = ModelConfig(vocab_size=20, n_labels=3, n_layers=1, n_heads=n_heads,
+                             hidden_dim=12, ffn_dim=8, max_len=9, attention_dropout=0.3,
+                             dtype=dtype)
+        pk = _pack([TokenSequence((5,) * n) for n in lengths], config)
+        assert [(items.stop - items.start, n) for items, _, n in pk.runs] == [
+            (len(list(group)), n) for n, group in itertools.groupby(lengths)]
+        rng = np.random.default_rng(seed)
+        q, k, v, dctx = (rng.normal(0.0, 2.0, (len(pk.ids), 12)).astype(dtype)
+                         for _ in range(4))
+        draws = (lambda: np.random.default_rng(seed + 1)) if dropout else (lambda: None)
+        ctx, runs = _attention(q, k, v, pk, config, draws())
+        want_ctx, items = attention_oracle.attention(q, k, v, pk, config, draws())
+        npt.assert_array_equal(ctx, want_ctx)
+        # (probabilities, keep mask, probabilities used) of each item of each run
+        got = [[None if part is None else part[j] for part in run]
+               for run in runs for j in range(len(run[0]))]
+        assert len(got) == len(items)
+        for mine, theirs in zip(got, items):
+            for a, b in zip(mine, theirs):
+                assert (a is None) == (b is None)
+                if b is not None:
+                    assert a.dtype == b.dtype
+                    npt.assert_array_equal(a, b)
+        grads = _attention_backward(dctx, dict(q=q, k=k, v=v, attention=runs), pk, config)
+        want = attention_oracle.attention_backward(
+            dctx, dict(q=q, k=k, v=v, attention=items), pk, config)
+        for name, a, b in zip(("dq", "dk", "dv"), grads, want):
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b, err_msg=name)
+
+
+class TestInferenceChunks:
+    """``predict_logits`` runs its input in ``inference_chunks``: shortest
+    first, up to ``batch_size * max_len`` tokens a chunk.  Its rows come
+    back in input order with the bits each item gets alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.lists(st.lists(st.integers(0, 19), min_size=2, max_size=40),
+                       min_size=1, max_size=10),
+        batch_size=st.integers(1, 12),
+        dtype=st.sampled_from(["float64", "float32"]),
+        shuffle=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=[[5, 6]] * 3 + [[4] * 40] * 3, batch_size=1, dtype="float64", shuffle=0)
+    def test_any_order_and_batch_size_give_the_same_bytes(self, batch, batch_size, dtype,
+                                                          shuffle):
+        config, store = perturbed_model(dtype)
+        seqs = [TokenSequence(tuple(ids)) for ids in batch]
+        alone = np.stack([forward(store, config, [item])[0].logits for item in seqs])
+        order = np.random.default_rng(shuffle).permutation(len(seqs))
+        got = predict_logits(store, config, [seqs[i] for i in order], batch_size)
+        assert got.dtype == alone.dtype
+        assert got.tobytes() == alone[order].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), max_size=12), batch_size=st.integers(1, 4))
+    @example(lengths=[12, 12, 12, 12], batch_size=1)
+    @example(lengths=[13, 2], batch_size=1)  # longer than max_len: a chunk of its own
+    def test_chunks_are_length_ordered_and_within_the_budget(self, lengths, batch_size):
+        config = ModelConfig(vocab_size=20, n_labels=3, max_len=12)
+        seqs = [TokenSequence((5,) * n) for n in lengths]
+        chunks = list(inference_chunks(seqs, config, batch_size))
+        flat = [i for chunk in chunks for i in chunk]
+        assert flat == sorted(range(len(seqs)), key=lambda i: lengths[i])
+        for chunk in chunks:
+            tokens = sum(lengths[i] for i in chunk)
+            assert tokens <= batch_size * config.max_len or len(chunk) == 1
+        for chunk, after in zip(chunks, chunks[1:]):  # each chunk is as full as it can be
+            assert sum(lengths[i] for i in chunk + after[:1]) > batch_size * config.max_len
 
 
 @pytest.fixture
@@ -705,7 +809,9 @@ class TestLastLayerRows:
 
     @pytest.mark.parametrize("batch, batch_size, want", [
         (ROWS_BATCH, 4, [21, 4]),  # one BOS row per item
-        (ROWS_BATCH, 3, [13, 3, 8, 2]),  # a one-item chunk of 8 tokens runs its BOS row twice
+        # shortest first, up to 3 x max_len = 36 tokens a chunk: 3 + 12 + 12 tokens, then
+        # a one-item chunk of 12 tokens, which runs its BOS row twice
+        ([seq(*[5] * 10), seq(9), seq(*[6] * 10), seq(*[7] * 10)], 3, [27, 3, 12, 2]),
         ([TokenSequence((5,))], 1, [1, 1]),  # one token: one row already
     ])
     def test_predict_logits_runs_the_tail_on_bos_rows(self, gelu_rows, tiny_config, tiny_store,
@@ -741,6 +847,7 @@ class TestLastLayerRows:
     @example(batch=[[5, 6, 7], [8, 9]], masked=[(0, 2, 4), (0, 2, 4)], dtype="float32")
     @example(batch=[[5, 6, 7, 8]], masked=[(0, 1, 3), (0, 3, 11)], dtype="float64")
     @example(batch=[[5, 6, 7, 8]], masked=[(0, 2, 9)], dtype="float32")
+    @example(batch=[[3]], masked=[(0, 0, 0), (0, 0, 1)], dtype="float64")  # one token, kept twice
     def test_mlm_loss_value_has_the_bits_of_the_full_pass(self, batch, masked, dtype):
         """``mlm_loss_value`` against the head and objective applied to the
         gathered rows of a pass that runs every row."""
