@@ -31,9 +31,9 @@ from ontograft.model import (
     _layer_norm_backward,
     _mlm_head_forward,
     _mlm_objective,
+    _pack,
     erf,
     expit,
-    _pack,
     forward,
     inference_chunks,
     init_model,
