@@ -18,6 +18,7 @@ import configparser
 from dataclasses import MISSING, fields
 
 from ._io import read_failure
+from .dataset import DatasetError, check_ratios
 from .model import ModelConfig
 from .training import MaskingPolicy, TrainConfig, TrainingError
 
@@ -152,6 +153,8 @@ def build_run_config(
     if not 0.0 < threshold < 1.0:
         raise ConfigValueError(f"threshold must be in (0, 1), got {threshold}")
     for section, key, least in (
+        ("dataset", "n_label_classes", 1),
+        ("dataset", "min_members", 0),
         ("tokenizer", "max_len", 3),  # BOS and EOS take two positions
         ("tokenizer", "min_frequency", 1),
         ("extension", "top_k", 0),
@@ -161,6 +164,10 @@ def build_run_config(
             raise ConfigValueError(
                 f"[{section}] {key} must be >= {least}, got {sections[section][key]}")
     run = RunConfig(sections)
+    try:  # dataset holds the split ratio rule
+        check_ratios((run.ratio_train, run.ratio_validation, run.ratio_test))
+    except DatasetError as exc:
+        raise ConfigValueError(f"[dataset] {exc}") from None
     try:  # TrainConfig holds the [training] range rules
         for epochs in (run.pretrain_epochs, run.finetune_epochs):
             run.build(TrainConfig, "training", epochs=epochs)

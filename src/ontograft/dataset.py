@@ -1,13 +1,17 @@
 """Turn an ontology graph into a multi-label dataset with reproducible splits.
 
 Molecules are the structured leaves of the graph; a molecule's label vector
-marks every selected label class among its ancestors.
+marks every selected label class among its ancestors.  Label selection builds
+each class's set of structured leaves once, from its children's sets, in the
+children-first order of ``OntologyGraph._peel``.  The molecules' label vectors
+are the rows of one int8 matrix, in both ``build_dataset`` and ``load_tsv``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -76,29 +80,15 @@ class DatasetSplits:
 
 
 def _structured_leaf_members(graph: OntologyGraph, position: dict[str, int]):
-    """Class id -> sorted indices (values of position) of its structured-leaf
-    descendants, for every class, each built from its children's."""
-    empty = np.empty(0, dtype=np.int64)
-    members: dict[str, np.ndarray] = {}
-    for root in graph.ids():
-        stack = [root]
-        while stack:
-            cid = stack[-1]
-            if cid in members:
-                stack.pop()
-                continue
-            children = graph.children(cid)
-            pending = [child for child in children if child not in members]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            if not children:
-                members[cid] = empty
-                continue
-            own = [position[child] for child in children if child in position]
-            parts = [members[child] for child in children]
-            members[cid] = np.unique(np.concatenate(parts + [np.array(own, dtype=np.int64)]))
+    """Class id -> set of positions (values of position) of its structured-leaf
+    descendants, for every class with children, each built from its children's
+    sets in the children-first order of ``OntologyGraph._peel``."""
+    children = graph._children
+    members: dict[str, set[int]] = {}
+    for cid in graph._peel():
+        kids = children[cid]
+        members[cid] = own = {position[kid] for kid in kids if kid in position}
+        own.update(*[members[kid] for kid in kids if kid in members])
     return members
 
 
@@ -116,14 +106,12 @@ def select_label_classes(
         raise DatasetError("graph is empty")
     if k < 1:
         raise DatasetError("k must be >= 1")
-    structured = sorted(graph.structured_leaves())
-    members = _structured_leaf_members(
-        graph, {leaf: i for i, leaf in enumerate(structured)}
-    )
+    # the greedy loop only counts leaves, so any numbering of them will do
+    position = {leaf: i for i, leaf in enumerate(graph.structured_leaves())}
+    members = _structured_leaf_members(graph, position)
     candidates = [
         cid for cid in graph.ids()
-        if not graph[cid].obsolete and not graph.is_leaf(cid)
-        and members[cid].size >= min_members
+        if cid in members and not graph[cid].obsolete and len(members[cid]) >= min_members
     ]
     if len(candidates) < k:
         raise DatasetError(
@@ -133,11 +121,12 @@ def select_label_classes(
     # candidate x leaf incidence as (row, leaf) pairs; the overlap with the
     # covered leaves is kept as integer counts, updated by each pick's new leaves
     leaves = [members[cid] for cid in candidates]
-    size = np.array([m.size for m in leaves], dtype=np.int64)
+    size = np.fromiter(map(len, leaves), dtype=np.int64, count=len(leaves))
+    end = np.cumsum(size)
     rows = np.repeat(np.arange(len(candidates)), size)
-    cols = np.concatenate(leaves)
+    cols = np.fromiter(chain.from_iterable(leaves), dtype=np.int64, count=int(end[-1]))
     inter = np.zeros(len(candidates), dtype=np.int64)
-    covered = np.zeros(len(structured), dtype=bool)
+    covered = np.zeros(len(position), dtype=bool)
     n_covered = 0
     taken = np.zeros(len(candidates), dtype=bool)
     rng = np.random.default_rng(seed)
@@ -148,8 +137,8 @@ def select_label_classes(
         taken[pick] = True
         if len(selected) == k:
             return LabelIndex(tuple(selected))
-        newly = np.zeros(len(structured), dtype=bool)
-        newly[leaves[pick]] = True
+        newly = np.zeros(len(position), dtype=bool)
+        newly[cols[end[pick] - size[pick]:end[pick]]] = True
         newly &= ~covered
         covered |= newly
         n_covered += int(newly.sum())
@@ -171,24 +160,22 @@ def build_dataset(
     Leaves sharing a SMILES string are merged (label union) so the dataset is
     unique on SMILES.
     """
-    for cid in labels:
-        if cid not in graph:
-            raise UnknownClassError(cid)
-    structured = sorted(graph.structured_leaves())
-    position = {leaf: i for i, leaf in enumerate(structured)}
-    y = np.zeros((len(structured), len(labels)), dtype=np.int8)
-    for j, cid in enumerate(labels):
-        y[[position[d] for d in graph.descendants(cid) if d in position], j] = 1
-    by_smiles: dict[str, np.ndarray] = {}
-    for i in np.flatnonzero(y.any(axis=1)):
-        smiles = graph[structured[i]].smiles
-        if smiles in by_smiles:
-            by_smiles[smiles] |= y[i]
-        else:
-            by_smiles[smiles] = y[i].copy()
-    if not by_smiles:
+    below = [graph.descendants(cid) for cid in labels]  # or UnknownClassError
+    leaves = sorted(graph.structured_leaves() & set().union(*below))
+    if not leaves:
         raise DatasetError("no structured leaf matches any label class")
-    molecules = [LabeledMolecule(s, vec) for s, vec in by_smiles.items()]
+    position = {leaf: i for i, leaf in enumerate(leaves)}
+    y = np.zeros((len(leaves), len(labels)), dtype=np.int8)
+    for j, found in enumerate(below):
+        y[[position[d] for d in found if d in position], j] = 1
+    # each SMILES's first row keeps its place and ORs in the rows that repeat it
+    first: dict[str, int] = {}
+    for i, leaf in enumerate(leaves):
+        row = first.setdefault(graph[leaf].smiles, i)
+        if row != i:
+            y[row] |= y[i]
+    kept = y[list(first.values())]
+    molecules = [LabeledMolecule(s, kept[n]) for n, s in enumerate(first)]
     return molecules, compute_stats(molecules, labels)
 
 
@@ -221,16 +208,21 @@ def largest_remainder_sizes(n: int, ratios: tuple[float, ...]) -> tuple[int, ...
     return tuple(sizes)
 
 
+def check_ratios(ratios: tuple[float, ...]) -> None:
+    """Three positive split ratios that sum to 1, or a DatasetError."""
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):
+        raise DatasetError(f"ratios must be three positive numbers, got {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise DatasetError(f"ratios must sum to 1, got {sum(ratios)}")
+
+
 def split_dataset(
     data: list[LabeledMolecule],
     ratios: tuple[float, float, float],
     seed: int,
 ) -> DatasetSplits:
     """Shuffle and partition into train/validation/test by ratio."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise DatasetError("ratios must be three positive numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DatasetError(f"ratios must sum to 1, got {sum(ratios)}")
+    check_ratios(ratios)
     if len(data) < 3:
         raise DatasetError("dataset must contain at least 3 molecules")
     n_train, n_val, n_test = largest_remainder_sizes(len(data), ratios)

@@ -126,6 +126,8 @@ def prune_to_most_specific(graph: OntologyGraph, accepted: list[str]) -> list[st
 # An id's trailing decimal digits: any Unicode Nd digit counts, and ``$``
 # also matches before a final newline.
 _TRAILING_NUMBER = re.compile(r"(\d+)$")
+# The same number, read per id from the ids joined and ended by NUL.
+_ENDING_NUMBERS = re.compile(r"(\d+)\n?\0")
 
 
 class FreshIdAllocator:
@@ -135,12 +137,12 @@ class FreshIdAllocator:
     def __init__(self, graph: OntologyGraph, prefix: str = "ONTOGRAFT:", width: int = 6):
         self.prefix = prefix
         self.width = width
-        highest = 0
-        for cid in graph:
-            m = _TRAILING_NUMBER.search(cid)
-            if m:
-                highest = max(highest, int(m.group(1)))
-        self._next = highest + 1
+        text = "\0".join(graph) + "\0"
+        if text.count("\0") == len(graph):  # one scan, unless an id holds a NUL
+            found = _ENDING_NUMBERS.findall(text)
+        else:
+            found = [m.group(1) for m in map(_TRAILING_NUMBER.search, graph) if m]
+        self._next = max(map(int, found), default=0) + 1
 
     def allocate(self) -> str:
         new_id = f"{self.prefix}{self._next:0{self.width}d}"

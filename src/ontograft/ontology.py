@@ -6,9 +6,9 @@ new graph, so instances can be shared freely between threads.
 ``parse_obo`` reads the text in one pass over its lines.
 ``OntologyGraph.__init__`` is the one validating entry point: parsed and
 hand-built graphs get the parent check and then the acyclicity check there.
-That check peels classes upward from the leaves, as Kahn's topological sort
-does; a depth-first search runs only when some class is left over, to name
-the cycle.  Classes without children share one empty child set.
+That check (``_peel``) peels classes upward from the leaves, as Kahn's
+topological sort does; a depth-first search runs only when some class is left
+over, to name the cycle.  Classes without children share one empty child set.
 ``insert_subsumptions`` costs what it adds instead.  The extended
 graph copies the class dict and the children map, gives a new child set only
 to the parents that gain a child, and shares every other child set with the
@@ -110,12 +110,18 @@ class OntologyGraph:
         self.header_lines = tuple(header_lines)
         self.trailing_stanzas = tuple(trailing_stanzas)
         self._children = children
-        # Peel classes upward from the leaves, as Kahn's topological sort
-        # does: a class goes once all its children have gone.  Leaves go at
-        # once, so only classes with children are counted.  A class that never
-        # goes lies on or above a cycle; only then does the depth-first
-        # search run, to name the cycle.
-        waiting = {cid: 0 for cid, kids in children.items() if kids}
+        self._peel()
+
+    def _peel(self) -> list[str]:
+        """Every class that has children, each after all of its children:
+        peeled upward from the leaves, as Kahn's topological sort does, a
+        class goes once all its children have gone.  Leaves go at once and
+        are not listed.  A class that never goes lies on or above a cycle;
+        only then does the depth-first search run, to name it in a
+        ``CycleError``.  Construction runs this as its acyclicity check, and
+        label selection builds its member sets in this order."""
+        classes = self._classes
+        waiting = {cid: 0 for cid, kids in self._children.items() if kids}
         for cid in waiting:
             for parent in classes[cid].parents:
                 waiting[parent] += 1
@@ -127,6 +133,7 @@ class OntologyGraph:
                     gone.append(parent)
         if len(gone) < len(waiting):
             raise CycleError(self._find_cycle())
+        return gone
 
     def _find_cycle(self) -> list[str] | None:
         """Depth-first search over parent edges; returns one cycle if any."""
@@ -224,7 +231,8 @@ class OntologyGraph:
 
     def structured_leaves(self) -> set[str]:
         """Leaves that carry a SMILES annotation."""
-        return {cid for cid in self.leaves() if self._classes[cid].smiles is not None}
+        return {cid for cid, cls in self._classes.items()
+                if cls.smiles is not None and not self._children[cid] and not cls.obsolete}
 
     def insert_subsumptions(
         self, additions: list[tuple[OntologyClass, list[str]]]

@@ -250,6 +250,30 @@ class TestErrors:
         assert err.splitlines()[-1] == f"ERROR\tconfig\t[extension] {key} must be >= 0, got -1"
         assert not any(path.exists() for path in outputs)
 
+    @pytest.mark.parametrize("setting, message", [
+        ("n_label_classes = 0", "n_label_classes must be >= 1, got 0"),
+        ("min_members = -5", "min_members must be >= 0, got -5"),
+        ("ratio_train = 0", "ratios must be three positive numbers, got (0.0, 0.09, 0.21)"),
+        ("ratio_test = nan", "ratios must be three positive numbers, got (0.7, 0.09, nan)"),
+        ("ratio_train = 0.8", "ratios must sum to 1, got 1.1"),
+    ], ids=["no_labels", "negative_members", "zero_ratio", "nan_ratio", "ratio_sum"])
+    def test_dataset_setting_out_of_range(self, tmp_path, capsys, monkeypatch, setting, message):
+        """A [dataset] value that selection or splitting would refuse fails
+        in the config, before the ontology loads."""
+        loaded = []
+        monkeypatch.setattr(cli, "_load_inputs", lambda args: loaded.append(args))
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nseed = 1\n\n[dataset]\n{setting}\n")
+        obo, out = tmp_path / "x.obo", tmp_path / "d"
+        obo.touch()
+        code = main(["build-dataset", "--config", str(config), "--ontology", str(obo),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"ERROR\tconfig\t[dataset] {message}")
+        assert loaded == [] and not out.exists()
+
     @pytest.mark.parametrize("key, value, least", [("max_len", 2, 3), ("min_frequency", 0, 1)])
     def test_tokenizer_setting_below_least(self, workspace, tmp_path, capsys, key, value, least):
         config = tmp_path / "run.ini"

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontograft.dataset import (
     DatasetError,
@@ -16,9 +18,11 @@ from ontograft.dataset import (
     save_tsv,
     select_label_classes,
     split_dataset,
+    _structured_leaf_members,
 )
 from ontograft.ontology import UnknownClassError
 
+import dataset_oracle
 from conftest import make_graph, random_dag
 
 
@@ -427,3 +431,75 @@ class TestTsv:
     def test_duplicate_label_rejected(self):
         with pytest.raises(DatasetError):
             LabelIndex(("A", "A"))
+
+
+@st.composite
+def hierarchies(draw):
+    """Small hierarchies with what ``random_dag`` never draws: few SMILES
+    strings, so leaves share them, SMILES on classes with children, obsolete
+    classes with and without children, and classes without a structured leaf
+    below.  Each class picks its parents among earlier ones, so a class with
+    two parents that share an ancestor closes a diamond."""
+    n = draw(st.integers(1, 24))
+    spec = {}
+    for i in range(n):
+        parents = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        spec[f"C{i:02d}"] = {
+            "parents": [f"C{p:02d}" for p in parents],
+            "smiles": draw(st.sampled_from([None, None, "C", "CC", "N", "CO"])),
+            "obsolete": draw(st.sampled_from([False, False, False, True])),
+        }
+    return make_graph(spec)
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` and no error, or None and the error's type and message."""
+    try:
+        return fn(*args), None
+    except (DatasetError, UnknownClassError) as exc:
+        return None, (type(exc), str(exc))
+
+
+class TestAgainstOracle:
+    """Label selection and dataset construction against the depth-first,
+    per-class ``np.unique`` forms they replaced (``dataset_oracle``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=hierarchies())
+    def test_member_counts(self, graph):
+        position = {leaf: i for i, leaf in enumerate(sorted(graph.structured_leaves()))}
+        want = dataset_oracle._structured_leaf_members(graph, position)
+        got = _structured_leaf_members(graph, position)
+        assert set(got) == {cid for cid in graph if not graph.is_leaf(cid)}
+        for cid in graph:
+            assert got.get(cid, set()) == set(want[cid].tolist()), cid
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=hierarchies(), min_members=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_selected_labels_for_every_k(self, graph, min_members, seed):
+        for k in itertools.count(1):
+            want, want_error = outcome(
+                dataset_oracle.select_label_classes, graph, k, min_members, seed)
+            got, got_error = outcome(select_label_classes, graph, k, min_members, seed)
+            assert got_error == want_error
+            if want_error:
+                break
+            assert got.classes == want.classes
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=hierarchies(), data=st.data())
+    def test_molecules_labels_and_stats(self, graph, data):
+        ids = graph.ids() + ["MISSING"]
+        classes = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=5, unique=True))
+        labels = LabelIndex(tuple(classes))
+        want, want_error = outcome(dataset_oracle.build_dataset, graph, labels)
+        got, got_error = outcome(build_dataset, graph, labels)
+        assert got_error == want_error
+        if want_error:
+            return
+        (got_molecules, got_stats), (want_molecules, want_stats) = got, want
+        assert [m.smiles for m in got_molecules] == [m.smiles for m in want_molecules]
+        for mol, ref in zip(got_molecules, want_molecules):
+            assert (mol.labels.dtype, mol.labels.shape) == (ref.labels.dtype, ref.labels.shape)
+            assert mol.labels.tobytes() == ref.labels.tobytes()
+        assert got_stats == want_stats

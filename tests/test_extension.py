@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ontograft.dataset import DatasetError, DatasetSplits, LabelIndex, LabeledMolecule
 from ontograft.extension import (
@@ -21,12 +23,15 @@ from ontograft.extension import (
 from ontograft.model import ModelConfig, init_model
 from ontograft.ontology import (
     DuplicateIdError,
+    OntologyClass,
     OntologyGraph,
     UnknownClassError,
     serialize_obo,
 )
 from ontograft.tokenizer import train_bpe
 from ontograft.training import TrainConfig, finetune
+
+import obo_oracle
 
 import obo_oracle
 from conftest import make_graph
@@ -208,6 +213,20 @@ class TestPropose:
         allocator = FreshIdAllocator(graph, prefix="NEW:", width=6)
         assert allocator.allocate() == "NEW:000778"
         assert allocator.allocate() == "NEW:000779"
+
+    # ASCII and other Unicode Nd digits, a superscript digit (No, not Nd),
+    # newline (which ``$`` may skip once at the end) and NUL (the separator
+    # of the one scan over the joined ids)
+    @settings(max_examples=300, deadline=None)
+    @given(ids=st.sets(st.text(st.sampled_from(
+        ["0", "9", "X", ":", "\n", "\0", "\u0663", "\u07c1", "\U0001d7d7", "\uff15", "\u00b2"]),
+        min_size=1, max_size=6), max_size=8))
+    @example(ids={"A:12\n", "B:70\n\n", "C:3\n4", "D:\u0663\u0664", "E:\u00b29"})
+    @example(ids={"A:12\n", "B:7\0", "C:88\01"})
+    def test_fresh_ids_follow_the_per_id_rule(self, ids):
+        graph = OntologyGraph({cid: OntologyClass(id=cid) for cid in ids})
+        assert FreshIdAllocator(graph, prefix="N:", width=1).allocate() == (
+            f"N:{obo_oracle.first_fresh_number(graph)}")
 
     def test_name_defaults_to_smiles(self):
         graph = family_graph()
